@@ -13,7 +13,8 @@ The package constructs, from rational structure constants:
 * finite directed systems, their colimits, and exact verification that
   universal central extensions commute with direct limits.
 
-All arithmetic is exact (fractions.Fraction); every result is
+All arithmetic is exact (fractions.Fraction, and Python ints inside the
+elimination and validation kernels); every result is
 deterministic bit for bit.  The `superuce` console script exposes the
 same computations as subcommands emitting JSON or text reports.
 """
@@ -30,6 +31,7 @@ from .linalg import (
 )
 from .algebra import (
     AssocSuperalgebra,
+    CertificateError,
     GradedBasis,
     GradedLinearMap,
     InvalidAlgebraError,
@@ -92,6 +94,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssocSuperalgebra",
     "CentralExtension",
+    "CertificateError",
     "Cocycle2",
     "Colimit",
     "CyclicPairs",

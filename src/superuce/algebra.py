@@ -24,6 +24,7 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     Vector,
+    _denominator_lcm,
     echelon_rows,
     kernel_basis,
     quotient_space,
@@ -63,6 +64,13 @@ class ValidationReport:
 
     def __repr__(self) -> str:
         return f"ValidationReport({len(self.violations)} violations)"
+
+
+class CertificateError(AssertionError):
+    """A correctness certificate failed: a computed object does not have
+    the property its construction guarantees.  The message names the
+    object, pair or triple at fault.  Raised explicitly, so it survives
+    python -O."""
 
 
 class InvalidAlgebraError(ValueError):
@@ -229,11 +237,25 @@ def _check_grading(report: ValidationReport, basis: GradedBasis, table) -> None:
                     )
 
 
+def _integral_table(table) -> tuple:
+    """(int_table, D): D is the LCM of all denominators in the table and
+    int_table == D * table cell by cell, with int entries."""
+    den = _denominator_lcm(x for row in table for cell in row for x in cell.values())
+    int_table = tuple(
+        tuple({k: x.numerator * (den // x.denominator) for k, x in cell.items()} for cell in row)
+        for row in table
+    )
+    return int_table, den
+
+
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
     The Jacobi expression is invariant under cyclic rotation of (i, j, k),
-    so triples are checked once per cyclic class.
+    so triples are checked once per cyclic class.  It is homogeneous of
+    degree 2 in the structure constants, so it is evaluated in ints on
+    the table scaled by the LCM D of its denominators: each sum is D^2
+    times the rational one and vanishes exactly when that one does.
     """
     report = ValidationReport()
     basis, table = L.basis, L.table
@@ -251,35 +273,39 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
             report.add("skew", (labels[i], labels[i]), "[x,x] != 0 for even x")
     if not report.ok:
         return report
+    itable, _ = _integral_table(table)
     for i in range(d):
-        ti = table[i]
+        ti = itable[i]
         for j in range(i, d):
-            tj = table[j]
+            tj = itable[j]
+            cij = ti[j]
             for k in range(i, d):
-                acc: Vector = {}
-                cell = tj[k]
-                if cell:
-                    s = -ONE if par[i] and par[k] else ONE
+                cjk = tj[k]
+                cki = itable[k][i]
+                if not (cjk or cki or cij):
+                    continue
+                acc: dict = {}
+                for cell, outer, s in (
+                    (cjk, ti, -1 if par[i] and par[k] else 1),
+                    (cki, tj, -1 if par[j] and par[i] else 1),
+                    (cij, itable[k], -1 if par[k] and par[j] else 1),
+                ):
                     for t, x in cell.items():
-                        vec_add_scaled(acc, ti[t], s * x)
-                cell = table[k][i]
-                if cell:
-                    s = -ONE if par[j] and par[i] else ONE
-                    for t, x in cell.items():
-                        vec_add_scaled(acc, tj[t], s * x)
-                cell = ti[j]
-                if cell:
-                    s = -ONE if par[k] and par[j] else ONE
-                    tk = table[k]
-                    for t, x in cell.items():
-                        vec_add_scaled(acc, tk[t], s * x)
-                if acc:
+                        x *= s
+                        for r, y in outer[t].items():
+                            acc[r] = acc.get(r, 0) + x * y
+                if any(acc.values()):
                     report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
     return report
 
 
 def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
-    """Grading, associativity on all ordered triples, two-sided even unit."""
+    """Grading, associativity on all ordered triples, two-sided even unit.
+
+    Associativity is checked in ints on the table scaled by the LCM of
+    its denominators, as in validate_lie: (xy)z - x(yz) is homogeneous
+    of degree 2 in the structure constants.
+    """
     report = ValidationReport()
     basis, table = A.basis, A.table
     d = len(basis)
@@ -299,19 +325,24 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
             report.add("unit", (labels[i],), "1 * x != x")
         if right != {i: ONE}:
             report.add("unit", (labels[i],), "x * 1 != x")
+    itable, _ = _integral_table(table)
     for i in range(d):
-        ti = table[i]
+        ti = itable[i]
         for j in range(d):
             tij = ti[j]
-            tj = table[j]
+            tj = itable[j]
             for k in range(d):
-                lhs: Vector = {}
+                tjk = tj[k]
+                if not (tij or tjk):
+                    continue
+                acc: dict = {}
                 for t, x in tij.items():
-                    vec_add_scaled(lhs, table[t][k], x)
-                rhs: Vector = {}
-                for t, x in tj[k].items():
-                    vec_add_scaled(rhs, ti[t], x)
-                if lhs != rhs:
+                    for r, y in itable[t][k].items():
+                        acc[r] = acc.get(r, 0) + x * y
+                for t, x in tjk.items():
+                    for r, y in ti[t].items():
+                        acc[r] = acc.get(r, 0) - x * y
+                if any(acc.values()):
                     report.add("associativity", (labels[i], labels[j], labels[k]), "(xy)z != x(yz)")
     return report
 

@@ -55,6 +55,7 @@ from typing import Optional, Sequence, Tuple
 from . import __version__
 from .algebra import (
     AssocSuperalgebra,
+    CertificateError,
     GradedBasis,
     InvalidAlgebraError,
     LieSuperalgebra,
@@ -666,6 +667,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InvalidAlgebraError as exc:
         print(f"invalid algebra:\n{exc}", file=sys.stderr)
+        return 1
+    except CertificateError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # precondition violations from the math layer (bad sizes, unknown

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AssocSuperalgebra, GradedBasis, GradedLinearMap, Subspace
+from .algebra import AssocSuperalgebra, CertificateError, GradedBasis, GradedLinearMap, Subspace
 from .linalg import (
     QuotientPresentation,
     SparseMatrix,
@@ -153,7 +153,11 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
         for k, x in row.items():
             a, b = divmod(k, d)
             vec_add_scaled(acc, raw_commutator(a, b), x)
-        assert not acc, "supercommutator does not kill the pair relations"
+        if acc:
+            a, b = divmod(min(row), d)
+            raise CertificateError(
+                f"supercommutator does not kill the pair relation on <<{labels[a]},{labels[b]}>>"
+            )
 
     free = pres.free_columns
     qlabels = []

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    CertificateError,
     GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
@@ -79,7 +80,7 @@ class DirectedPoset:
         for k in self.elements:
             if (i, k) in self._leq and (j, k) in self._leq:
                 return k
-        raise AssertionError("directedness was validated")
+        raise CertificateError(f"no upper bound for {i!r}, {j!r} in a validated directed poset")
 
     def top(self):
         """The greatest element, or None."""
@@ -234,7 +235,7 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
     parities = [amb_parities[c] for c in pres.free_columns]
     basis = GradedBasis(labels, parities)
 
-    dim = pres.dim
+    transitions = {(i, j): system.transition(i, j) for i, j in poset.pairs()}
     table = []
     for c1 in pres.free_columns:
         i, a = comp_of[c1]
@@ -242,8 +243,8 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
         for c2 in pres.free_columns:
             j, b = comp_of[c2]
             k = poset.upper_bound(i, j)
-            x = system.transition(i, k).columns[a]
-            y = system.transition(j, k).columns[b]
+            x = transitions[(i, k)].columns[a]
+            y = transitions[(j, k)].columns[b]
             z = system.algebras[k].bracket(x, y)
             ok = offsets[k]
             row.append(pres.project({ok + c: v for c, v in z.items()}))
@@ -261,7 +262,7 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
     t = poset.top()
     if validate and t is not None:
         if not injections[t].is_bijective():
-            raise AssertionError("injection from the top element must be an isomorphism")
+            raise CertificateError(f"injection from the top element {t!r} is not an isomorphism")
     return colim
 
 
@@ -303,7 +304,7 @@ def factor_through(colim: Colimit,
     if check:
         for i in poset.elements:
             if mediating.compose(colim.injections[i]) != cones[i]:
-                raise AssertionError("mediating map does not extend the cone")
+                raise CertificateError(f"mediating map does not extend the cone at {i!r}")
     return mediating
 
 
@@ -411,10 +412,13 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
     for idx, col in enumerate(v.columns):
         section.insert(col, tag=idx)
 
-    def preimage(vec: Vector) -> Vector:
-        residue, cert = section.reduce(vec)
+    def preimage(a: int) -> Vector:
+        residue, cert = section.reduce({a: ONE})
         if residue:
-            raise AssertionError("canonical projection of the colimit of extensions is not onto")
+            raise CertificateError(
+                "canonical projection of the colimit of extensions is not onto: "
+                f"{colim.algebra.basis.labels[a]} has no preimage"
+            )
         return {t: x for t, x in cert.items() if x}
 
     CK = uce_colim.algebra
@@ -422,7 +426,7 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
     psi_cols = []
     for col in ext_top.presentation.free_columns:
         a, b = divmod(col, dcl)
-        psi_cols.append(CK.bracket(preimage({a: ONE}), preimage({b: ONE})))
+        psi_cols.append(CK.bracket(preimage(a), preimage(b)))
     psi = GradedLinearMap(ext_top.lie.basis, CK.basis, psi_cols)
 
     psi_after_phi = psi.compose(phi) == GradedLinearMap.identity(CK.basis)
@@ -478,5 +482,7 @@ def induced_colimit_map(src: Colimit, dst: Colimit,
     cones = {i: dst.injections[i].compose(components[i]) for i in sp.elements}
     out = factor_through(src, cones, check=check)
     if check and not check_morphism(out, src.algebra, dst.algebra):
-        raise AssertionError("induced map fails to be a morphism")
+        raise CertificateError(
+            f"induced map {src.algebra!r} -> {dst.algebra!r} fails to be a morphism"
+        )
     return out

@@ -2,12 +2,21 @@
 
 Conventions used throughout the package:
 
-* A vector is a dict {coordinate index: Fraction} with no stored zeros.
+* A vector is a dict {coordinate index: entry} with no stored zeros.
+  Entries are Fraction or int; every function here accepts both.
 * A matrix acts on column vectors: (M v)[r] = sum_c M[r][c] * v[c].
 * Echelon forms are fully reduced (RREF).  The RREF of a row space is
   unique, so every function here is deterministic bit for bit.  The
   pivot of a row is its first nonzero entry in column order, and rows
   are processed in the order given.
+
+Elimination runs on Python ints.  Echelon clears an incoming vector's
+denominators by their LCM, keeps its rows as primitive integer vectors
+and eliminates by gcd-reduced cross-multiplication (integer-preserving
+elimination in the sense of Bareiss, Math. Comp. 22, 1968).  Fractions
+are formed only where a result leaves the kernel: residues and
+certificates of reduce(), and the rows of rref_rows(), whose pivot
+coefficient is 1.
 
 The row-space routines partition the input rows into column-connected
 clusters (union-find on shared columns) and eliminate each cluster
@@ -20,48 +29,13 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterator, Optional, Sequence
 
-Vector = dict  # {int: Fraction}
+Vector = dict  # {int: Fraction or int}
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return not v
-
-
-def vec_copy(v: Vector) -> Vector:
-    return dict(v)
-
-
-def vec_scale(v: Vector, c: Fraction) -> Vector:
-    if not c:
-        return {}
-    return {i: c * x for i, x in v.items()}
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    w = dict(u)
-    for i, x in v.items():
-        y = w.get(i, ZERO) + x
-        if y:
-            w[i] = y
-        else:
-            w.pop(i, None)
-    return w
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    w = dict(u)
-    for i, x in v.items():
-        y = w.get(i, ZERO) - x
-        if y:
-            w[i] = y
-        else:
-            w.pop(i, None)
-    return w
 
 
 def vec_add_scaled(u: Vector, v: Vector, c: Fraction) -> None:
@@ -74,10 +48,6 @@ def vec_add_scaled(u: Vector, v: Vector, c: Fraction) -> None:
             u[i] = y
         else:
             u.pop(i, None)
-
-
-def vec_eq(u: Vector, v: Vector) -> bool:
-    return u == v
 
 
 class SparseMatrix:
@@ -96,18 +66,6 @@ class SparseMatrix:
         self.rows = tuple(clean)
         self.nrows = len(clean)
         self.ncols = ncols
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[tuple], nrows: int, ncols: int) -> "SparseMatrix":
-        rows: list = [dict() for _ in range(nrows)]
-        for r, c, x in triples:
-            if x:
-                rows[r][c] = rows[r].get(c, ZERO) + x
-        return cls(rows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls([{i: ONE} for i in range(n)], n)
 
     def entries(self) -> Iterator[tuple]:
         for r, row in enumerate(self.rows):
@@ -133,13 +91,6 @@ class SparseMatrix:
                 out[r] = s
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        rows: list = [dict() for _ in range(self.ncols)]
-        for r, row in enumerate(self.rows):
-            for c, x in row.items():
-                rows[c][r] = x
-        return SparseMatrix(rows, self.nrows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
@@ -154,20 +105,70 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, {sum(len(r) for r in self.rows)} entries)"
 
 
+def _denominator_lcm(values) -> int:
+    """LCM of the denominators of Fraction or int values."""
+    den = 1
+    for x in values:
+        q = x.denominator
+        if q != 1 and den % q:
+            den = lcm(den, q)
+    return den
+
+
+def _integral(vec: Vector) -> tuple:
+    """(w, D): D is the LCM of the denominators of vec and w == D * vec
+    has int entries.  Zeros are dropped."""
+    den = _denominator_lcm(vec.values())
+    if den == 1:
+        return {c: x.numerator for c, x in vec.items() if x}, 1
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}, den
+
+
+def _cancel(v: dict, a: int, row: dict, c: int) -> tuple:
+    """Cancel the entry a that the int vector v had at column c, already
+    removed from v, against the primitive row with pivot c.
+
+    With a and the pivot coefficient divided by their gcd, v becomes
+    b*v - a*row in place.  Returns (a, b).
+    """
+    b = row[c]
+    if b != 1:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for col in v:
+                v[col] *= b
+    for col, x in row.items():
+        if col != c:
+            y = v.get(col, 0) - a * x
+            if y:
+                v[col] = y
+            else:
+                v.pop(col, None)
+    return a, b
+
+
 class Echelon:
     """Incremental elimination basis for a growing set of rows.
 
-    Stored rows are normalized (pivot coefficient 1) and forward-reduced:
-    every column of a stored row is >= its pivot.  With track=True each
-    row carries a certificate expressing it over the inserted originals,
+    Stored rows are primitive integer vectors (coprime entries, positive
+    pivot coefficient) and forward-reduced: every column of a stored row
+    is >= its pivot.  An incoming vector is cleared of denominators by
+    their LCM and eliminated by gcd-reduced cross-multiplication, so the
+    elimination itself forms no Fraction.  With track=True each row
+    carries a certificate expressing it over the inserted originals,
     which makes reduce() return exact membership certificates.
+
+    Residues, pivots and certificates depend only on the span and the
+    order of insertion, never on how the stored rows are scaled.
     """
 
     __slots__ = ("rows", "certs", "track", "_ntags")
 
     def __init__(self, track: bool = False):
-        self.rows: dict = {}  # pivot column -> row
-        self.certs: dict = {}  # pivot column -> {tag: coefficient}
+        self.rows: dict = {}  # pivot column -> primitive int row
+        self.certs: dict = {}  # pivot column -> {tag: Fraction}
         self.track = track
         self._ntags = 0
 
@@ -179,94 +180,103 @@ class Echelon:
     def pivots(self) -> tuple:
         return tuple(sorted(self.rows))
 
-    def reduce(self, vec: Vector):
-        """Forward-reduce vec against the stored rows.
+    def _forward(self, vec: Vector):
+        """Integer forward reduction of vec against the stored rows.
 
-        Returns (residue, certificate).  The residue contains no pivot
-        columns and residue == vec - sum(cert[t] * original_t) holds
-        exactly when tracking is on (certificate is None otherwise).
+        Returns (w, scale, cert) with w free of pivot columns, scale a
+        positive int, and w == scale*vec - sum(cert[t] * original_t);
+        cert is None when tracking is off.
         """
-        v = dict(vec)
+        v, scale = _integral(vec)
         cert: Optional[dict] = {} if self.track else None
         rows = self.rows
-        heap = [c for c in v]
+        heap = [c for c in v if c in rows]
         heapq.heapify(heap)
         while heap:
             c = heapq.heappop(heap)
-            coef = v.get(c)
-            if not coef:
-                v.pop(c, None)
+            a = v.pop(c, 0)
+            if not a:
                 continue
-            row = rows.get(c)
-            if row is None:
-                continue
-            del v[c]
-            for col, val in row.items():
-                if col == c:
-                    continue
-                y = v.get(col)
-                if y is None:
-                    v[col] = -coef * val
+            row = rows[c]
+            a, b = _cancel(v, a, row, c)
+            for col in row:
+                if col in rows and col != c:
                     heapq.heappush(heap, col)
-                else:
-                    y = y - coef * val
-                    if y:
-                        v[col] = y
-                    else:
-                        del v[col]
             if cert is not None:
-                for t, cv in self.certs[c].items():
-                    y = cert.get(t, ZERO) + coef * cv
+                if b != 1:
+                    cert = {t: b * x for t, x in cert.items()}
+                for t, x in self.certs[c].items():
+                    y = cert.get(t, ZERO) + a * x
                     if y:
                         cert[t] = y
                     else:
                         cert.pop(t, None)
-        return v, cert
+            scale *= b
+        return v, scale, cert
+
+    def reduce(self, vec: Vector):
+        """Forward-reduce vec against the stored rows.
+
+        Returns (residue, certificate).  The residue is a Fraction vector
+        with no pivot columns, and residue == vec - sum(cert[t] * original_t)
+        holds exactly when tracking is on (certificate is None otherwise).
+        """
+        v, scale, cert = self._forward(vec)
+        residue = {c: Fraction(x, scale) for c, x in v.items()}
+        if cert is not None and scale != 1:
+            cert = {t: x / scale for t, x in cert.items()}
+        return residue, cert
 
     def insert(self, vec: Vector, tag=None):
         """Add vec to the span.  Returns the new pivot, or None if dependent."""
         if self.track and tag is None:
             tag = self._ntags
         self._ntags += 1
-        residue, cert = self.reduce(vec)
-        if not residue:
+        v, scale, cert = self._forward(vec)
+        if not v:
             return None
-        p = min(residue)
-        coef = residue[p]
-        inv = ONE / coef
-        row = {c: x * inv for c, x in residue.items()}
-        self.rows[p] = row
+        p = min(v)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            # a positive pivot makes unit pivots 1, where _cancel scales nothing
+            g = -g
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+        self.rows[p] = v
         if self.track:
-            rc = {t: -cv * inv for t, cv in cert.items() if cv}
-            rc[tag] = rc.get(tag, ZERO) + inv
-            if not rc[tag]:
-                del rc[tag]
+            # the stored row is (scale*vec - sum(cert[t] * original_t)) / g
+            rc = {t: -x / g for t, x in cert.items()}
+            y = rc.get(tag, ZERO) + Fraction(scale, g)
+            if y:
+                rc[tag] = y
+            else:
+                rc.pop(tag, None)
             self.certs[p] = rc
         return p
 
     def contains(self, vec: Vector) -> bool:
-        residue, _ = self.reduce(vec)
-        return not residue
+        return not self._forward(vec)[0]
 
     def rref_rows(self) -> dict:
-        """Fully reduced rows as {pivot: row}; one back-substitution pass."""
-        done: dict = {}
+        """Fully reduced rows as {pivot: row} with Fraction entries.
+
+        One back-substitution pass from the last pivot to the first runs
+        on the integer rows; each finished row is kept primitive, and
+        only the emitted copy is divided by its pivot coefficient.
+        """
+        done: dict = {}  # pivot -> fully reduced primitive int row
+        out: dict = {}
         for p in sorted(self.rows, reverse=True):
             r = dict(self.rows[p])
-            for c in [c for c in r if c != p and c in done]:
-                val = r.pop(c)
-                if not val:
-                    continue
-                for c2, v2 in done[c].items():
-                    if c2 == c:
-                        continue
-                    y = r.get(c2, ZERO) - val * v2
-                    if y:
-                        r[c2] = y
-                    else:
-                        r.pop(c2, None)
+            for c in [c for c in r if c in done]:
+                _cancel(r, r.pop(c), done[c], c)
+            g = gcd(*r.values())
+            if g != 1:
+                r = {c: x // g for c, x in r.items()}
             done[p] = r
-        return done
+            pv = r[p]
+            out[p] = {c: Fraction(x, pv) for c, x in r.items()}
+        return out
 
 
 def _cluster_rows(rows: Sequence[Vector]):

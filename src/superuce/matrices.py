@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     AssocSuperalgebra,
+    CertificateError,
     GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
@@ -683,7 +684,8 @@ def steinberg_check(m: int, n: int, A: AssocSuperalgebra,
 
     def sl_coords(glvec: Vector) -> Vector:
         residue, cert = sl_solver.reduce(glvec)
-        assert not residue, "vector is not in sl"
+        if residue:
+            raise CertificateError(f"a gl({m},{n}) vector of the Steinberg check is not in sl({m},{n})")
         return {t: x for t, x in cert.items() if x}
 
     apar = A_.basis.parities

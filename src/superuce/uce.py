@@ -31,11 +31,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
+    CertificateError,
     GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
     Subspace,
     ValidationReport,
+    _integral_table,
     check_morphism,
     is_perfect,
     vector_parity,
@@ -59,22 +61,25 @@ def b_relations(L: LieSuperalgebra) -> list:
     """Spanning vectors of the relation space B in L (x) L.
 
     Tensor coordinate (a, b) is a*dim + b.  Zero vectors are dropped.
+    Rows hold int entries: the pair and diagonal rows are +-1, and each
+    cyclic row is D times the rational one, for D the LCM of the
+    denominators of the structure constants, so the span is B.
     """
     d = L.dim
     par = L.basis.parities
-    table = L.table
+    table, _ = _integral_table(L.table)
     rows = []
     for i in range(d):
         for j in range(i, d):
-            sign = -ONE if par[i] and par[j] else ONE
+            sign = -1 if par[i] and par[j] else 1
             if i == j:
-                if sign == ONE:
-                    rows.append({i * d + i: ONE})
+                if sign == 1:
+                    rows.append({i * d + i: 1})
             else:
-                rows.append({i * d + j: ONE, j * d + i: sign})
+                rows.append({i * d + j: 1, j * d + i: sign})
     for i in range(d):
         if par[i] == 0:
-            rows.append({i * d + i: ONE})
+            rows.append({i * d + i: 1})
     for i in range(d):
         ti = table[i]
         for j in range(i, d):
@@ -86,36 +91,15 @@ def b_relations(L: LieSuperalgebra) -> list:
                 if not (cjk or cki or tij):
                     continue
                 row: Vector = {}
-                if cjk:
-                    s = -ONE if par[i] and par[k] else ONE
-                    base = i * d
-                    for t, x in cjk.items():
+                for cell, base, s in (
+                    (cjk, i * d, -1 if par[i] and par[k] else 1),
+                    (cki, j * d, -1 if par[j] and par[i] else 1),
+                    (tij, k * d, -1 if par[k] and par[j] else 1),
+                ):
+                    for t, x in cell.items():
                         c = base + t
-                        y = row.get(c, ZERO) + s * x
-                        if y:
-                            row[c] = y
-                        else:
-                            del row[c]
-                if cki:
-                    s = -ONE if par[j] and par[i] else ONE
-                    base = j * d
-                    for t, x in cki.items():
-                        c = base + t
-                        y = row.get(c, ZERO) + s * x
-                        if y:
-                            row[c] = y
-                        else:
-                            del row[c]
-                if tij:
-                    s = -ONE if par[k] and par[j] else ONE
-                    base = k * d
-                    for t, x in tij.items():
-                        c = base + t
-                        y = row.get(c, ZERO) + s * x
-                        if y:
-                            row[c] = y
-                        else:
-                            del row[c]
+                        row[c] = row.get(c, 0) + s * x
+                row = {c: x for c, x in row.items() if x}
                 if row:
                     rows.append(row)
     return rows
@@ -209,10 +193,14 @@ def build_uce(L: LieSuperalgebra, validate: bool = True) -> UceAlgebra:
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     out = UceAlgebra(L, lie, pres, u)
     if validate:
-        assert check_morphism(u, lie, L), "canonical map is not a morphism"
+        if not check_morphism(u, lie, L):
+            raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
         for z in kernel_basis(u.matrix()):
             for j in range(n):
-                assert not lie.bracket(z, {j: ONE}), "kernel of u is not central"
+                if lie.bracket(z, {j: ONE}):
+                    raise CertificateError(
+                        f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
+                    )
     return out
 
 
@@ -298,7 +286,12 @@ def uce_of_morphism(
         # naturality: u_M after uce(f) equals f after u_L
         lhs = target.u.compose(out)
         rhs = f.compose(source.u)
-        assert lhs == rhs, "induced map does not commute with the canonical maps"
+        for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)):
+            if x != y:
+                raise CertificateError(
+                    "induced map does not commute with the canonical maps "
+                    f"at {source.lie.basis.labels[j]}"
+                )
     return out
 
 

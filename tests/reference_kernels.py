@@ -1,0 +1,296 @@
+"""Fraction reference versions of the exact kernels.
+
+These are the rational-arithmetic validators, relation generator and
+incremental elimination that the integer kernels in superuce replaced,
+kept as they were so that tests can require equal results: the same
+violations in the same order, the same relation span, and the same
+pivots, residues, certificates and reduced rows.
+"""
+
+from __future__ import annotations
+
+import heapq
+from fractions import Fraction
+from typing import Optional
+
+from superuce.algebra import (
+    EVEN,
+    ODD,
+    AssocSuperalgebra,
+    LieSuperalgebra,
+    ValidationReport,
+    _check_grading,
+    vector_parity,
+)
+from superuce.linalg import Vector, vec_add_scaled
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def validate_lie(L: LieSuperalgebra) -> ValidationReport:
+    """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
+
+    The Jacobi expression is invariant under cyclic rotation of (i, j, k),
+    so triples are checked once per cyclic class.
+    """
+    report = ValidationReport()
+    basis, table = L.basis, L.table
+    d = len(basis)
+    par = basis.parities
+    labels = basis.labels
+    _check_grading(report, basis, table)
+    for i in range(d):
+        for j in range(i, d):
+            sign = -ONE if par[i] and par[j] else ONE
+            expected = {k: -sign * x for k, x in table[i][j].items()}
+            if table[j][i] != expected:
+                report.add("skew", (labels[i], labels[j]), "[y,x] != -(-1)^{|x||y|}[x,y]")
+        if par[i] == EVEN and table[i][i]:
+            report.add("skew", (labels[i], labels[i]), "[x,x] != 0 for even x")
+    if not report.ok:
+        return report
+    for i in range(d):
+        ti = table[i]
+        for j in range(i, d):
+            tj = table[j]
+            for k in range(i, d):
+                acc: Vector = {}
+                cell = tj[k]
+                if cell:
+                    s = -ONE if par[i] and par[k] else ONE
+                    for t, x in cell.items():
+                        vec_add_scaled(acc, ti[t], s * x)
+                cell = table[k][i]
+                if cell:
+                    s = -ONE if par[j] and par[i] else ONE
+                    for t, x in cell.items():
+                        vec_add_scaled(acc, tj[t], s * x)
+                cell = ti[j]
+                if cell:
+                    s = -ONE if par[k] and par[j] else ONE
+                    tk = table[k]
+                    for t, x in cell.items():
+                        vec_add_scaled(acc, tk[t], s * x)
+                if acc:
+                    report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
+    return report
+
+
+def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
+    """Grading, associativity on all ordered triples, two-sided even unit."""
+    report = ValidationReport()
+    basis, table = A.basis, A.table
+    d = len(basis)
+    labels = basis.labels
+    _check_grading(report, basis, table)
+    try:
+        upar = vector_parity(A.unit, basis)
+    except ValueError:
+        report.add("unit", ("1",), "unit is not homogeneous")
+        upar = None
+    if upar == ODD:
+        report.add("unit", ("1",), "unit must be even")
+    for i in range(d):
+        left = A.product(A.unit, {i: ONE})
+        right = A.product({i: ONE}, A.unit)
+        if left != {i: ONE}:
+            report.add("unit", (labels[i],), "1 * x != x")
+        if right != {i: ONE}:
+            report.add("unit", (labels[i],), "x * 1 != x")
+    for i in range(d):
+        ti = table[i]
+        for j in range(d):
+            tij = ti[j]
+            tj = table[j]
+            for k in range(d):
+                lhs: Vector = {}
+                for t, x in tij.items():
+                    vec_add_scaled(lhs, table[t][k], x)
+                rhs: Vector = {}
+                for t, x in tj[k].items():
+                    vec_add_scaled(rhs, ti[t], x)
+                if lhs != rhs:
+                    report.add("associativity", (labels[i], labels[j], labels[k]), "(xy)z != x(yz)")
+    return report
+
+
+def b_relations(L: LieSuperalgebra) -> list:
+    """Spanning vectors of the relation space B in L (x) L.
+
+    Tensor coordinate (a, b) is a*dim + b.  Zero vectors are dropped.
+    """
+    d = L.dim
+    par = L.basis.parities
+    table = L.table
+    rows = []
+    for i in range(d):
+        for j in range(i, d):
+            sign = -ONE if par[i] and par[j] else ONE
+            if i == j:
+                if sign == ONE:
+                    rows.append({i * d + i: ONE})
+            else:
+                rows.append({i * d + j: ONE, j * d + i: sign})
+    for i in range(d):
+        if par[i] == 0:
+            rows.append({i * d + i: ONE})
+    for i in range(d):
+        ti = table[i]
+        for j in range(i, d):
+            tj = table[j]
+            tij = ti[j]
+            for k in range(i, d):
+                cjk = tj[k]
+                cki = table[k][i]
+                if not (cjk or cki or tij):
+                    continue
+                row: Vector = {}
+                if cjk:
+                    s = -ONE if par[i] and par[k] else ONE
+                    base = i * d
+                    for t, x in cjk.items():
+                        c = base + t
+                        y = row.get(c, ZERO) + s * x
+                        if y:
+                            row[c] = y
+                        else:
+                            del row[c]
+                if cki:
+                    s = -ONE if par[j] and par[i] else ONE
+                    base = j * d
+                    for t, x in cki.items():
+                        c = base + t
+                        y = row.get(c, ZERO) + s * x
+                        if y:
+                            row[c] = y
+                        else:
+                            del row[c]
+                if tij:
+                    s = -ONE if par[k] and par[j] else ONE
+                    base = k * d
+                    for t, x in tij.items():
+                        c = base + t
+                        y = row.get(c, ZERO) + s * x
+                        if y:
+                            row[c] = y
+                        else:
+                            del row[c]
+                if row:
+                    rows.append(row)
+    return rows
+
+
+class Echelon:
+    """Incremental elimination basis for a growing set of rows.
+
+    Stored rows are normalized (pivot coefficient 1) and forward-reduced:
+    every column of a stored row is >= its pivot.  With track=True each
+    row carries a certificate expressing it over the inserted originals,
+    which makes reduce() return exact membership certificates.
+    """
+
+    __slots__ = ("rows", "certs", "track", "_ntags")
+
+    def __init__(self, track: bool = False):
+        self.rows: dict = {}  # pivot column -> row
+        self.certs: dict = {}  # pivot column -> {tag: coefficient}
+        self.track = track
+        self._ntags = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(sorted(self.rows))
+
+    def reduce(self, vec: Vector):
+        """Forward-reduce vec against the stored rows.
+
+        Returns (residue, certificate).  The residue contains no pivot
+        columns and residue == vec - sum(cert[t] * original_t) holds
+        exactly when tracking is on (certificate is None otherwise).
+        """
+        v = dict(vec)
+        cert: Optional[dict] = {} if self.track else None
+        rows = self.rows
+        heap = [c for c in v]
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            coef = v.get(c)
+            if not coef:
+                v.pop(c, None)
+                continue
+            row = rows.get(c)
+            if row is None:
+                continue
+            del v[c]
+            for col, val in row.items():
+                if col == c:
+                    continue
+                y = v.get(col)
+                if y is None:
+                    v[col] = -coef * val
+                    heapq.heappush(heap, col)
+                else:
+                    y = y - coef * val
+                    if y:
+                        v[col] = y
+                    else:
+                        del v[col]
+            if cert is not None:
+                for t, cv in self.certs[c].items():
+                    y = cert.get(t, ZERO) + coef * cv
+                    if y:
+                        cert[t] = y
+                    else:
+                        cert.pop(t, None)
+        return v, cert
+
+    def insert(self, vec: Vector, tag=None):
+        """Add vec to the span.  Returns the new pivot, or None if dependent."""
+        if self.track and tag is None:
+            tag = self._ntags
+        self._ntags += 1
+        residue, cert = self.reduce(vec)
+        if not residue:
+            return None
+        p = min(residue)
+        coef = residue[p]
+        inv = ONE / coef
+        row = {c: x * inv for c, x in residue.items()}
+        self.rows[p] = row
+        if self.track:
+            rc = {t: -cv * inv for t, cv in cert.items() if cv}
+            rc[tag] = rc.get(tag, ZERO) + inv
+            if not rc[tag]:
+                del rc[tag]
+            self.certs[p] = rc
+        return p
+
+    def contains(self, vec: Vector) -> bool:
+        residue, _ = self.reduce(vec)
+        return not residue
+
+    def rref_rows(self) -> dict:
+        """Fully reduced rows as {pivot: row}; one back-substitution pass."""
+        done: dict = {}
+        for p in sorted(self.rows, reverse=True):
+            r = dict(self.rows[p])
+            for c in [c for c in r if c != p and c in done]:
+                val = r.pop(c)
+                if not val:
+                    continue
+                for c2, v2 in done[c].items():
+                    if c2 == c:
+                        continue
+                    y = r.get(c2, ZERO) - val * v2
+                    if y:
+                        r[c2] = y
+                    else:
+                        r.pop(c2, None)
+            done[p] = r
+        return done

@@ -227,6 +227,14 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error:"), (argv, err)
 
 
+def test_certificate_failure_exits_1(monkeypatch, capsys):
+    # a failed certificate is a mathematical failure, not a usage error
+    monkeypatch.setattr(superuce.uce, "check_morphism", lambda f, L, M: False)
+    assert main(["h2", "--family", "sl", "--m", "3", "--coeff", "Q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: canonical map u:"), err
+
+
 def test_both_file_and_family_rejected(tmp_path, capsys):
     path = write(tmp_path, "a.json", QT2_FILE)
     assert main(["validate", "--file", path, "--family", "sl", "--m", "3"]) == 2
