@@ -2,8 +2,7 @@
 
 An algebra is given by a homogeneous basis (labels plus parities in
 {0, 1}) and a dense table of structure constants: table[i][j] is the
-sparse vector of the product of basis elements i and j.  Validation is
-eager at construction, so downstream code may assume:
+sparse vector of the product of basis elements i and j.  The laws are:
 
 * grading: the product of parities i, j lands in parity i + j;
 * Lie: super skew-symmetry and the cyclic super Jacobi identity
@@ -11,6 +10,14 @@ eager at construction, so downstream code may assume:
                                 + (-1)^{|z||y|} [z,[x,y]] = 0;
 * associative: associativity on all basis triples and a two-sided
   even unit.
+
+They are checked where data enters the package: an algebra a caller
+builds with validate=True (the default), and every algebra file.  An
+algebra the package derives from a validated one (supercommutator
+algebra, matrix algebra, subalgebra, central quotient, extension,
+colimit) satisfies them by construction and is built with
+validate=False; the certificates of each construction (closure,
+centrality, morphism and bijectivity checks) always run.
 
 Everything is immutable after construction.
 """
@@ -147,7 +154,8 @@ def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
 
 
 class LieSuperalgebra:
-    """Lie superalgebra from structure constants; validated eagerly."""
+    """Lie superalgebra from structure constants; validated at construction
+    unless validate=False."""
 
     __slots__ = ("basis", "table")
 
@@ -248,6 +256,77 @@ def _integral_table(table) -> tuple:
     return int_table, den
 
 
+def _cyclic_classes(itable, par):
+    """The cyclic identity of a product table, one cyclic class at a time.
+
+    For each basis triple (i, j, k) with i <= j and i <= k whose cells
+    [j,k], [k,i], [i,j] are not all empty, yields (i, j, k, terms), where
+    terms are the three (sign, outer index, cell) of
+
+        (-1)^{|i||k|} i (x) [j,k] + (-1)^{|j||i|} j (x) [k,i]
+                                  + (-1)^{|k||j|} k (x) [i,j].
+
+    The Jacobi and cocycle identities and the cyclic relations of the
+    tensor square all read this sum; it is invariant under cyclic
+    rotation, so each class is visited once.
+    """
+    d = len(itable)
+    for i in range(d):
+        ti = itable[i]
+        pi = par[i]
+        for j in range(i, d):
+            tj = itable[j]
+            cij = ti[j]
+            pj = par[j]
+            sji = -1 if pj and pi else 1
+            for k in range(i, d):
+                cjk = tj[k]
+                cki = itable[k][i]
+                if cjk or cki or cij:
+                    pk = par[k]
+                    yield i, j, k, (
+                        (-1 if pi and pk else 1, i, cjk),
+                        (sji, j, cki),
+                        (-1 if pk and pj else 1, k, cij),
+                    )
+
+
+def _tensor_relations(table, par) -> list:
+    """Int spanning rows of the relation space in V (x) V of a product
+    table on V: the pair rows a (x) b + (-1)^{|a||b|} b (x) a, the
+    diagonal rows a (x) a for even a, and one cyclic row per cyclic class.
+
+    Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Pair
+    and diagonal rows are +-1, and each cyclic row is D times the
+    rational one, for D the LCM of the table's denominators.
+    """
+    d = len(par)
+    rows = []
+    for i in range(d):
+        for j in range(i, d):
+            sign = -1 if par[i] and par[j] else 1
+            if i == j:
+                if sign == 1:
+                    rows.append({i * d + i: 1})
+            else:
+                rows.append({i * d + j: 1, j * d + i: sign})
+    for i in range(d):
+        if par[i] == 0:
+            rows.append({i * d + i: 1})
+    itable, _ = _integral_table(table)
+    for _, _, _, terms in _cyclic_classes(itable, par):
+        row: dict = {}
+        for s, outer, cell in terms:
+            base = outer * d
+            for t, x in cell.items():
+                c = base + t
+                row[c] = row.get(c, 0) + s * x
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            rows.append(row)
+    return rows
+
+
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
@@ -274,28 +353,16 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     if not report.ok:
         return report
     itable, _ = _integral_table(table)
-    for i in range(d):
-        ti = itable[i]
-        for j in range(i, d):
-            tj = itable[j]
-            cij = ti[j]
-            for k in range(i, d):
-                cjk = tj[k]
-                cki = itable[k][i]
-                if not (cjk or cki or cij):
-                    continue
-                acc: dict = {}
-                for cell, outer, s in (
-                    (cjk, ti, -1 if par[i] and par[k] else 1),
-                    (cki, tj, -1 if par[j] and par[i] else 1),
-                    (cij, itable[k], -1 if par[k] and par[j] else 1),
-                ):
-                    for t, x in cell.items():
-                        x *= s
-                        for r, y in outer[t].items():
-                            acc[r] = acc.get(r, 0) + x * y
-                if any(acc.values()):
-                    report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
+    for i, j, k, terms in _cyclic_classes(itable, par):
+        acc: dict = {}
+        for s, outer, cell in terms:
+            touter = itable[outer]
+            for t, x in cell.items():
+                x *= s
+                for r, y in touter[t].items():
+                    acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
     return report
 
 
@@ -347,7 +414,7 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     return report
 
 
-def lie_from_assoc(A: AssocSuperalgebra, validate: bool = True) -> LieSuperalgebra:
+def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
     """Supercommutator algebra: [x,y] = xy - (-1)^{|x||y|} yx."""
     d = A.dim
     par = A.basis.parities
@@ -361,7 +428,7 @@ def lie_from_assoc(A: AssocSuperalgebra, validate: bool = True) -> LieSuperalgeb
             vec_add_scaled(cell, t[j][i], -sign)
             row.append(cell)
         table.append(row)
-    return LieSuperalgebra(A.basis, table, validate=validate)
+    return LieSuperalgebra(A.basis, table, validate=False)
 
 
 class GradedLinearMap:
@@ -554,7 +621,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
         for b in free:
             row.append(pres.project(L.table[a][b]))
         table.append(row)
-    quotient = LieSuperalgebra(basis, table)
+    quotient = LieSuperalgebra(basis, table, validate=False)
     proj_cols = [pres.project({j: ONE}) for j in range(L.dim)]
     projection = GradedLinearMap(L.basis, basis, proj_cols)
     return quotient, projection
@@ -564,7 +631,6 @@ def subalgebra_from_vectors(
     parent: LieSuperalgebra,
     vectors: Sequence[Vector],
     labels: Optional[Sequence[str]] = None,
-    validate: bool = True,
 ):
     """Subalgebra on the given independent homogeneous vectors.
 
@@ -597,6 +663,6 @@ def subalgebra_from_vectors(
                 )
             row.append({t: x for t, x in cert.items() if x})
         table.append(row)
-    algebra = LieSuperalgebra(basis, table, validate=validate)
+    algebra = LieSuperalgebra(basis, table, validate=False)
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
     return algebra, embedding

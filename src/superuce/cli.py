@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
@@ -136,14 +135,20 @@ def parse_algebra(data: dict, validate: bool = True):
     d = len(labels)
 
     table = [[{} for _ in range(d)] for _ in range(d)]
-    for entry in data.get("products", []):
+    products = data.get("products", [])
+    if not isinstance(products, list):
+        raise InputError("\"products\" must be a list")
+    for entry in products:
         try:
             i = index[entry["left"]]
             j = index[entry["right"]]
         except (KeyError, TypeError):
             raise InputError(f"bad product entry {entry!r}") from None
+        result = entry.get("result", [])
+        if not isinstance(result, list):
+            raise InputError(f"bad product entry {entry!r}: \"result\" must be a list")
         cell = {}
-        for term in entry.get("result", []):
+        for term in result:
             try:
                 k = index[term["basis"]]
             except (KeyError, TypeError):
@@ -266,19 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("UCE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise InputError(f"UCE_THREADS must be a positive integer, got {raw!r}") from None
-    if k < 1:
-        raise InputError(f"UCE_THREADS must be a positive integer, got {raw!r}")
-    return k
-
-
 def _load_json(path: str) -> Tuple[dict, bytes]:
     try:
         with open(path, "rb") as fh:
@@ -291,18 +283,21 @@ def _load_json(path: str) -> Tuple[dict, bytes]:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _resolve_algebra(args, validate: bool = True):
-    """(algebra or None, family or None, digest bytes). Exactly one input source."""
+def _resolve_algebra(args):
+    """(algebra or None, family or None, digest bytes). Exactly one input source.
+
+    A file is validated as it is parsed; a builtin family is derived from
+    validated coefficient algebras and is not re-validated."""
     if args.file and args.family:
         raise InputError("pass --file or --family, not both")
     if args.file:
         data, raw = _load_json(args.file)
-        return parse_algebra(data, validate=validate), None, raw
+        return parse_algebra(data), None, raw
     if args.family:
         if args.m is None:
             raise InputError("--family needs --m (and --n for a super block)")
         coeff = coefficient_algebra(args.coeff)
-        fam = build_family(args.family, args.m, args.n, coeff, validate=validate)
+        fam = build_family(args.family, args.m, args.n, coeff)
         digest = f"{args.family}:{args.m},{args.n}:{args.coeff}".encode()
         return fam.algebra, fam, digest
     raise InputError("no input: pass --file or --family")
@@ -386,7 +381,7 @@ def _cmd_validate(args):
         alg = parse_algebra(data, validate=False)
         report = validate_assoc(alg) if isinstance(alg, AssocSuperalgebra) else validate_lie(alg)
     else:
-        _, fam, digest = _resolve_algebra(args, validate=False)
+        _, fam, digest = _resolve_algebra(args)
         report = validate_lie(fam.algebra)
     results = {
         "valid": report.ok,
@@ -641,7 +636,6 @@ def run(argv: Sequence[str]) -> Tuple[dict, int]:
     """Parse argv, execute, and return (report, exit_code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = _threads_from_env()
     started = time.perf_counter()
     results, code, digest = _COMMANDS[args.command](args)
     elapsed = time.perf_counter() - started
@@ -649,7 +643,6 @@ def run(argv: Sequence[str]) -> Tuple[dict, int]:
         "command": args.command,
         "version": __version__,
         "arguments": _argument_echo(args),
-        "uce_threads": threads,
         "input_digest": hashlib.sha256(digest).hexdigest(),
         "results": results,
         "timing": {"seconds": round(elapsed, 6)},

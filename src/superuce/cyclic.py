@@ -12,11 +12,12 @@ first two families are bilinear; the quadratic family on even elements
 expands over a basis into its diagonal terms plus symmetric pair terms
 of the first family; the third family is trilinear.  The third family
 is invariant under cyclic rotation of (a, b, c), so one representative
-per cyclic class is enumerated.
+per cyclic class is enumerated.  The rows are built, in ints, by the
+same code as the relation space of the universal central extension.
 
 The class of a (x) b is written <<a,b>>.  The supercommutator map
 sends <<a,b>> to ab - (-1)^{|a||b|} ba; it kills every relation (this
-is asserted during construction), and its kernel is HC_1(A).  For
+is certified during construction), and its kernel is HC_1(A).  For
 supercommutative A the map is zero, so HC_1(A) is the whole pairing
 space.
 
@@ -29,10 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AssocSuperalgebra, CertificateError, GradedBasis, GradedLinearMap, Subspace
+from .algebra import (
+    AssocSuperalgebra,
+    CertificateError,
+    GradedBasis,
+    GradedLinearMap,
+    Subspace,
+    _tensor_relations,
+)
 from .linalg import (
     QuotientPresentation,
-    SparseMatrix,
     Vector,
     kernel_basis,
     quotient_space,
@@ -40,58 +47,6 @@ from .linalg import (
 )
 
 ONE = Fraction(1)
-
-
-def _pair_relations(A: AssocSuperalgebra) -> list:
-    d = A.dim
-    par = A.basis.parities
-    t = A.table
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            sign = -ONE if par[i] and par[j] else ONE
-            if i == j:
-                if sign == ONE:
-                    rows.append({i * d + i: ONE})  # doubled diagonal term
-            else:
-                rows.append({i * d + j: ONE, j * d + i: sign})
-    for i in range(d):
-        if par[i] == 0:
-            rows.append({i * d + i: ONE})
-    for a in range(d):
-        for b in range(a, d):
-            tab = t[a][b]
-            for c in range(a, d):
-                row: Vector = {}
-                cell = t[b][c]
-                if cell:
-                    s = -ONE if par[a] and par[c] else ONE
-                    for k, x in cell.items():
-                        y = row.get(a * d + k, 0) + s * x
-                        if y:
-                            row[a * d + k] = y
-                        else:
-                            row.pop(a * d + k, None)
-                cell = t[c][a]
-                if cell:
-                    s = -ONE if par[b] and par[a] else ONE
-                    for k, x in cell.items():
-                        y = row.get(b * d + k, 0) + s * x
-                        if y:
-                            row[b * d + k] = y
-                        else:
-                            row.pop(b * d + k, None)
-                if tab:
-                    s = -ONE if par[c] and par[b] else ONE
-                    for k, x in tab.items():
-                        y = row.get(c * d + k, 0) + s * x
-                        if y:
-                            row[c * d + k] = y
-                        else:
-                            row.pop(c * d + k, None)
-                if row:
-                    rows.append(row)
-    return rows
 
 
 class CyclicPairs:
@@ -137,7 +92,7 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
     par = A.basis.parities
     labels = A.basis.labels
     t = A.table
-    rows = _pair_relations(A)
+    rows = _tensor_relations(t, par)
     pres = quotient_space(d * d, rows)
 
     def raw_commutator(a: int, b: int) -> Vector:
@@ -177,14 +132,4 @@ def hc1(A: AssocSuperalgebra, pairs: CyclicPairs = None) -> Subspace:
     """HC_1(A) = kernel of the commutator map on <<A,A>>."""
     if pairs is None:
         pairs = cyclic_pairs(A)
-    vectors = kernel_basis(pairs.commutator.matrix())
-
-    class _PairSpace:
-        # minimal ambient wrapper so Subspace can check homogeneity
-        def __init__(self, basis):
-            self.basis = basis
-
-        def __repr__(self):
-            return f"<<A,A>> of {pairs.algebra!r}"
-
-    return Subspace(_PairSpace(pairs.basis), vectors)
+    return Subspace(pairs, kernel_basis(pairs.commutator.matrix()))

@@ -31,7 +31,7 @@ from .algebra import (
     is_perfect,
 )
 from .linalg import Echelon, Vector, kernel_basis, quotient_space, vec_add_scaled
-from .uce import UceAlgebra, UceMemo, build_uce, uce_of_morphism
+from .uce import UceAlgebra, UceMemo, uce_of_morphism
 
 ONE = Fraction(1)
 
@@ -98,22 +98,21 @@ class DirectedSystem:
     """Algebras over a directed poset with compatible transition maps.
 
     morphisms maps strictly related pairs (i, j), i < j, to the map
-    L_i -> L_j; identity transitions are implicit.
+    L_i -> L_j; identity transitions are implicit.  The maps are checked
+    at construction (validate_system).
     """
 
     __slots__ = ("poset", "algebras", "morphisms")
 
     def __init__(self, poset: DirectedPoset,
                  algebras: Dict[Hashable, LieSuperalgebra],
-                 morphisms: Dict[Tuple[Hashable, Hashable], GradedLinearMap],
-                 validate: bool = True):
+                 morphisms: Dict[Tuple[Hashable, Hashable], GradedLinearMap]):
         self.poset = poset
         self.algebras = dict(algebras)
         self.morphisms = dict(morphisms)
-        if validate:
-            report = validate_system(self)
-            if not report.ok:
-                raise InvalidSystemError(report)
+        report = validate_system(self)
+        if not report.ok:
+            raise InvalidSystemError(report)
 
     def transition(self, i, j) -> GradedLinearMap:
         if i == j:
@@ -184,21 +183,28 @@ def chain_system(algebras: Sequence[LieSuperalgebra],
 class Colimit:
     """Colimit algebra with its presentation and structure injections."""
 
-    __slots__ = ("system", "algebra", "presentation", "offsets", "injections")
+    __slots__ = ("system", "algebra", "presentation", "offsets", "injections", "components")
 
-    def __init__(self, system, algebra, presentation, offsets, injections):
+    def __init__(self, system, algebra, presentation, offsets, injections, components):
         self.system = system
         self.algebra = algebra
         self.presentation = presentation
         self.offsets = offsets
         self.injections = injections
+        # (member, index in the member) of each colimit basis element
+        self.components = components
 
     def injection(self, i) -> GradedLinearMap:
         return self.injections[i]
 
 
-def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
-    """Present the colimit on the direct sum modulo the identifications."""
+def colimit(system: DirectedSystem) -> Colimit:
+    """Present the colimit on the direct sum modulo the identifications.
+
+    The bracket is inherited from the members, so the algebra is built
+    without re-validation; when the poset has a top element, its
+    injection is certified to be an isomorphism.
+    """
     poset = system.poset
     offsets: Dict[Hashable, int] = {}
     amb_labels: List[str] = []
@@ -224,12 +230,12 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
                 rows.append(row)
     pres = quotient_space(total, rows)
 
-    comp_of: Dict[int, Tuple[Hashable, int]] = {}
+    components: List[Tuple[Hashable, int]] = []
     bounds = list(offsets.items())
     for col in pres.free_columns:
         for i, off in reversed(bounds):
             if col >= off:
-                comp_of[col] = (i, col - off)
+                components.append((i, col - off))
                 break
     labels = [amb_labels[c] for c in pres.free_columns]
     parities = [amb_parities[c] for c in pres.free_columns]
@@ -237,11 +243,9 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
 
     transitions = {(i, j): system.transition(i, j) for i, j in poset.pairs()}
     table = []
-    for c1 in pres.free_columns:
-        i, a = comp_of[c1]
+    for i, a in components:
         row = []
-        for c2 in pres.free_columns:
-            j, b = comp_of[c2]
+        for j, b in components:
             k = poset.upper_bound(i, j)
             x = transitions[(i, k)].columns[a]
             y = transitions[(j, k)].columns[b]
@@ -249,7 +253,7 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
             ok = offsets[k]
             row.append(pres.project({ok + c: v for c, v in z.items()}))
         table.append(row)
-    alg = LieSuperalgebra(basis, table, validate=validate)
+    alg = LieSuperalgebra(basis, table, validate=False)
 
     injections = {}
     for i in poset.elements:
@@ -257,18 +261,14 @@ def colimit(system: DirectedSystem, validate: bool = True) -> Colimit:
         oi = offsets[i]
         cols = [pres.project({oi + b: ONE}) for b in range(L.dim)]
         injections[i] = GradedLinearMap(L.basis, basis, cols)
-    colim = Colimit(system, alg, pres, offsets, injections)
-
     t = poset.top()
-    if validate and t is not None:
-        if not injections[t].is_bijective():
-            raise CertificateError(f"injection from the top element {t!r} is not an isomorphism")
-    return colim
+    if t is not None and not injections[t].is_bijective():
+        raise CertificateError(f"injection from the top element {t!r} is not an isomorphism")
+    return Colimit(system, alg, pres, offsets, injections, components)
 
 
 def factor_through(colim: Colimit,
-                   cones: Dict[Hashable, GradedLinearMap],
-                   check: bool = True) -> GradedLinearMap:
+                   cones: Dict[Hashable, GradedLinearMap]) -> GradedLinearMap:
     """The unique map out of the colimit agreeing with a compatible cone.
 
     cones[i] maps system member i into a common codomain; compatibility
@@ -285,26 +285,16 @@ def factor_through(colim: Colimit,
             codomain = g.codomain
         elif g.codomain != codomain:
             raise ValueError("cone components have different codomains")
-    if check:
-        for i, j in poset.pairs():
-            if i == j:
-                continue
-            if cones[j].compose(system.transition(i, j)) != cones[i]:
-                raise ValueError(f"cone is not compatible over {i!r} <= {j!r}")
-    pres = colim.presentation
-    comp = []
-    bounds = list(colim.offsets.items())
-    for col in pres.free_columns:
-        for i, off in reversed(bounds):
-            if col >= off:
-                comp.append((i, col - off))
-                break
-    cols = [dict(cones[i].columns[b]) for i, b in comp]
+    for i, j in poset.pairs():
+        if i == j:
+            continue
+        if cones[j].compose(system.transition(i, j)) != cones[i]:
+            raise ValueError(f"cone is not compatible over {i!r} <= {j!r}")
+    cols = [dict(cones[i].columns[b]) for i, b in colim.components]
     mediating = GradedLinearMap(colim.algebra.basis, codomain, cols)
-    if check:
-        for i in poset.elements:
-            if mediating.compose(colim.injections[i]) != cones[i]:
-                raise CertificateError(f"mediating map does not extend the cone at {i!r}")
+    for i in poset.elements:
+        if mediating.compose(colim.injections[i]) != cones[i]:
+            raise CertificateError(f"mediating map does not extend the cone at {i!r}")
     return mediating
 
 
@@ -461,8 +451,7 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
 
 
 def induced_colimit_map(src: Colimit, dst: Colimit,
-                        components: Dict[Hashable, GradedLinearMap],
-                        check: bool = True) -> GradedLinearMap:
+                        components: Dict[Hashable, GradedLinearMap]) -> GradedLinearMap:
     """Colimit of a morphism of systems over the same poset.
 
     components[i] : src member i -> dst member i must commute with the
@@ -471,17 +460,16 @@ def induced_colimit_map(src: Colimit, dst: Colimit,
     sp, dp = src.system.poset, dst.system.poset
     if sp.elements != dp.elements or sp.pairs() != dp.pairs():
         raise ValueError("systems live over different posets")
-    if check:
-        for i, j in sp.pairs():
-            if i == j:
-                continue
-            lhs = components[j].compose(src.system.transition(i, j))
-            rhs = dst.system.transition(i, j).compose(components[i])
-            if lhs != rhs:
-                raise ValueError(f"components do not commute over {i!r} <= {j!r}")
+    for i, j in sp.pairs():
+        if i == j:
+            continue
+        lhs = components[j].compose(src.system.transition(i, j))
+        rhs = dst.system.transition(i, j).compose(components[i])
+        if lhs != rhs:
+            raise ValueError(f"components do not commute over {i!r} <= {j!r}")
     cones = {i: dst.injections[i].compose(components[i]) for i in sp.elements}
-    out = factor_through(src, cones, check=check)
-    if check and not check_morphism(out, src.algebra, dst.algebra):
+    out = factor_through(src, cones)
+    if not check_morphism(out, src.algebra, dst.algebra):
         raise CertificateError(
             f"induced map {src.algebra!r} -> {dst.algebra!r} fails to be a morphism"
         )

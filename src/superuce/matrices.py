@@ -55,14 +55,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     AssocSuperalgebra,
     CertificateError,
     GradedBasis,
     GradedLinearMap,
-    LieSuperalgebra,
+    check_morphism,
     lie_from_assoc,
     subalgebra_from_vectors,
     vector_parity,
@@ -76,7 +76,7 @@ from .linalg import (
     kernel_basis,
     vec_add_scaled,
 )
-from .uce import Cocycle2, UceAlgebra, build_uce, extension_from_cocycle, h2, validate_cocycle
+from .uce import Cocycle2, UceAlgebra, build_uce, extension_from_cocycle
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,7 +161,8 @@ def coefficient_algebra(name: str) -> AssocSuperalgebra:
             raise ValueError(f"unknown coefficient algebra {name!r}; {_COEFF_GRAMMAR}")
         alg = grassmann(r)
     elif key == "Mat(2,0;Q)":
-        alg = matrix_superalgebra(2, 0, rational_algebra())
+        mat = matrix_superalgebra(2, 0, rational_algebra())
+        alg = AssocSuperalgebra(mat.basis, mat.table, mat.unit)  # validated like the others
     else:
         raise ValueError(f"unknown coefficient algebra {name!r}; {_COEFF_GRAMMAR}")
     _COEFF_CACHE[key] = alg
@@ -170,12 +171,13 @@ def coefficient_algebra(name: str) -> AssocSuperalgebra:
 
 # ------------------------------------------------------------------- Mat and gl
 
-def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra,
-                        validate: bool = True) -> AssocSuperalgebra:
+def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgebra:
     """Mat(m,n;A) on basis E_ij(a), parity |i| + |j| + |a|.
 
     Product: E_ij(a) E_pq(b) = [j == p] (-1)^{|a|(|p|+|q|)} E_iq(ab)
     (the graded tensor product sign; trivial over even A or for n = 0).
+    Associative with unit whenever A is, so it is built without
+    re-validation.
     """
     size = m + n
     if size < 1:
@@ -215,7 +217,7 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra,
     for i in range(size):
         for t, x in A.unit.items():
             unit[coord(i, i, t)] = x
-    return AssocSuperalgebra(GradedBasis(labels, parities), table, unit, validate=validate)
+    return AssocSuperalgebra(GradedBasis(labels, parities), table, unit, validate=False)
 
 
 class MatrixFamily:
@@ -447,9 +449,13 @@ def _sq_vectors(m: int) -> list:
     return kernel_basis(mat)
 
 
-def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra,
-                 validate: bool = True) -> MatrixFamily:
-    """Construct gl, sl, osp, p, or sq inside gl(m,n;coeff)."""
+def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixFamily:
+    """Construct gl, sl, osp, p, or sq inside gl(m,n;coeff).
+
+    Nothing is re-validated: Mat and gl inherit their laws from coeff,
+    and the family member is a subalgebra whose closure under the
+    bracket is certified by subalgebra_from_vectors.
+    """
     if kind not in ("gl", "sl", "osp", "p", "sq"):
         raise ValueError(f"unknown family kind {kind!r}")
     if m < 0 or n < 0 or m + n < 1:
@@ -464,8 +470,8 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra,
     if kind == "osp" and not coeff.is_supercommutative():
         raise ValueError("osp needs a supercommutative coefficient algebra")
 
-    gl_assoc = matrix_superalgebra(m, n, coeff, validate=validate)
-    gl = lie_from_assoc(gl_assoc, validate=validate)
+    gl_assoc = matrix_superalgebra(m, n, coeff)
+    gl = lie_from_assoc(gl_assoc)
     if kind == "gl":
         fam_alg = gl
         embedding = GradedLinearMap.identity(gl.basis)
@@ -481,7 +487,7 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra,
         else:
             vectors = _sq_vectors(m)
             labels = [f"sq{i}" for i in range(len(vectors))]
-        fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels, validate=validate)
+        fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
     return MatrixFamily(kind, m, n, coeff, gl_assoc, gl, fam_alg, embedding)
 
 
@@ -632,9 +638,6 @@ def h_iso_check(m: int, n: int, A: AssocSuperalgebra,
             kcol[dsl + k] = x
         cols.append(kcol)
     hmap = GradedLinearMap(ext.lie.basis, K.basis, cols)
-
-    from .algebra import check_morphism
-
     is_morphism = check_morphism(hmap, ext.lie, K)
     commutes = central.projection.compose(hmap) == ext.u
     bijective = hmap.is_bijective()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     CertificateError,
@@ -37,15 +37,13 @@ from .algebra import (
     LieSuperalgebra,
     Subspace,
     ValidationReport,
+    _cyclic_classes,
     _integral_table,
+    _tensor_relations,
     check_morphism,
     is_perfect,
-    vector_parity,
 )
 from .linalg import (
-    Echelon,
-    QuotientPresentation,
-    SparseMatrix,
     Vector,
     kernel_basis,
     quotient_space,
@@ -65,44 +63,7 @@ def b_relations(L: LieSuperalgebra) -> list:
     cyclic row is D times the rational one, for D the LCM of the
     denominators of the structure constants, so the span is B.
     """
-    d = L.dim
-    par = L.basis.parities
-    table, _ = _integral_table(L.table)
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            sign = -1 if par[i] and par[j] else 1
-            if i == j:
-                if sign == 1:
-                    rows.append({i * d + i: 1})
-            else:
-                rows.append({i * d + j: 1, j * d + i: sign})
-    for i in range(d):
-        if par[i] == 0:
-            rows.append({i * d + i: 1})
-    for i in range(d):
-        ti = table[i]
-        for j in range(i, d):
-            tj = table[j]
-            tij = ti[j]
-            for k in range(i, d):
-                cjk = tj[k]
-                cki = table[k][i]
-                if not (cjk or cki or tij):
-                    continue
-                row: Vector = {}
-                for cell, base, s in (
-                    (cjk, i * d, -1 if par[i] and par[k] else 1),
-                    (cki, j * d, -1 if par[j] and par[i] else 1),
-                    (tij, k * d, -1 if par[k] and par[j] else 1),
-                ):
-                    for t, x in cell.items():
-                        c = base + t
-                        row[c] = row.get(c, 0) + s * x
-                row = {c: x for c, x in row.items() if x}
-                if row:
-                    rows.append(row)
-    return rows
+    return _tensor_relations(L.table, L.basis.parities)
 
 
 class UceAlgebra:
@@ -142,10 +103,12 @@ class UceAlgebra:
         return f"UceAlgebra(dim={self.dim} over dim={self.base.dim})"
 
 
-def build_uce(L: LieSuperalgebra, validate: bool = True) -> UceAlgebra:
+def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     """Quotient of the tensor square by the relation space.
 
-    The built algebra is validated eagerly; the canonical map u is
+    L is trusted to be a valid Lie superalgebra (it was validated where
+    it entered the package), so the extension is built without
+    re-validation.  Its certificates always run: the canonical map u is
     checked to be a morphism with central kernel.
     """
     d = L.dim
@@ -189,19 +152,17 @@ def build_uce(L: LieSuperalgebra, validate: bool = True) -> UceAlgebra:
             else:
                 row.append({})
         table.append(row)
-    lie = LieSuperalgebra(basis, table, validate=validate)
+    lie = LieSuperalgebra(basis, table, validate=False)
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
-    out = UceAlgebra(L, lie, pres, u)
-    if validate:
-        if not check_morphism(u, lie, L):
-            raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
-        for z in kernel_basis(u.matrix()):
-            for j in range(n):
-                if lie.bracket(z, {j: ONE}):
-                    raise CertificateError(
-                        f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
-                    )
-    return out
+    if not check_morphism(u, lie, L):
+        raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
+    for z in kernel_basis(u.matrix()):
+        for j in range(n):
+            if lie.bracket(z, {j: ONE}):
+                raise CertificateError(
+                    f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
+                )
+    return UceAlgebra(L, lie, pres, u)
 
 
 class UceMemo:
@@ -212,10 +173,10 @@ class UceMemo:
     def __init__(self):
         self._store = {}
 
-    def uce(self, L: LieSuperalgebra, validate: bool = True) -> UceAlgebra:
+    def uce(self, L: LieSuperalgebra) -> UceAlgebra:
         got = self._store.get(id(L))
         if got is None:
-            got = build_uce(L, validate=validate)
+            got = build_uce(L)
             self._store[id(L)] = got
         return got
 
@@ -247,7 +208,6 @@ def uce_of_morphism(
     source: Optional[UceAlgebra] = None,
     target: Optional[UceAlgebra] = None,
     memo: Optional[UceMemo] = None,
-    check: bool = True,
 ) -> GradedLinearMap:
     """Induced map "<a,b> -> <f a, f b>" between the extensions.
 
@@ -282,16 +242,15 @@ def uce_of_morphism(
                         del tensor[c]
         cols.append(target.presentation.project(tensor))
     out = GradedLinearMap(source.lie.basis, target.lie.basis, cols)
-    if check:
-        # naturality: u_M after uce(f) equals f after u_L
-        lhs = target.u.compose(out)
-        rhs = f.compose(source.u)
-        for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)):
-            if x != y:
-                raise CertificateError(
-                    "induced map does not commute with the canonical maps "
-                    f"at {source.lie.basis.labels[j]}"
-                )
+    # naturality: u_M after uce(f) equals f after u_L
+    lhs = target.u.compose(out)
+    rhs = f.compose(source.u)
+    for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)):
+        if x != y:
+            raise CertificateError(
+                "induced map does not commute with the canonical maps "
+                f"at {source.lie.basis.labels[j]}"
+            )
     return out
 
 
@@ -351,7 +310,12 @@ class Cocycle2:
 
 
 def validate_cocycle(tau: Cocycle2, L: Optional[LieSuperalgebra] = None) -> ValidationReport:
-    """Degree zero, super-alternating, and the cyclic cocycle identity."""
+    """Degree zero, super-alternating, and the cyclic cocycle identity.
+
+    The cyclic identity reads the structure constants scaled by the LCM
+    D of their denominators, as in validate_lie: each sum is D times the
+    rational one.
+    """
     if L is None:
         L = tau.source
     report = ValidationReport()
@@ -377,35 +341,19 @@ def validate_cocycle(tau: Cocycle2, L: Optional[LieSuperalgebra] = None) -> Vali
             report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
     if not report.ok:
         return report
-    table = L.table
-    for i in range(d):
-        vi = vals[i]
-        for j in range(i, d):
-            vj = vals[j]
-            for k in range(i, d):
-                acc: Vector = {}
-                cell = table[j][k]
-                if cell:
-                    s = -ONE if par[i] and par[k] else ONE
-                    for t, x in cell.items():
-                        if vi[t]:
-                            vec_add_scaled(acc, vi[t], s * x)
-                cell = table[k][i]
-                if cell:
-                    s = -ONE if par[j] and par[i] else ONE
-                    for t, x in cell.items():
-                        if vj[t]:
-                            vec_add_scaled(acc, vj[t], s * x)
-                cell = table[i][j]
-                if cell:
-                    s = -ONE if par[k] and par[j] else ONE
-                    vk = vals[k]
-                    for t, x in cell.items():
-                        if vk[t]:
-                            vec_add_scaled(acc, vk[t], s * x)
-                if acc:
-                    report.add("cocycle", (labels[i], labels[j], labels[k]),
-                               "cyclic cocycle sum != 0")
+    itable, _ = _integral_table(L.table)
+    for i, j, k, terms in _cyclic_classes(itable, par):
+        acc: Vector = {}
+        for s, outer, cell in terms:
+            vo = vals[outer]
+            for t, x in cell.items():
+                if vo[t]:
+                    x *= s
+                    for r, y in vo[t].items():
+                        acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            report.add("cocycle", (labels[i], labels[j], labels[k]),
+                       "cyclic cocycle sum != 0")
     return report
 
 
@@ -423,13 +371,14 @@ class CentralExtension:
         return f"CentralExtension(total dim={self.total.dim})"
 
 
-def extension_from_cocycle(L: LieSuperalgebra, tau: Cocycle2,
-                           validate: bool = True) -> CentralExtension:
-    """L (+) C with bracket [l1 (+) c1, l2 (+) c2] = [l1,l2] (+) tau(l1,l2)."""
-    if tau.source is not L:
-        report = validate_cocycle(tau, L)
-        if not report.ok:
-            raise ValueError("cocycle does not validate against the given algebra")
+def extension_from_cocycle(L: LieSuperalgebra, tau: Cocycle2) -> CentralExtension:
+    """L (+) C with bracket [l1 (+) c1, l2 (+) c2] = [l1,l2] (+) tau(l1,l2).
+
+    tau is validated against L; the total algebra is then a Lie
+    superalgebra by construction and is built without re-validation.
+    """
+    if not validate_cocycle(tau, L).ok:
+        raise ValueError("cocycle does not validate against the given algebra")
     d = L.dim
     c = len(tau.target)
     labels = list(L.basis.labels)
@@ -454,7 +403,7 @@ def extension_from_cocycle(L: LieSuperalgebra, tau: Cocycle2,
             else:
                 row.append({})
         table.append(row)
-    total = LieSuperalgebra(basis, table, validate=validate)
+    total = LieSuperalgebra(basis, table, validate=False)
     projection = GradedLinearMap(
         basis, L.basis, [{i: ONE} if i < d else {} for i in range(d + c)]
     )

@@ -221,6 +221,13 @@ def test_usage_errors(tmp_path, capsys):
         ["limit-check", "--chain", "sl:7..5:Q"],                   # decreasing
         ["limit-check", "--chain", "garbage"],
     ]
+    one_basis = [{"name": "a", "parity": "even"}]
+    for name, products in [
+        ("products5.json", 5),                                     # products not a list
+        ("result5.json", [{"left": "a", "right": "a", "result": 5}]),  # result not a list
+    ]:
+        path = write(tmp_path, name, {"kind": "lie", "basis": one_basis, "products": products})
+        bad.append(["validate", "--file", path])
     for argv in bad:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -270,26 +277,12 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
-# ----------------------------------------------------------------- environment
-
-def test_uce_threads_recorded(monkeypatch, capsys):
-    monkeypatch.setenv("UCE_THREADS", "3")
-    code, report = run_json(["centre", "--family", "sl", "--m", "2"], capsys)
-    assert code == 0 and report["uce_threads"] == 3
-
-
-def test_uce_threads_rejected(monkeypatch, capsys):
-    for value in ("0", "-2", "many"):
-        monkeypatch.setenv("UCE_THREADS", value)
-        assert main(["centre", "--family", "sl", "--m", "2"]) == 2
-
-
 # -------------------------------------------------------------------- reports
 
 def test_report_key_order(capsys):
     _, report = run_json(["centre", "--family", "sl", "--m", "2"], capsys)
     assert list(report.keys()) == [
-        "command", "version", "arguments", "uce_threads",
+        "command", "version", "arguments",
         "input_digest", "results", "timing",
     ]
 

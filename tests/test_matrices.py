@@ -21,7 +21,9 @@ from superuce import (
     steinberg_check,
     supertrace,
     tau_cocycle,
+    validate_assoc,
     validate_cocycle,
+    validate_lie,
 )
 from superuce.linalg import echelon_rows
 from superuce.matrices import grassmann, matrix_superalgebra
@@ -336,8 +338,9 @@ def test_build_family_precondition_errors():
 
 def test_matrix_superalgebra_associative_with_odd_entries():
     """The graded tensor product sign keeps Mat(1,1;Grassmann(2))
-    associative; construction validates eagerly."""
+    associative, and its supercommutator algebra a Lie superalgebra."""
     A = coefficient_algebra("Grassmann(2)")
     M = matrix_superalgebra(1, 1, A)
     assert M.dim == 4 * A.dim
-    lie_from_assoc(M)  # also validates the supercommutator bracket
+    assert validate_assoc(M).ok
+    assert validate_lie(lie_from_assoc(M)).ok

@@ -1,0 +1,85 @@
+"""Validation runs where data enters the package; objects derived from a
+validated algebra are built without re-validation.  These tests run every
+validator on every constructor output explicitly, so no law check leaves
+the suite."""
+
+from fractions import Fraction
+
+import pytest
+
+from superuce import (
+    Cocycle2,
+    GradedBasis,
+    build_family,
+    build_uce,
+    centre,
+    chain_system,
+    coefficient_algebra,
+    colimit,
+    corner_embedding,
+    extension_from_cocycle,
+    quotient_by_central,
+    tau_cocycle,
+    validate_assoc,
+    validate_cocycle,
+    validate_lie,
+)
+from superuce.matrices import matrix_superalgebra
+
+ONE = Fraction(1)
+
+COEFFS = ("Q", "Q[t]/(t^2)", "Q[x,y]/(x,y)^2", "Grassmann(1)", "Mat(2,0;Q)")
+
+
+def assert_valid(report, what):
+    assert report.ok, f"{what}: {report}"
+
+
+@pytest.mark.parametrize("name", COEFFS)
+def test_every_constructor_output_validates(name):
+    A = coefficient_algebra(name)
+    assert_valid(validate_assoc(A), name)
+    assert_valid(validate_assoc(matrix_superalgebra(2, 1, A)), f"Mat(2,1;{name})")
+    families = [("gl", 2, 1), ("sl", 2, 1)]
+    if A.is_supercommutative():
+        families.append(("osp", 1, 2))
+    if name == "Q":
+        families += [("p", 2, 2), ("sq", 2, 2)]
+    for kind, m, n in families:
+        fam = build_family(kind, m, n, A)
+        what = f"{kind}({m},{n};{name})"
+        assert_valid(validate_lie(fam.gl), f"gl of {what}")
+        assert_valid(validate_lie(fam.algebra), what)
+        assert_valid(validate_lie(build_uce(fam.algebra).lie), f"extension of {what}")
+        Z = centre(fam.algebra)
+        if Z.dim:
+            quotient, _ = quotient_by_central(fam.algebra, Z)
+            assert_valid(validate_lie(quotient), f"{what} / centre")
+
+    small, big = (build_family("sl", m, 0, A) for m in (2, 3))
+    colim = colimit(chain_system([small.algebra, big.algebra], [corner_embedding(small, big)]))
+    assert_valid(validate_lie(colim.algebra), f"colimit of sl(2) -> sl(3) over {name}")
+
+    if A.is_supercommutative():
+        sl = build_family("sl", 2, 1, A)
+        tau = tau_cocycle(2, 1, A, fam=sl)
+        assert_valid(validate_cocycle(tau), f"tau on sl(2,1;{name})")
+        total = extension_from_cocycle(sl.algebra, tau).total
+        assert_valid(validate_lie(total), f"sl(2,1;{name}) + HC1")
+
+
+def test_extension_from_cocycle_rejects_broken_identity_of_own_source():
+    """tau(E12, E13) = c alone is alternating and of degree zero on sl(3),
+    but fails the cyclic cocycle identity; tau.source is the algebra itself."""
+    L = build_family("sl", 3, 0, coefficient_algebra("Q")).algebra
+    labels = L.basis.labels
+    a, b = labels.index("E1,2(1)"), labels.index("E1,3(1)")
+    values = [[{} for _ in range(L.dim)] for _ in range(L.dim)]
+    values[a][b] = {0: ONE}
+    values[b][a] = {0: -ONE}
+    tau = Cocycle2(L, GradedBasis(["c"], [0]), values)
+    laws = {law for law, _, _ in validate_cocycle(tau).violations}
+    assert laws == {"cocycle"}
+    assert tau.source is L
+    with pytest.raises(ValueError, match="cocycle does not validate"):
+        extension_from_cocycle(L, tau)
