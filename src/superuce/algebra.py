@@ -293,8 +293,13 @@ def _cyclic_classes(itable, par):
 
 def _tensor_relations(table, par) -> list:
     """Int spanning rows of the relation space in V (x) V of a product
-    table on V: the pair rows a (x) b + (-1)^{|a||b|} b (x) a, the
-    diagonal rows a (x) a for even a, and one cyclic row per cyclic class.
+    table on V: one pair row per basis pair a <= b, and one cyclic row per
+    cyclic class.
+
+    For a < b the pair row is a (x) b + (-1)^{|a||b|} b (x) a.  For a = b
+    it is the diagonal row a (x) a when a is even (half the pair sum, and
+    the quadratic relation too) and absent when a is odd (the sum is 0),
+    so no pair or diagonal row is emitted twice.
 
     Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Pair
     and diagonal rows are +-1, and each cyclic row is D times the
@@ -310,9 +315,6 @@ def _tensor_relations(table, par) -> list:
                     rows.append({i * d + i: 1})
             else:
                 rows.append({i * d + j: 1, j * d + i: sign})
-    for i in range(d):
-        if par[i] == 0:
-            rows.append({i * d + i: 1})
     itable, _ = _integral_table(table)
     for _, _, _, terms in _cyclic_classes(itable, par):
         row: dict = {}

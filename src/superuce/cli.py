@@ -21,7 +21,8 @@ Algebra file format (JSON)::
 
 Pairs absent from "products" are zero; nothing is symmetrized or
 completed behind the caller's back.  Rational numbers are written as
-{"num": "...", "den": "..."} decimal strings everywhere.
+{"num": "...", "den": "..."}; each part is a decimal string or a JSON
+integer, never a float or boolean.
 
 Chain shorthand: ``sl:5..7:Q[t]/(t^2)`` (or ``sl:3,2..5,2:Q``) builds
 the corner-embedding chain of sl families from the start size to the
@@ -36,8 +37,9 @@ System file format (JSON)::
       "relation": [[0, 1], [1, 2]]
     }
 
-Members are indexed by position; every related pair gets the corner
-embedding as its transition map.
+Members are indexed by position, and members and relation pairs are
+lists of two integers; every related pair gets the corner embedding as
+its transition map.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .algebra import (
     validate_lie,
 )
 from .cyclic import cyclic_pairs, hc1
-from .limits import DirectedPoset, DirectedSystem, limit_u, theorem_verify
+from .limits import DirectedPoset, DirectedSystem, theorem_verify
 from .matrices import (
     build_family,
     coefficient_algebra,
@@ -74,7 +76,7 @@ from .matrices import (
     steinberg_check,
     tau_cocycle,
 )
-from .uce import UceMemo, build_uce, h2, validate_cocycle
+from .uce import build_uce, h2, validate_cocycle
 
 FAMILY_KINDS = ("gl", "sl", "osp", "p", "sq")
 
@@ -89,20 +91,20 @@ def rational_to_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def rational_from_json(obj) -> Fraction:
-    if isinstance(obj, dict):
-        try:
-            return Fraction(int(obj["num"]), int(obj["den"]))
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {obj!r}: {exc}") from None
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {obj!r}: {exc}") from None
-    raise InputError(f"bad rational {obj!r}")
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def rational_from_json(obj: dict) -> Fraction:
+    """{"num": ..., "den": ...}, each a decimal string or a JSON integer."""
+    try:
+        num, den = obj["num"], obj["den"]
+        for x in (num, den):
+            if not (isinstance(x, str) or _is_json_int(x)):
+                raise ValueError("num and den must be decimal strings or integers")
+        return Fraction(int(num), int(den))
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {obj!r}: {exc}") from None
 
 
 def vector_to_json(v, labels) -> list:
@@ -347,6 +349,14 @@ def _family_system(kind: str, members, coeff_name: str, relation=None) -> Direct
     return DirectedSystem(poset, {i: fams[i].algebra for i in idx}, morphisms)
 
 
+def _int_pairs(value, key: str) -> list:
+    """A JSON list of two-integer lists, as tuples."""
+    if isinstance(value, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_json_int, p)) for p in value):
+        return [tuple(p) for p in value]
+    raise InputError(f"bad system file: \"{key}\" must be a list of integer pairs")
+
+
 def _resolve_system(args) -> Tuple[DirectedSystem, bytes]:
     if bool(args.chain) == bool(args.system):
         raise InputError("pass exactly one of --chain or --system")
@@ -359,15 +369,15 @@ def _resolve_system(args) -> Tuple[DirectedSystem, bytes]:
         kind, members, coeff = _parse_chain(text)
         return _family_system(kind, members, coeff), text.encode()
     data, raw = _load_json(args.system)
-    try:
-        kind = data["kind"]
-        coeff = data["coeff"]
-        members = [tuple(map(int, mn)) for mn in data["members"]]
-        relation = [tuple(pair) for pair in data.get("relation", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad system file: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError("system file must be a JSON object")
+    kind, coeff = data.get("kind"), data.get("coeff")
     if kind not in ("gl", "sl"):
         raise InputError("system files support gl and sl families")
+    if not isinstance(coeff, str):
+        raise InputError("bad system file: \"coeff\" must be a coefficient algebra name")
+    members = _int_pairs(data.get("members"), "members")
+    relation = _int_pairs(data.get("relation", []), "relation")
     return _family_system(kind, members, coeff, relation or None), raw
 
 
@@ -564,12 +574,10 @@ def _cmd_h_iso(args):
 
 def _cmd_limit_check(args):
     system, digest = _resolve_system(args)
-    memo = UceMemo()
-    rep = theorem_verify(system, memo)
-    vrep = limit_u(system, memo)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        h2_dims = [h2(system.algebras[i], memo=memo).dim for i in system.poset.elements]
+    rep = theorem_verify(system)
+    vrep = rep.projection
+    # theorem_verify has checked that every member is perfect
+    h2_dims = [vrep.exts[i].dim - vrep.exts[i].u.rank() for i in system.poset.elements]
     results = {
         "members": len(system.poset.elements),
         "dim_colim": rep.dim_colim,

@@ -41,6 +41,7 @@ from .algebra import (
 from .linalg import (
     QuotientPresentation,
     Vector,
+    _tensor,
     kernel_basis,
     quotient_space,
     vec_add_scaled,
@@ -67,20 +68,7 @@ class CyclicPairs:
 
     def pair(self, x: Vector, y: Vector) -> Vector:
         """Class of x (x) y in quotient coordinates."""
-        d = self.algebra.dim
-        tensor: Vector = {}
-        for a, xa in x.items():
-            base = a * d
-            for b, yb in y.items():
-                w = xa * yb
-                if w:
-                    k = base + b
-                    z = tensor.get(k, 0) + w
-                    if z:
-                        tensor[k] = z
-                    else:
-                        del tensor[k]
-        return self.presentation.project(tensor)
+        return self.presentation.project(_tensor(x, y, self.algebra.dim))
 
     def __repr__(self) -> str:
         return f"CyclicPairs(dim={self.dim})"

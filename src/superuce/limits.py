@@ -7,11 +7,13 @@ the direct sum of all members modulo the identifications
 iota_i(x) - iota_j(f_ji x); its bracket routes both arguments through a
 common upper bound.
 
-theorem_verify builds, for a system of perfect algebras, the canonical
-comparison between the colimit of the central extensions and the
-central extension of the colimit, and certifies that it is an
-isomorphism by exhibiting the inverse and checking both composites and
-the restriction to the two kernels.
+limit_u builds both colimits, colim L_i and colim uce(L_i), and the
+canonical projection v between them, once.  theorem_verify takes those
+objects from one limit_u call and builds, for a system of perfect
+algebras, the comparison phi between the colimit of the central
+extensions and the central extension of the colimit; it certifies that
+phi is an isomorphism by exhibiting the inverse and checking both
+composites and the restriction to the two kernels.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class DirectedPoset:
 
     def __init__(self, elements: Sequence[Hashable], relation):
         self.elements = tuple(elements)
+        if not self.elements:
+            raise ValueError("a directed poset needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("poset elements must be distinct")
         known = set(self.elements)
@@ -321,35 +325,35 @@ class LimitUReport:
     map: GradedLinearMap
     colim_uce: Colimit
     colim: Colimit
-    kernel_dim: int
+    exts: Dict[Hashable, UceAlgebra]
+    kernel: List[Vector]
     kernel_central: bool
     surjective: bool
 
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.kernel)
 
-def limit_u(system: DirectedSystem, memo: Optional[UceMemo] = None,
-            colim: Optional[Colimit] = None,
-            uce_colim: Optional[Colimit] = None,
-            exts: Optional[Dict[Hashable, UceAlgebra]] = None) -> LimitUReport:
+
+def limit_u(system: DirectedSystem, memo: Optional[UceMemo] = None) -> LimitUReport:
     """Canonical map from the colimit of extensions onto the colimit.
 
-    Its kernel is checked to be central; it is surjective when every
-    member is perfect.
+    Builds both colimits and the member extensions once and keeps them
+    in the report, with a basis of the kernel.  The kernel is checked to
+    be central; the map is surjective when every member is perfect.
     """
     if memo is None:
         memo = UceMemo()
-    if colim is None:
-        colim = colimit(system)
-    if uce_colim is None or exts is None:
-        usys, exts = uce_system(system, memo)
-        uce_colim = colimit(usys)
+    colim = colimit(system)
+    usys, exts = uce_system(system, memo)
+    uce_colim = colimit(usys)
     cones = {i: colim.injections[i].compose(exts[i].u) for i in system.poset.elements}
     v = factor_through(uce_colim, cones)
     ker = kernel_basis(v.matrix())
     zc = centre(uce_colim.algebra)
     central = all(zc.contains(k) for k in ker)
-    return LimitUReport(map=v, colim_uce=uce_colim, colim=colim,
-                        kernel_dim=len(ker), kernel_central=central,
-                        surjective=v.is_surjective())
+    return LimitUReport(map=v, colim_uce=uce_colim, colim=colim, exts=exts, kernel=ker,
+                        kernel_central=central, surjective=v.is_surjective())
 
 
 @dataclass
@@ -364,6 +368,7 @@ class TheoremReport:
     h2_of_colim_dim: int
     h2_colim_of_kernels_dim: int
     h2_restriction_bijective: bool
+    projection: LimitUReport
 
     @property
     def ok(self) -> bool:
@@ -375,20 +380,20 @@ class TheoremReport:
 def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> TheoremReport:
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
-    phi is the mediating map of the cone uce(phi_i); psi routes a
-    bracket through preimages of the canonical projection of the
-    colimit of extensions.  Both composites and the restriction of phi
-    to the kernel parts are checked exactly.
+    The colimits, member extensions and canonical projection v come from
+    one limit_u call, whose report is kept as the projection field.  phi
+    is the mediating map of the cone uce(phi_i); psi routes a bracket
+    through preimages under v.  Both composites and the restriction of
+    phi to the kernel parts are checked exactly.
     """
     if memo is None:
         memo = UceMemo()
     for i in system.poset.elements:
         if not is_perfect(system.algebras[i]):
             raise ValueError(f"member {i!r} is not perfect")
-    colim = colimit(system)
+    proj = limit_u(system, memo)
+    colim, uce_colim, exts, v = proj.colim, proj.colim_uce, proj.exts, proj.map
     ext_top = memo.uce(colim.algebra)
-    usys, exts = uce_system(system, memo)
-    uce_colim = colimit(usys)
 
     cones = {i: uce_of_morphism(colim.injections[i], source=exts[i], target=ext_top)
              for i in system.poset.elements}
@@ -396,8 +401,6 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
     phi_is_morphism = check_morphism(phi, uce_colim.algebra, ext_top.lie)
     phi_bijective = phi.is_bijective()
 
-    report_v = limit_u(system, memo, colim=colim, uce_colim=uce_colim, exts=exts)
-    v = report_v.map
     section = Echelon(track=True)
     for idx, col in enumerate(v.columns):
         section.insert(col, tag=idx)
@@ -423,7 +426,7 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
     phi_after_psi = phi.compose(psi) == GradedLinearMap.identity(ext_top.lie.basis)
 
     h2_top = kernel_basis(ext_top.u.matrix())
-    ker_v = kernel_basis(v.matrix())
+    ker_v = proj.kernel
     h2_span = Echelon()
     for w in h2_top:
         h2_span.insert(dict(w))
@@ -447,6 +450,7 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
         h2_of_colim_dim=len(h2_top),
         h2_colim_of_kernels_dim=len(ker_v),
         h2_restriction_bijective=restriction_ok,
+        projection=proj,
     )
 
 

@@ -50,6 +50,21 @@ def vec_add_scaled(u: Vector, v: Vector, c: Fraction) -> None:
             u.pop(i, None)
 
 
+def _tensor(x: Vector, y: Vector, d: int) -> Vector:
+    """x (x) y in V (x) V, dim V = d, at coordinates a*d + b; zeros dropped.
+
+    Each coordinate is hit by one pair (a, b) only, so nothing accumulates.
+    """
+    out: Vector = {}
+    for a, xa in x.items():
+        base = a * d
+        for b, yb in y.items():
+            w = xa * yb
+            if w:
+                out[base + b] = w
+    return out
+
+
 class SparseMatrix:
     """Immutable sparse matrix; rows are vectors over column indices."""
 

@@ -45,6 +45,7 @@ from .algebra import (
 )
 from .linalg import (
     Vector,
+    _tensor,
     kernel_basis,
     quotient_space,
     rank_of_rows,
@@ -89,15 +90,7 @@ class UceAlgebra:
 
     def class_of(self, x: Vector, y: Vector) -> Vector:
         """Class <x, y> of a tensor x (x) y in extension coordinates."""
-        d = self.base.dim
-        tensor: Vector = {}
-        for a, xa in x.items():
-            base = a * d
-            for b, yb in y.items():
-                w = xa * yb
-                if w:
-                    tensor[base + b] = tensor.get(base + b, ZERO) + w
-        return self.presentation.project({k: v for k, v in tensor.items() if v})
+        return self.presentation.project(_tensor(x, y, self.base.dim))
 
     def __repr__(self) -> str:
         return f"UceAlgebra(dim={self.dim} over dim={self.base.dim})"
@@ -129,29 +122,7 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
 
     brackets = [L.table[a][b] for a, b in coords]
     project = pres.project
-    table = []
-    for i in range(n):
-        w = brackets[i]
-        row = []
-        for j in range(n):
-            w2 = brackets[j]
-            if w and w2:
-                tensor: Vector = {}
-                for r, x in w.items():
-                    base = r * d
-                    for s, y in w2.items():
-                        v = x * y
-                        if v:
-                            c = base + s
-                            z = tensor.get(c, ZERO) + v
-                            if z:
-                                tensor[c] = z
-                            else:
-                                del tensor[c]
-                row.append(project(tensor))
-            else:
-                row.append({})
-        table.append(row)
+    table = [[project(_tensor(w, w2, d)) for w2 in brackets] for w in brackets]
     lie = LieSuperalgebra(basis, table, validate=False)
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
@@ -181,66 +152,35 @@ class UceMemo:
         return got
 
 
-def h2(L, uce: Optional[UceAlgebra] = None, memo: Optional[UceMemo] = None) -> Subspace:
+def h2(L, memo: Optional[UceMemo] = None) -> Subspace:
     """Kernel of the canonical map, as a subspace of the extension.
 
-    Accepts a LieSuperalgebra or a prebuilt UceAlgebra.  Warns when L is
-    not perfect (the kernel is still central, but it is not the second
-    homology in that case).
+    Accepts a LieSuperalgebra (its extension is built, via memo when one
+    is given) or a prebuilt UceAlgebra.  Warns when L is not perfect (the
+    kernel is still central, but it is not the second homology in that
+    case).
     """
     if isinstance(L, UceAlgebra):
         ext = L
     else:
-        if uce is not None:
-            ext = uce
-        elif memo is not None:
-            ext = memo.uce(L)
-        else:
-            ext = build_uce(L)
+        ext = memo.uce(L) if memo is not None else build_uce(L)
     if not is_perfect(ext.base):
         warnings.warn("algebra is not perfect; kernel of u is not H2", stacklevel=2)
     vectors = kernel_basis(ext.u.matrix())
     return Subspace(ext.lie, vectors)
 
 
-def uce_of_morphism(
-    f: GradedLinearMap,
-    source: Optional[UceAlgebra] = None,
-    target: Optional[UceAlgebra] = None,
-    memo: Optional[UceMemo] = None,
-) -> GradedLinearMap:
+def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
+                    target: UceAlgebra) -> GradedLinearMap:
     """Induced map "<a,b> -> <f a, f b>" between the extensions.
 
-    source and target are the extensions of f's domain and codomain, or
-    the plain algebras themselves (extensions are then built, via memo
-    when one is given).
+    source and target are the extensions of f's domain and codomain.
     """
-    if source is None or target is None:
-        raise ValueError("pass the source and target algebras or extensions")
-    if isinstance(source, LieSuperalgebra):
-        source = memo.uce(source) if memo is not None else build_uce(source)
-    if isinstance(target, LieSuperalgebra):
-        target = memo.uce(target) if memo is not None else build_uce(target)
     if f.domain != source.base.basis or f.codomain != target.base.basis:
         raise ValueError("morphism endpoints do not match the given extensions")
     dM = target.base.dim
-    cols = []
-    for a, b in _free_coords(source):
-        fa = f.columns[a]
-        fb = f.columns[b]
-        tensor: Vector = {}
-        for r, x in fa.items():
-            base = r * dM
-            for s, y in fb.items():
-                v = x * y
-                if v:
-                    c = base + s
-                    z = tensor.get(c, ZERO) + v
-                    if z:
-                        tensor[c] = z
-                    else:
-                        del tensor[c]
-        cols.append(target.presentation.project(tensor))
+    project = target.presentation.project
+    cols = [project(_tensor(f.columns[a], f.columns[b], dM)) for a, b in _free_coords(source)]
     out = GradedLinearMap(source.lie.basis, target.lie.basis, cols)
     # naturality: u_M after uce(f) equals f after u_L
     lhs = target.u.compose(out)
@@ -259,13 +199,12 @@ def _free_coords(ext: UceAlgebra):
     return [divmod(col, d) for col in ext.presentation.free_columns]
 
 
-def is_centrally_closed(L: LieSuperalgebra, uce: Optional[UceAlgebra] = None,
-                        memo: Optional[UceMemo] = None) -> bool:
+def is_centrally_closed(L: LieSuperalgebra, uce: Optional[UceAlgebra] = None) -> bool:
     """For perfect L: is the canonical map an isomorphism?"""
     if not is_perfect(L):
         raise ValueError("central closure is defined here for perfect algebras only")
     if uce is None:
-        uce = memo.uce(L) if memo is not None else build_uce(L)
+        uce = build_uce(L)
     if uce.dim != L.dim:
         return False
     return uce.u.rank() == L.dim

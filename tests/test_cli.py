@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superuce
 from superuce.cli import (
@@ -17,6 +19,7 @@ from superuce.cli import (
     parse_algebra,
     rational_from_json,
     rational_to_json,
+    run,
 )
 
 QT2_FILE = {
@@ -228,10 +231,95 @@ def test_usage_errors(tmp_path, capsys):
     ]:
         path = write(tmp_path, name, {"kind": "lie", "basis": one_basis, "products": products})
         bad.append(["validate", "--file", path])
+    for name, num, den in [
+        ("float_num.json", 1.5, "1"),                              # not an exact integer
+        ("bool_den.json", "0", True),                              # a boolean is no integer
+        ("null_num.json", None, "1"),
+    ]:
+        term = {"basis": "a", "num": num, "den": den}
+        products = [{"left": "a", "right": "a", "result": [term]}]
+        path = write(tmp_path, name, {"kind": "lie", "basis": one_basis, "products": products})
+        bad.append(["validate", "--file", path])
+    for name, field, value in [
+        ("coeff5.json", "coeff", 5),                               # coefficient name not a string
+        ("relation_list.json", "relation", [[[0], 1]]),            # unhashable member index
+        ("no_members.json", "members", []),                        # empty poset
+    ]:
+        data = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]], field: value}
+        bad.append(["limit-check", "--system", write(tmp_path, name, data)])
     for argv in bad:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), (argv, err)
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+SL_SYSTEM = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]], "relation": [[0, 1]]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.sampled_from(["", "0", "1", "-2", "1.5", "e", "h", "f", "even", "odd",
+                       "lie", "assoc", "sl", "gl", "Q"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "basis", "name", "parity", "left", "right",
+                         "result", "num", "den", "unit"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_is_total_on_mutated_documents(tmp_path_factory, data):
+    # one field of a valid algebra or system document becomes any JSON value
+    doc, argv = data.draw(st.sampled_from([
+        (SL2_FILE, ["h2", "--file"]),
+        (QT2_FILE, ["hc1", "--file"]),
+        (SL_SYSTEM, ["limit-check", "--system"]),
+    ]))
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    mutated = _replaced(doc, path, data.draw(json_values))
+    target = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    target.write_text(json.dumps(mutated))
+    code = main([*argv, str(target)])
+    assert code in (0, 1, 2), (mutated, code)
+
+
+def test_limit_check_builds_each_colimit_once(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        inner = getattr(superuce.limits, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    names = ("colimit", "uce_system", "validate_system", "factor_through", "centre")
+    for name in names:
+        monkeypatch.setattr(superuce.limits, name, counted(name))
+    _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
+    assert code == 0
+    assert counts == {"colimit": 2, "uce_system": 1, "validate_system": 2,
+                      "factor_through": 2, "centre": 1}
 
 
 def test_certificate_failure_exits_1(monkeypatch, capsys):

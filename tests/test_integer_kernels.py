@@ -162,6 +162,13 @@ def test_rescaled_builtins_stay_valid():
 def test_b_relations_span_matches_reference(L):
     rows = b_relations(L)
     assert all(type(x) is int for row in rows for x in row.values())
+    # no repeated pair or diagonal row: they come first, once each, where
+    # the reference repeats every even diagonal row (cyclic rows may
+    # coincide with each other or with a pair row, so they are not compared)
+    d, evens = L.dim, L.basis.parities.count(0)
+    head = rows[:d * (d - 1) // 2 + evens]
+    assert len({frozenset(row.items()) for row in head}) == len(head)
+    assert len(rows) == len(ref.b_relations(L)) - evens
     assert ref_span(rows) == ref_span(ref.b_relations(L))
     assert echelon_rows(rows) == ref_span(ref.b_relations(L))
 
