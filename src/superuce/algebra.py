@@ -24,6 +24,7 @@ Everything is immutable after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -256,7 +257,7 @@ def _integral_table(table) -> tuple:
     return int_table, den
 
 
-def _cyclic_classes(itable, par):
+def _cyclic_classes(itable, par, weights=None):
     """The cyclic identity of a product table, one cyclic class at a time.
 
     For each basis triple (i, j, k) with i <= j and i <= k whose cells
@@ -269,8 +270,18 @@ def _cyclic_classes(itable, par):
     The Jacobi and cocycle identities and the cyclic relations of the
     tensor square all read this sum; it is invariant under cyclic
     rotation, so each class is visited once.
+
+    With int weights of the basis elements (a grading of the table:
+    [i,j] has weight weights[i] + weights[j]), only the classes of total
+    weight 0 are visited; k then ranges over the basis elements of weight
+    -(weights[i] + weights[j]) only.
     """
     d = len(itable)
+    by_weight: Optional[dict] = None
+    if weights is not None:
+        by_weight = {}
+        for k, wk in enumerate(weights):
+            by_weight.setdefault(wk, []).append(k)
     for i in range(d):
         ti = itable[i]
         pi = par[i]
@@ -279,7 +290,12 @@ def _cyclic_classes(itable, par):
             cij = ti[j]
             pj = par[j]
             sji = -1 if pj and pi else 1
-            for k in range(i, d):
+            if by_weight is None:
+                ks = range(i, d)
+            else:
+                group = by_weight.get(-weights[i] - weights[j], ())
+                ks = group[bisect_left(group, i):]
+            for k in ks:
                 cjk = tj[k]
                 cki = itable[k][i]
                 if cjk or cki or cij:
@@ -291,7 +307,7 @@ def _cyclic_classes(itable, par):
                     )
 
 
-def _tensor_relations(table, par) -> list:
+def _tensor_relations(table, par, weights=None) -> list:
     """Int spanning rows of the relation space in V (x) V of a product
     table on V: one pair row per basis pair a <= b, and one cyclic row per
     cyclic class.
@@ -304,11 +320,18 @@ def _tensor_relations(table, par) -> list:
     Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Pair
     and diagonal rows are +-1, and each cyclic row is D times the
     rational one, for D the LCM of the table's denominators.
+
+    Given int weights grading the table (see _cyclic_classes), every row
+    is homogeneous and only the rows of weight 0 are emitted: they span
+    the relations inside the weight-0 part of V (x) V.
     """
     d = len(par)
+    w = weights or (0,) * d
     rows = []
     for i in range(d):
         for j in range(i, d):
+            if w[i] + w[j]:
+                continue
             sign = -1 if par[i] and par[j] else 1
             if i == j:
                 if sign == 1:
@@ -316,7 +339,7 @@ def _tensor_relations(table, par) -> list:
             else:
                 rows.append({i * d + j: 1, j * d + i: sign})
     itable, _ = _integral_table(table)
-    for _, _, _, terms in _cyclic_classes(itable, par):
+    for _, _, _, terms in _cyclic_classes(itable, par, weights):
         row: dict = {}
         for s, outer, cell in terms:
             base = outer * d

@@ -18,11 +18,11 @@ are formed only where a result leaves the kernel: residues and
 certificates of reduce(), and the rows of rref_rows(), whose pivot
 coefficient is 1.
 
-The row-space routines partition the input rows into column-connected
-clusters (union-find on shared columns) and eliminate each cluster
-separately.  Clusters share no columns, so the union of the per-cluster
-reduced forms is exactly the global RREF; this is an optimization only,
-the output is identical to single-pass elimination.
+The row-space routines (echelon_rows, rank_of_rows and everything built
+on them) partition the input rows into column-connected clusters
+(union-find on shared columns) and eliminate each cluster separately.
+Clusters share no columns, so the union of the per-cluster reduced forms
+is exactly the global RREF.
 """
 
 from __future__ import annotations
@@ -294,8 +294,9 @@ class Echelon:
         return out
 
 
-def _cluster_rows(rows: Sequence[Vector]):
-    """Partition row indices into column-connected clusters."""
+def _cluster_rows(rows: Sequence[Vector]) -> list:
+    """Row indices of the nonzero rows, partitioned into column-connected
+    clusters: lists of indices in input order, ordered by their root."""
     parent: dict = {}
 
     def find(x):
@@ -326,25 +327,18 @@ def _cluster_rows(rows: Sequence[Vector]):
             continue
         root = find(next(iter(row)))
         groups.setdefault(root, []).append(idx)
-    return groups
+    return [groups[root] for root in sorted(groups)]
 
 
-def echelon_rows(rows: Sequence[Vector], cluster: bool = True) -> dict:
+def echelon_rows(rows: Sequence[Vector]) -> dict:
     """RREF of the span of rows, as {pivot column: row}."""
-    if cluster:
-        groups = _cluster_rows(rows)
-        if len(groups) > 1:
-            out: dict = {}
-            for root in sorted(groups):
-                ech = Echelon()
-                for idx in groups[root]:
-                    ech.insert(rows[idx])
-                out.update(ech.rref_rows())
-            return out
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.rref_rows()
+    out: dict = {}
+    for group in _cluster_rows(rows):
+        ech = Echelon()
+        for idx in group:
+            ech.insert(rows[idx])
+        out.update(ech.rref_rows())
+    return out
 
 
 def rref(matrix: SparseMatrix):
@@ -359,21 +353,14 @@ def rref(matrix: SparseMatrix):
     return SparseMatrix(rows, matrix.ncols), pivots, len(pivots)
 
 
-def rank_of_rows(rows: Sequence[Vector], cluster: bool = True) -> int:
-    if cluster:
-        groups = _cluster_rows(rows)
-        if len(groups) > 1:
-            total = 0
-            for root in sorted(groups):
-                ech = Echelon()
-                for idx in groups[root]:
-                    ech.insert(rows[idx])
-                total += ech.rank
-            return total
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.rank
+def rank_of_rows(rows: Sequence[Vector]) -> int:
+    total = 0
+    for group in _cluster_rows(rows):
+        ech = Echelon()
+        for idx in group:
+            ech.insert(rows[idx])
+        total += ech.rank
+    return total
 
 
 def kernel_basis(matrix: SparseMatrix) -> list:
@@ -476,24 +463,6 @@ class QuotientPresentation:
                     else:
                         out.pop(q, None)
         return out
-
-    def lift(self, w: Vector) -> Vector:
-        """Canonical section, quotient coordinates to ambient."""
-        free = self.free_columns
-        return {free[q]: x for q, x in w.items() if x}
-
-    def projection_matrix(self) -> SparseMatrix:
-        rows: list = [dict() for _ in range(self.dim)]
-        for c in range(self.ambient_dim):
-            for q, x in self.project({c: ONE}).items():
-                rows[q][c] = x
-        return SparseMatrix(rows, self.ambient_dim)
-
-    def section_matrix(self) -> SparseMatrix:
-        rows: list = [dict() for _ in range(self.ambient_dim)]
-        for q, c in enumerate(self.free_columns):
-            rows[c][q] = ONE
-        return SparseMatrix(rows, self.dim)
 
     def __repr__(self) -> str:
         return f"QuotientPresentation(ambient={self.ambient_dim}, dim={self.dim})"

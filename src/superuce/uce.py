@@ -19,6 +19,33 @@ The extension algebra is (L (x) L) / B with bracket
 kernel of u is central, and for perfect L it is the second homology of
 L and u is the universal central extension.
 
+Weight blocks.  build_uce presents the quotient by the reduced row
+echelon form (RREF) of B, but it eliminates only a small part of B.
+Let h be an even element with ad h diagonal in the basis,
+[h, b_j] = w_j b_j.  Then [b_a, b_b] has weight w_a + w_b, every
+spanning row of B is homogeneous, and B is the direct sum of its weight
+blocks B_l inside (L (x) L)_l.  For l != 0 the cyclic relation on
+(h, x, y), for basis elements x, y with w_x + w_y = l, reads, modulo
+the pair relations,
+
+    h (x) [x,y] - l * x (x) y  in B,
+
+so x (x) y = (1/l) h (x) [x,y] mod B.  Hence u maps (L (x) L)_l / B_l
+isomorphically onto L_l = [h, L_l], and B_l is the kernel of u on the
+block; no perfectness is needed.  This is the torus-acts-trivially
+argument of Hochschild and Serre (Ann. of Math. 57, 1953) in the super
+setting of Neher, "An introduction to universal central extensions of
+Lie superalgebras" (2003).  Only the weight-0 block is generated and
+eliminated.  On a block l != 0 a column c is free in the RREF exactly
+when e_c is not in B_l + span{e_c' : c' > c}, that is, when [b_a, b_b]
+is not in the span of the images of the later columns; so one greedy
+pass from the right over the images yields the free columns, and the
+RREF row of a pivot c is e_c minus the exact expression of its image
+over the later free images.  The presentation is the one a full
+elimination of B gives.  h is a regular element of the torus of all
+such elements (see _torus); with no such element there is one block and
+B is eliminated whole.
+
 The cohomological cross-check h2_cohomology_oracle counts degree-zero
 super-alternating 2-cocycles with values in Q modulo coboundaries.  It
 reads only the structure constants and shares nothing with build_uce.
@@ -44,10 +71,14 @@ from .algebra import (
     is_perfect,
 )
 from .linalg import (
+    Echelon,
+    QuotientPresentation,
+    SparseMatrix,
     Vector,
+    _denominator_lcm,
     _tensor,
+    echelon_rows,
     kernel_basis,
-    quotient_space,
     rank_of_rows,
     vec_add_scaled,
 )
@@ -57,12 +88,13 @@ ONE = Fraction(1)
 
 
 def b_relations(L: LieSuperalgebra) -> list:
-    """Spanning vectors of the relation space B in L (x) L.
+    """Spanning vectors of the whole relation space B in L (x) L.
 
     Tensor coordinate (a, b) is a*dim + b.  Zero vectors are dropped.
     Rows hold int entries: the pair and diagonal rows are +-1, and each
     cyclic row is D times the rational one, for D the LCM of the
     denominators of the structure constants, so the span is B.
+    build_uce generates only the weight-0 rows (see the module docstring).
     """
     return _tensor_relations(L.table, L.basis.parities)
 
@@ -96,18 +128,117 @@ class UceAlgebra:
         return f"UceAlgebra(dim={self.dim} over dim={self.base.dim})"
 
 
+def _torus(L: LieSuperalgebra) -> tuple:
+    """(h, weights): an even h with ad h diagonal in the basis and the int
+    weights with [h, b_j] = weights[j] * b_j.
+
+    The torus T, all even elements with ad h diagonal, is the kernel of
+    one exact system in the coefficients of h over the even basis
+    elements: every off-diagonal coefficient of [h, b_j] vanishes.  Each
+    kernel basis vector h_t is scaled so that its weights alpha_j(h_t) are
+    ints.  With M the largest |alpha_j(h_t)| and B = 6M + 1, the regular
+    element is h = sum_t B^t h_t, whose weight w_j = sum_t B^t alpha_j(h_t)
+    encodes the tuple (alpha_j(h_t))_t in balanced base B.  A sum of up to
+    three such weights is 0 only when the tuples sum to 0, and two sums of
+    two are equal only when their tuples are, so h splits L (x) L into the
+    weight blocks of the whole torus.  A trivial torus gives all weights 0.
+    The blocks are correct for any base, since the weights are h's own
+    eigenvalues; the base only makes them as fine as the torus allows.
+    """
+    d = L.dim
+    table = L.table
+    even = [s for s in range(d) if not L.basis.parities[s]]
+    off_diagonal: dict = {}  # (j, k) -> {n: coefficient of b_k in [b_even[n], b_j]}
+    for n, s in enumerate(even):
+        for j, cell in enumerate(table[s]):
+            for k, x in cell.items():
+                if k != j:
+                    off_diagonal.setdefault((j, k), {})[n] = x
+    hs = []
+    alphas = []
+    for v in kernel_basis(SparseMatrix(list(off_diagonal.values()), len(even))):
+        alpha = [sum(x * table[even[n]][j].get(j, ZERO) for n, x in v.items()) for j in range(d)]
+        den = _denominator_lcm(alpha)
+        hs.append({even[n]: x * den for n, x in v.items()})
+        alphas.append([int(a * den) for a in alpha])
+    base = 6 * max((abs(a) for alpha in alphas for a in alpha), default=0) + 1
+    h: Vector = {}
+    weights = [0] * d
+    for t, (ht, alpha) in enumerate(zip(hs, alphas)):
+        scale = base ** t
+        vec_add_scaled(h, ht, scale)
+        for j, a in enumerate(alpha):
+            weights[j] += scale * a
+    return h, weights
+
+
+def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentation:
+    """RREF presentation of L (x) L modulo B, block by weight block.
+
+    The weight-0 rows are generated and eliminated.  Every other block is
+    one greedy pass from the right over the images [b_a, b_b]: a column
+    whose image is in the span of the later free images is a pivot, and
+    its RREF row is read off the Echelon(track=True) certificate.  Raises
+    CertificateError when the free images of a block do not span the
+    basis elements of that weight.
+    """
+    d = L.dim
+    table = L.table
+    relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights))
+    blocks: dict = {}
+    for a, wa in enumerate(weights):
+        for b, wb in enumerate(weights):
+            if wa + wb:
+                blocks.setdefault(wa + wb, []).append(a * d + b)
+    for weight, cols in blocks.items():
+        ech = Echelon(track=True)
+        for c in reversed(cols):
+            image = table[c // d][c % d]
+            cert = {}
+            if image:
+                residue, cert = ech.reduce(image)
+                if residue:
+                    ech.insert(image, tag=c)
+                    continue
+            row = {c: ONE}
+            for t, x in cert.items():
+                row[t] = -x
+            relations[c] = row
+        if ech.rank != weights.count(weight):
+            elements = [L.basis.labels[j] for j, w in enumerate(weights) if w == weight]
+            raise CertificateError(
+                f"weight block {weight}: the free images span {ech.rank} dimensions, but "
+                f"{len(elements)} basis elements have that weight ({', '.join(elements) or 'none'})"
+            )
+    return QuotientPresentation(d * d, relations)
+
+
 def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     """Quotient of the tensor square by the relation space.
 
     L is trusted to be a valid Lie superalgebra (it was validated where
     it entered the package), so the extension is built without
-    re-validation.  Its certificates always run: the canonical map u is
-    checked to be a morphism with central kernel.
+    re-validation.  The presentation is built by weight blocks (see the
+    module docstring): a regular element h of the torus is found, only
+    the weight-0 relations are generated and eliminated, and each other
+    block is one greedy pass from the right over the bracket images.  It
+    equals the RREF presentation of the whole relation space.
+
+    Its certificates always run: h is re-checked to be diagonal with the
+    weights the blocks use, each nonzero block's free images span the
+    basis elements of its weight, and the canonical map u is checked to
+    be a morphism with central kernel.
     """
     d = L.dim
     par = L.basis.parities
     labels = L.basis.labels
-    pres = quotient_space(d * d, b_relations(L))
+    h, weights = _torus(L)
+    for j, w in enumerate(weights):
+        if L.bracket(h, {j: ONE}) != ({j: w} if w else {}):
+            raise CertificateError(
+                f"torus element is not diagonal with weight {w} at basis element {labels[j]}"
+            )
+    pres = _weight_presentation(L, weights)
     free = pres.free_columns
     n = len(free)
     coords = []

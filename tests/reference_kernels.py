@@ -1,10 +1,13 @@
-"""Fraction reference versions of the exact kernels.
+"""Reference versions of the exact kernels.
 
 These are the rational-arithmetic validators, relation generator and
 incremental elimination that the integer kernels in superuce replaced,
 kept as they were so that tests can require equal results: the same
 violations in the same order, the same relation span, and the same
-pivots, residues, certificates and reduced rows.
+pivots, residues, certificates and reduced rows.  Beside them are the
+single-pass elimination that the clustered row-space routines must
+match, and the presentation of the tensor square by one elimination of
+the whole relation space, which the weight-block build_uce must match.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from superuce.algebra import (
     _check_grading,
     vector_parity,
 )
-from superuce.linalg import Vector, vec_add_scaled
+from superuce import linalg, uce
+from superuce.linalg import Vector, quotient_space, vec_add_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -294,3 +298,24 @@ class Echelon:
                         r.pop(c2, None)
             done[p] = r
         return done
+
+
+def echelon_rows_unclustered(rows) -> dict:
+    """RREF of the span of rows by one elimination over all of them."""
+    ech = linalg.Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rref_rows()
+
+
+def rank_of_rows_unclustered(rows) -> int:
+    ech = linalg.Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
+
+
+def reference_presentation(L: LieSuperalgebra):
+    """L (x) L modulo the relation space B, by one RREF of every row of B."""
+    d = L.dim
+    return quotient_space(d * d, uce.b_relations(L))

@@ -18,7 +18,15 @@ from superuce import (
 )
 from superuce.linalg import echelon_rows, rank_of_rows
 
+import reference_kernels as ref
+
 ONE = Fraction(1)
+
+
+def section(pres, w):
+    """The canonical section: quotient coordinate q to the ambient basis
+    vector at free column q."""
+    return {pres.free_columns[q]: x for q, x in w.items() if x}
 
 
 def to_sympy(mat: SparseMatrix) -> sympy.Matrix:
@@ -88,8 +96,8 @@ def test_kernel_matches_sympy(mat):
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_rows=8, max_cols=8))
 def test_cluster_elimination_identical(mat):
-    assert echelon_rows(mat.rows, cluster=True) == echelon_rows(mat.rows, cluster=False)
-    assert rank_of_rows(mat.rows, cluster=True) == rank_of_rows(mat.rows, cluster=False)
+    assert echelon_rows(mat.rows) == ref.echelon_rows_unclustered(mat.rows)
+    assert rank_of_rows(mat.rows) == ref.rank_of_rows_unclustered(mat.rows)
 
 
 def test_rref_deterministic_under_shuffle():
@@ -135,17 +143,17 @@ def test_quotient_laws(mat):
     pres = quotient_space(mat.ncols, list(mat.rows))
     oracle_rank = to_sympy(mat).rank()
     assert pres.dim == mat.ncols - oracle_rank
-    # project . lift is the identity on quotient coordinates
+    # project . section is the identity on quotient coordinates
     for q in range(pres.dim):
-        assert pres.project(pres.lift({q: ONE})) == {q: ONE}
+        assert pres.project(section(pres, {q: ONE})) == {q: ONE}
     # relations project to zero
     for row in mat.rows:
         assert pres.project(dict(row)) == {}
-    # lift(project(v)) - v lies in the relation span
+    # section(project(v)) - v lies in the relation span
     rng = random.Random(3)
     v = {c: Fraction(rng.randint(-3, 3)) for c in range(mat.ncols)}
     v = {c: x for c, x in v.items() if x}
-    diff = dict(pres.lift(pres.project(v)))
+    diff = section(pres, pres.project(v))
     for c, x in v.items():
         diff[c] = diff.get(c, Fraction(0)) - x
     diff = {c: x for c, x in diff.items() if x}
@@ -153,14 +161,14 @@ def test_quotient_laws(mat):
 
 
 def test_quotient_matrices_consistent():
+    """A fixed quotient of Q^4 by e0 + e2 and e1 - e2: the projection's
+    matrix column by column, and the section identity."""
     rows = [{0: ONE, 2: ONE}, {1: ONE, 2: -ONE}]
     pres = quotient_space(4, rows)
-    P = pres.projection_matrix()
-    S = pres.section_matrix()
+    assert pres.free_columns == (2, 3)
+    assert [pres.project({c: ONE}) for c in range(4)] == [{0: -ONE}, {0: ONE}, {0: ONE}, {1: ONE}]
     for q in range(pres.dim):
-        assert P.apply(S.apply({q: ONE})) == {q: ONE}
-    for c in range(4):
-        assert P.apply({c: ONE}) == pres.project({c: ONE})
+        assert pres.project(section(pres, {q: ONE})) == {q: ONE}
 
 
 def test_out_of_range_relation_rejected():

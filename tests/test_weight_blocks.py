@@ -1,0 +1,165 @@
+"""The weight-block build_uce against one elimination of the whole
+relation space.
+
+build_uce eliminates only the weight-0 relations of a regular torus
+element and reads every other weight block off the bracket images.
+tests/reference_kernels.py keeps the full route, quotient_space of all
+of b_relations; both must give the same RREF relations and free columns
+on built-in algebras in permuted and rescaled bases, on non-perfect ones,
+in bases where the torus is trivial, and on the benchmark's documents.
+Two certificates are checked to fire on a corrupted weight and on a
+block that loses its free columns.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from superuce import (
+    CertificateError,
+    GradedBasis,
+    LieSuperalgebra,
+    build_family,
+    build_uce,
+    coefficient_algebra,
+    lie_from_assoc,
+)
+from superuce import uce
+from superuce.cli import parse_algebra
+
+from systems_util import gl2_assoc, heisenberg, osp12, sl2
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _family(kind, m, n, coeff="Q"):
+    return lambda: build_family(kind, m, n, coefficient_algebra(coeff)).algebra
+
+
+ALGEBRAS = {
+    "sl2": sl2,
+    "sl3": _family("sl", 3, 0),
+    "sl21": _family("sl", 2, 1),
+    "sl2_t2": _family("sl", 2, 0, "Q[t]/(t^2)"),
+    "osp12": osp12,
+    "osp32": _family("osp", 3, 2),
+    "p3": _family("p", 3, 3),
+    "sq3": _family("sq", 3, 3),
+    "gl2": lambda: lie_from_assoc(gl2_assoc()),
+    "heis": heisenberg,
+}
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+nonzero = rationals.filter(bool)
+
+
+def assert_same_presentation(L):
+    got = build_uce(L).presentation
+    want = ref.reference_presentation(L)
+    assert got.free_columns == want.free_columns
+    assert got.relations == want.relations
+
+
+def change_of_basis(L, P):
+    """L in the basis v_i = sum_a P[i][a] b_a, which must be invertible
+    and mix only basis elements of equal parity."""
+    d = L.dim
+    inv = sympy.Matrix(P).inv()
+    Pinv = [[Fraction(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(d)]
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            old: dict = {}
+            for a, x in enumerate(P[i]):
+                for b, y in enumerate(P[j]):
+                    if x and y:
+                        for k, z in L.table[a][b].items():
+                            old[k] = old.get(k, 0) + x * y * z
+            new: dict = {}
+            for k, z in old.items():
+                for t, w in enumerate(Pinv[k]):
+                    if z and w:
+                        new[t] = new.get(t, 0) + z * w
+            row.append({t: x for t, x in new.items() if x})
+        table.append(row)
+    par = [next(L.basis.parities[a] for a, x in enumerate(P[i]) if x) for i in range(d)]
+    return LieSuperalgebra(GradedBasis([f"v{i}" for i in range(d)], par), table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.randoms(use_true_random=False), st.data())
+def test_permuted_and_rescaled_bases(name, rng, data):
+    L = ALGEBRAS[name]()
+    d = L.dim
+    order = list(range(d))
+    rng.shuffle(order)
+    scales = data.draw(st.lists(nonzero, min_size=d, max_size=d))
+    P = [[scales[i] if a == order[i] else 0 for a in range(d)] for i in range(d)]
+    assert_same_presentation(change_of_basis(L, P))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["sl2", "osp12", "sl21", "gl2", "heis"]), st.data())
+def test_dense_change_of_basis(name, data):
+    L = ALGEBRAS[name]()
+    d = L.dim
+    par = L.basis.parities
+    P = [[data.draw(nonzero) if par[a] == par[i] else 0 for a in range(d)] for i in range(d)]
+    assume(sympy.Matrix(P).det() != 0)
+    assert_same_presentation(change_of_basis(L, P))
+
+
+def test_dense_basis_has_trivial_torus_and_one_block():
+    L = sl2()
+    P = [[1, 2, 1], [1, 1, 3], [2, 1, 1]]
+    M = change_of_basis(L, P)
+    h, weights = uce._torus(M)
+    assert weights == [0, 0, 0]
+    assert not h
+    assert_same_presentation(M)
+
+
+def test_torus_grades_sl_family():
+    L = ALGEBRAS["sl21"]()
+    _, weights = uce._torus(L)
+    # sl(2,1;Q) has a rank-2 torus: 6 root spaces and a weight-0 Cartan
+    assert weights.count(0) == 2
+    assert len(set(weights)) == 7
+
+
+@pytest.mark.parametrize("path", sorted(INPUTS.glob("*.json")), ids=lambda p: p.stem)
+def test_benchmark_documents(path):
+    assert_same_presentation(parse_algebra(json.loads(path.read_text(encoding="utf-8"))))
+
+
+def test_corrupted_weight_is_caught(monkeypatch):
+    torus = uce._torus
+
+    def corrupted(L):
+        h, weights = torus(L)
+        weights[1] += 1
+        return h, weights
+
+    monkeypatch.setattr(uce, "_torus", corrupted)
+    L = sl2()
+    with pytest.raises(CertificateError, match=f"basis element {L.basis.labels[1]}"):
+        build_uce(L)
+
+
+def test_block_that_drops_a_free_column_is_caught(monkeypatch):
+    class Forgetful(uce.Echelon):
+        """Reports each inserted image as a new pivot but keeps none."""
+
+        def insert(self, vec, tag=None):
+            return min(vec)
+
+    monkeypatch.setattr(uce, "Echelon", Forgetful)
+    with pytest.raises(CertificateError, match="weight block -?[0-9]+: the free images span 0"):
+        build_uce(sl2())

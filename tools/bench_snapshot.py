@@ -1,0 +1,106 @@
+"""Write one BENCH_<n>.json: a committed snapshot of the benchmark.
+
+    python3 tools/bench_snapshot.py --out BENCH_6.json
+    python3 tools/bench_snapshot.py --tree ../parent --out BENCH_5.json
+
+For every workload of perfbench/ it runs, in the checkout given by
+--tree (default: the one holding this script), one untraced run
+(--trace 0) and one traced run (--trace 1), each with the fixed SEED
+and SECONDS, so that any two snapshots compare runs of the same length.
+From each run's record,
+.bench_build/perfbench/<workload>/result-trace<0|1>.json, it keeps the
+machine block, the metrics, the per-pass calibration times, the pass
+times and the job and failure counts.
+
+The snapshot names the commit of the checkout, whether its working tree
+differed from it, and the git tree ids of the measured src/ and
+perfbench/ as they are in the working tree.  A snapshot written before
+its change is committed is thus traced to the commit that holds the
+same code: `git rev-parse <commit>:src` prints the same id.
+
+It only reads perfbench/ and runs it as a user would; it needs nothing
+outside the standard library.  Runs are sequential, one child at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("sl_family", "chain_limit", "file_oracle")
+SEED = 11
+SECONDS = 44.0
+MEASURED = ("src", "perfbench")
+
+
+def _git(tree: Path, *args, env=None) -> str:
+    proc = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True, env=env)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def source_trees(tree: Path) -> dict:
+    """The git tree id of each MEASURED directory as the working tree has it.
+
+    Stages the working tree into a throwaway index (the real index and
+    HEAD are untouched) and writes each directory's tree object.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        _git(tree, "read-tree", "HEAD", env=env)
+        _git(tree, "add", "--all", "--", *MEASURED, env=env)
+        return {name: _git(tree, "write-tree", f"--prefix={name}/", env=env)
+                for name in MEASURED}
+
+
+def run(tree: Path, workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    path = tree / ".bench_build" / "perfbench" / workload / f"result-trace{trace}.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    passes = [p for p in record["passes"] if "jobs" in p]
+    return {
+        "argv": cmd[1:],
+        "machine": record["machine"],
+        "attempted": record["attempted"],
+        "failed": record["failed"],
+        "digest_changed": record["digest_changed"],
+        "metrics": {k: v["value"] for k, v in record["metrics"].items()},
+        "calibration_s": record["calibration_s"],
+        "pass_wall_s": [p["wall_s"] for p in passes],
+        "pass_traced": [p["traced"] for p in passes],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, type=Path, help="snapshot file to write")
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout to benchmark (default: this one)")
+    args = parser.parse_args(argv)
+    tree = args.tree.resolve()
+    snapshot = {
+        "commit": _git(tree, "rev-parse", "HEAD"),
+        "dirty": bool(_git(tree, "status", "--porcelain", "--untracked-files=no")),
+        "source_trees": source_trees(tree),
+        "seed": SEED,
+        "seconds": SECONDS,
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        snapshot["workloads"][workload] = {
+            f"trace{t}": run(tree, workload, t) for t in (0, 1)}
+        print(f"{workload}: done", file=sys.stderr)
+    args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
