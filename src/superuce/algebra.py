@@ -14,10 +14,10 @@ sparse vector of the product of basis elements i and j.  The laws are:
 They are checked where data enters the package: an algebra a caller
 builds with validate=True (the default), and every algebra file.  An
 algebra the package derives from a validated one (supercommutator
-algebra, matrix algebra, subalgebra, central quotient, extension,
-colimit) satisfies them by construction and is built with
-validate=False; the certificates of each construction (closure,
-centrality, morphism and bijectivity checks) always run.
+algebra, matrix algebra, subalgebra, central quotient, extension)
+satisfies them by construction and is built with validate=False; the
+certificates of each construction (closure, centrality, morphism and
+bijectivity checks) always run.
 
 Everything is immutable after construction.
 """

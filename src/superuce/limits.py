@@ -2,10 +2,10 @@
 
 A directed system is a functor from a directed poset: one algebra per
 element and one transition morphism per related pair, with f_ii = id
-and f_ki = f_kj . f_ji checked exactly.  The colimit is presented as
-the direct sum of all members modulo the identifications
-iota_i(x) - iota_j(f_ji x); its bracket routes both arguments through a
-common upper bound.
+and f_ki = f_kj . f_ji checked exactly.  A finite directed poset has a
+greatest element t, and the colimit is the top member L_t with the
+injections f_it.  The paper's theorem has its content in infinite rank;
+here it is checked exactly on finite systems.
 
 limit_u builds both colimits, colim L_i and colim uce(L_i), and the
 canonical projection v between them, once.  theorem_verify takes those
@@ -24,7 +24,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
     CertificateError,
-    GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
     ValidationReport,
@@ -32,7 +31,7 @@ from .algebra import (
     check_morphism,
     is_perfect,
 )
-from .linalg import Echelon, Vector, kernel_basis, quotient_space, vec_add_scaled
+from .linalg import Echelon, Vector, kernel_basis
 from .uce import UceAlgebra, UceMemo, uce_of_morphism
 
 ONE = Fraction(1)
@@ -47,9 +46,12 @@ class InvalidSystemError(ValueError):
 
 
 class DirectedPoset:
-    """Finite directed poset; the reflexive closure is taken automatically."""
+    """Finite directed poset; the reflexive closure is taken automatically.
 
-    __slots__ = ("elements", "_leq")
+    A finite poset is directed exactly when it has a greatest element.
+    """
+
+    __slots__ = ("elements", "_leq", "_top")
 
     def __init__(self, elements: Sequence[Hashable], relation):
         self.elements = tuple(elements)
@@ -70,28 +72,21 @@ class DirectedPoset:
             for k in self.elements:
                 if (j, k) in leq and (i, k) not in leq:
                     raise ValueError(f"transitivity fails: {i!r} <= {j!r} <= {k!r}")
-        for a in self.elements:
-            for b in self.elements:
-                if not any((a, k) in leq and (b, k) in leq for k in self.elements):
-                    raise ValueError(f"no upper bound for {a!r}, {b!r}: poset is not directed")
+        tops = [t for t in self.elements if all((i, t) in leq for i in self.elements)]
+        if not tops:
+            # without a greatest element there are two maximal ones
+            a, b = [m for m in self.elements
+                    if not any((m, k) in leq for k in self.elements if k != m)][:2]
+            raise ValueError(f"no upper bound for {a!r}, {b!r}: poset is not directed")
+        self._top = tops[0]
         self._leq = frozenset(leq)
 
     def leq(self, i, j) -> bool:
         return (i, j) in self._leq
 
-    def upper_bound(self, i, j):
-        """First element in declaration order above both i and j."""
-        for k in self.elements:
-            if (i, k) in self._leq and (j, k) in self._leq:
-                return k
-        raise CertificateError(f"no upper bound for {i!r}, {j!r} in a validated directed poset")
-
     def top(self):
-        """The greatest element, or None."""
-        for t in self.elements:
-            if all((i, t) in self._leq for i in self.elements):
-                return t
-        return None
+        """The greatest element."""
+        return self._top
 
     def pairs(self) -> List[Tuple[Hashable, Hashable]]:
         """All related pairs (i, j) with i <= j, in element order."""
@@ -184,91 +179,30 @@ def chain_system(algebras: Sequence[LieSuperalgebra],
     return DirectedSystem(poset, dict(zip(labels, algebras)), morphisms)
 
 
+@dataclass
 class Colimit:
-    """Colimit algebra with its presentation and structure injections."""
+    """Colimit of a finite directed system: the top member t, the
+    algebra L_t and the injections f_it."""
 
-    __slots__ = ("system", "algebra", "presentation", "offsets", "injections", "components")
-
-    def __init__(self, system, algebra, presentation, offsets, injections, components):
-        self.system = system
-        self.algebra = algebra
-        self.presentation = presentation
-        self.offsets = offsets
-        self.injections = injections
-        # (member, index in the member) of each colimit basis element
-        self.components = components
+    system: DirectedSystem
+    top: Hashable
+    algebra: LieSuperalgebra
+    injections: Dict[Hashable, GradedLinearMap]
 
     def injection(self, i) -> GradedLinearMap:
         return self.injections[i]
 
 
 def colimit(system: DirectedSystem) -> Colimit:
-    """Present the colimit on the direct sum modulo the identifications.
+    """The colimit of a finite directed system: its top member L_t.
 
-    The bracket is inherited from the members, so the algebra is built
-    without re-validation; when the poset has a top element, its
-    injection is certified to be an isomorphism.
+    The injections are the transitions f_it; f_tt is the identity, so
+    the top injection is an isomorphism and every other one is a map
+    the system has already validated.
     """
-    poset = system.poset
-    offsets: Dict[Hashable, int] = {}
-    amb_labels: List[str] = []
-    amb_parities: List[int] = []
-    total = 0
-    for i in poset.elements:
-        L = system.algebras[i]
-        offsets[i] = total
-        total += L.dim
-        amb_labels.extend(f"{i}:{lab}" for lab in L.basis.labels)
-        amb_parities.extend(L.basis.parities)
-
-    rows: List[Vector] = []
-    for i, j in poset.pairs():
-        if i == j:
-            continue
-        f = system.transition(i, j)
-        oi, oj = offsets[i], offsets[j]
-        for b in range(system.algebras[i].dim):
-            row: Vector = {oi + b: ONE}
-            vec_add_scaled(row, {oj + c: x for c, x in f.columns[b].items()}, -ONE)
-            if row:
-                rows.append(row)
-    pres = quotient_space(total, rows)
-
-    components: List[Tuple[Hashable, int]] = []
-    bounds = list(offsets.items())
-    for col in pres.free_columns:
-        for i, off in reversed(bounds):
-            if col >= off:
-                components.append((i, col - off))
-                break
-    labels = [amb_labels[c] for c in pres.free_columns]
-    parities = [amb_parities[c] for c in pres.free_columns]
-    basis = GradedBasis(labels, parities)
-
-    transitions = {(i, j): system.transition(i, j) for i, j in poset.pairs()}
-    table = []
-    for i, a in components:
-        row = []
-        for j, b in components:
-            k = poset.upper_bound(i, j)
-            x = transitions[(i, k)].columns[a]
-            y = transitions[(j, k)].columns[b]
-            z = system.algebras[k].bracket(x, y)
-            ok = offsets[k]
-            row.append(pres.project({ok + c: v for c, v in z.items()}))
-        table.append(row)
-    alg = LieSuperalgebra(basis, table, validate=False)
-
-    injections = {}
-    for i in poset.elements:
-        L = system.algebras[i]
-        oi = offsets[i]
-        cols = [pres.project({oi + b: ONE}) for b in range(L.dim)]
-        injections[i] = GradedLinearMap(L.basis, basis, cols)
-    t = poset.top()
-    if t is not None and not injections[t].is_bijective():
-        raise CertificateError(f"injection from the top element {t!r} is not an isomorphism")
-    return Colimit(system, alg, pres, offsets, injections, components)
+    t = system.poset.top()
+    injections = {i: system.transition(i, t) for i in system.poset.elements}
+    return Colimit(system, t, system.algebras[t], injections)
 
 
 def factor_through(colim: Colimit,
@@ -276,7 +210,9 @@ def factor_through(colim: Colimit,
     """The unique map out of the colimit agreeing with a compatible cone.
 
     cones[i] maps system member i into a common codomain; compatibility
-    cones[j] . f_ji == cones[i] is verified, as is the factorization.
+    cones[j] . f_ji == cones[i] is verified.  The colimit is the top
+    member t, so the mediating map is cones[t]; that it extends the
+    cone at every member is verified too.
     """
     system = colim.system
     poset = system.poset
@@ -294,8 +230,7 @@ def factor_through(colim: Colimit,
             continue
         if cones[j].compose(system.transition(i, j)) != cones[i]:
             raise ValueError(f"cone is not compatible over {i!r} <= {j!r}")
-    cols = [dict(cones[i].columns[b]) for i, b in colim.components]
-    mediating = GradedLinearMap(colim.algebra.basis, codomain, cols)
+    mediating = cones[colim.top]
     for i in poset.elements:
         if mediating.compose(colim.injections[i]) != cones[i]:
             raise CertificateError(f"mediating map does not extend the cone at {i!r}")
@@ -381,10 +316,12 @@ def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> Th
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
     The colimits, member extensions and canonical projection v come from
-    one limit_u call, whose report is kept as the projection field.  phi
-    is the mediating map of the cone uce(phi_i); psi routes a bracket
-    through preimages under v.  Both composites and the restriction of
-    phi to the kernel parts are checked exactly.
+    one limit_u call, whose report is kept as the projection field.  The
+    colimit is the top member L_t, so its extension is the memoised
+    extension of L_t: one extension is built per member and no other.
+    phi is the mediating map of the cone uce(phi_i); psi routes a
+    bracket through preimages under v.  Both composites and the
+    restriction of phi to the kernel parts are checked exactly.
     """
     if memo is None:
         memo = UceMemo()

@@ -283,18 +283,14 @@ class UceMemo:
         return got
 
 
-def h2(L, memo: Optional[UceMemo] = None) -> Subspace:
+def h2(L) -> Subspace:
     """Kernel of the canonical map, as a subspace of the extension.
 
-    Accepts a LieSuperalgebra (its extension is built, via memo when one
-    is given) or a prebuilt UceAlgebra.  Warns when L is not perfect (the
-    kernel is still central, but it is not the second homology in that
-    case).
+    Accepts a prebuilt UceAlgebra or a LieSuperalgebra, whose extension
+    is built.  Warns when L is not perfect (the kernel is still central,
+    but it is not the second homology in that case).
     """
-    if isinstance(L, UceAlgebra):
-        ext = L
-    else:
-        ext = memo.uce(L) if memo is not None else build_uce(L)
+    ext = L if isinstance(L, UceAlgebra) else build_uce(L)
     if not is_perfect(ext.base):
         warnings.warn("algebra is not perfect; kernel of u is not H2", stacklevel=2)
     vectors = kernel_basis(ext.u.matrix())
@@ -330,15 +326,14 @@ def _free_coords(ext: UceAlgebra):
     return [divmod(col, d) for col in ext.presentation.free_columns]
 
 
-def is_centrally_closed(L: LieSuperalgebra, uce: Optional[UceAlgebra] = None) -> bool:
-    """For perfect L: is the canonical map an isomorphism?"""
+def is_centrally_closed(ext: UceAlgebra) -> bool:
+    """For the extension of a perfect L: is the canonical map an isomorphism?"""
+    L = ext.base
     if not is_perfect(L):
         raise ValueError("central closure is defined here for perfect algebras only")
-    if uce is None:
-        uce = build_uce(L)
-    if uce.dim != L.dim:
+    if ext.dim != L.dim:
         return False
-    return uce.u.rank() == L.dim
+    return ext.u.rank() == L.dim
 
 
 class Cocycle2:

@@ -16,6 +16,7 @@ from superuce import (
     GradedLinearMap,
     UceMemo,
     build_family,
+    build_uce,
     centre,
     chain_system,
     coefficient_algebra,
@@ -36,6 +37,7 @@ from superuce import (
 )
 from superuce.uce import h2_cohomology_oracle
 
+from reference_colimit import check_against_reference
 from systems_util import random_chain_system, random_system_morphism, vee_system
 
 MEMO = UceMemo()
@@ -98,7 +100,7 @@ def test_criterion_02_centrally_closed_classics(record_criterion):
     cases = [("sl", 3, 0), ("sl", 4, 0), ("sl", 5, 0), ("osp", 3, 2)]
     for kind, m, n in cases:
         L = family(kind, m, n, "Q").algebra
-        assert h2(L, memo=MEMO).dim == 0, (kind, m, n)
+        assert h2(MEMO.uce(L)).dim == 0, (kind, m, n)
         assert h2_cohomology_oracle(L) == 0, (kind, m, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -165,6 +167,11 @@ def test_criterion_05_extension_commutes_with_chains(record_criterion):
         assert rep.phi_after_psi_is_id, name
         assert rep.h2_restriction_bijective, name
         assert rep.ok, name
+        # the direct-sum colimit and its own extension give the same numbers
+        ref = check_against_reference(rep.projection.colim)
+        ext_ref = build_uce(ref.algebra)
+        assert ext_ref.dim == rep.dim_uce_of_colim, name
+        assert h2(ext_ref).dim == rep.h2_of_colim_dim, name
         dims.append(rep.dim_colim)
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
@@ -183,6 +190,8 @@ def test_criterion_06_central_kernels_on_random_systems(record_criterion):
                 system, _ = random_chain_system(rng)
             rep = limit_u(system, UceMemo())
             assert rep.kernel_central, trial
+            check_against_reference(rep.colim)
+            check_against_reference(rep.colim_uce)
             if is_perfect(colimit(system).algebra):
                 perfect_count += 1
     assert 0 < perfect_count < 20, "sample must mix perfect and non-perfect"
@@ -240,7 +249,7 @@ def test_criterion_08_cross_oracle_on_the_test_matrix(record_criterion):
         if not is_perfect(L):
             skipped.append(label)
             continue
-        ours = h2(L, memo=MEMO).dim
+        ours = h2(MEMO.uce(L)).dim
         oracle = h2_cohomology_oracle(L)
         assert ours == oracle, (label, ours, oracle)
         compared.append((label, ours))
@@ -252,7 +261,7 @@ def test_criterion_08_cross_oracle_on_the_test_matrix(record_criterion):
 
 def test_criterion_09_queer_central_quotient(record_criterion):
     L = strange_family_matrix()["sq(3)/centre"]
-    ours = h2(L, memo=MEMO).dim
+    ours = h2(MEMO.uce(L)).dim
     oracle = h2_cohomology_oracle(L)
     assert ours == oracle
     # the dimension itself is an output of the run, not a frozen input
@@ -268,7 +277,10 @@ def test_criterion_10_colimits_preserve_exactness(record_criterion):
                 assert all(f.is_surjective() for f in comps.values())
             else:
                 assert all(f.is_injective() for f in comps.values())
-            out = induced_colimit_map(colimit(src), colimit(dst), comps)
+            cs, cd = colimit(src), colimit(dst)
+            check_against_reference(cs)
+            check_against_reference(cd)
+            out = induced_colimit_map(cs, cd, comps)
             if surjective:
                 assert out.is_surjective(), trial
             else:

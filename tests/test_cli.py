@@ -305,8 +305,8 @@ def test_cli_is_total_on_mutated_documents(tmp_path_factory, data):
 def test_limit_check_builds_each_colimit_once(monkeypatch):
     counts = {}
 
-    def counted(name):
-        inner = getattr(superuce.limits, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
@@ -315,11 +315,13 @@ def test_limit_check_builds_each_colimit_once(monkeypatch):
 
     names = ("colimit", "uce_system", "validate_system", "factor_through", "centre")
     for name in names:
-        monkeypatch.setattr(superuce.limits, name, counted(name))
+        monkeypatch.setattr(superuce.limits, name, counted(superuce.limits, name))
+    monkeypatch.setattr(superuce.uce, "build_uce", counted(superuce.uce, "build_uce"))
     _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
     assert code == 0
+    # one extension per member; the colimit is the top member, so none more
     assert counts == {"colimit": 2, "uce_system": 1, "validate_system": 2,
-                      "factor_through": 2, "centre": 1}
+                      "factor_through": 2, "centre": 1, "build_uce": 3}
 
 
 def test_certificate_failure_exits_1(monkeypatch, capsys):

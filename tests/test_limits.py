@@ -28,6 +28,7 @@ from superuce import (
     validate_system,
 )
 
+from reference_colimit import check_against_reference
 from systems_util import abelian, block_map, heisenberg, member, sl2
 
 ONE = Fraction(1)
@@ -38,7 +39,6 @@ ONE = Fraction(1)
 def test_poset_reflexive_closure_and_bounds():
     P = DirectedPoset([0, 1, 2], [(0, 2), (1, 2)])
     assert P.leq(0, 0) and P.leq(0, 2) and not P.leq(0, 1)
-    assert P.upper_bound(0, 1) == 2
     assert P.top() == 2
 
 
@@ -49,8 +49,11 @@ def test_poset_rejects_antisymmetry_violation():
 
 def test_poset_requires_directedness():
     # two incomparable elements with no upper bound
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not directed"):
         DirectedPoset([0, 1], [])
+    # no greatest element: the two maximal elements are named
+    with pytest.raises(ValueError, match="no upper bound for 1, 2: poset is not directed"):
+        DirectedPoset([0, 1, 2], [(0, 2)])
 
 
 def test_poset_transitive_closure_not_inferred():
@@ -109,6 +112,7 @@ def test_colimit_with_top_is_isomorphic_to_top():
     colim = colimit(system)
     assert colim.algebra.dim == fams[-1].algebra.dim
     assert colim.injection(2).is_bijective()
+    check_against_reference(colim)
     # injection compatibility: phi_i = phi_j . f_ji
     for (i, j) in system.poset.pairs():
         if i == j:
@@ -123,6 +127,8 @@ def test_colimit_kills_vectors_dropped_by_transitions():
     assert colim.algebra.dim == 3
     # the heisenberg slot dies in the colimit
     assert colim.injection(0).apply({0: ONE}) == {}
+    ref = check_against_reference(colim)
+    assert ref.injection(0).apply({0: ONE}) == {}
 
 
 def test_antichain_plus_top_matches_top():
@@ -137,6 +143,7 @@ def test_antichain_plus_top_matches_top():
     colim = colimit(system)
     assert colim.algebra.dim == fams[2].algebra.dim
     assert colim.injection(2).is_bijective()
+    check_against_reference(colim)
 
 
 # -------------------------------------------------------------- factor_through

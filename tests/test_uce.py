@@ -37,7 +37,7 @@ def test_sl2_centrally_closed():
     assert ext.dim == 3
     assert h2(ext).dim == 0
     assert ext.u.is_bijective()
-    assert is_centrally_closed(L, uce=ext)
+    assert is_centrally_closed(ext)
 
 
 def test_extension_algebra_is_perfect_and_kernel_central():
@@ -222,7 +222,7 @@ def test_non_perfect_uce_kernel_still_central():
 def test_double_extension_of_closed_algebra_is_identity_sized():
     L = build_family("sl", 3, 0, coefficient_algebra("Q")).algebra
     ext = build_uce(L)
-    assert is_centrally_closed(L, uce=ext)
+    assert is_centrally_closed(ext)
     again = build_uce(ext.lie)
     assert again.dim == ext.dim
-    assert is_centrally_closed(ext.lie, uce=again)
+    assert is_centrally_closed(again)
