@@ -54,7 +54,6 @@ from .uce import (
     Cocycle2,
     UceAlgebra,
     UceMemo,
-    b_relations,
     build_uce,
     extension_from_cocycle,
     h2,
@@ -113,7 +112,6 @@ __all__ = [
     "UceAlgebra",
     "UceMemo",
     "ValidationReport",
-    "b_relations",
     "bracket_Eij",
     "build_family",
     "build_uce",

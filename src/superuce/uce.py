@@ -48,7 +48,11 @@ B is eliminated whole.
 
 The cohomological cross-check h2_cohomology_oracle counts degree-zero
 super-alternating 2-cocycles with values in Q modulo coboundaries.  It
-reads only the structure constants and shares nothing with build_uce.
+reads only the structure constants.  It shares the Hochschild-Serre
+lemma with build_uce, in its dual form (cochains of nonzero weight under
+a torus carry no cohomology), but not the code: it takes its own grading
+from the diagonal basis elements, certifies it on the table and
+enumerates its own weight-0 cyclic classes.
 """
 
 from __future__ import annotations
@@ -85,18 +89,6 @@ from .linalg import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def b_relations(L: LieSuperalgebra) -> list:
-    """Spanning vectors of the whole relation space B in L (x) L.
-
-    Tensor coordinate (a, b) is a*dim + b.  Zero vectors are dropped.
-    Rows hold int entries: the pair and diagonal rows are +-1, and each
-    cyclic row is D times the rational one, for D the LCM of the
-    denominators of the structure constants, so the span is B.
-    build_uce generates only the weight-0 rows (see the module docstring).
-    """
-    return _tensor_relations(L.table, L.basis.parities)
 
 
 class UceAlgebra:
@@ -476,6 +468,22 @@ def extension_from_cocycle(L: LieSuperalgebra, tau: Cocycle2) -> CentralExtensio
     return CentralExtension(total, projection, kernel)
 
 
+def _diagonal_weights(itable, par) -> list:
+    """Weight tuple of each basis element under the diagonal basis elements.
+
+    h_1, ..., h_r are the even basis elements whose ad is diagonal in the
+    basis: every cell [h_t, b_j] is a multiple of b_j.  Two distinct
+    ones commute ([h_s, h_t] is a multiple of both h_t and h_s), so they
+    grade L jointly, and basis element j gets the tuple
+    (alpha_j(h_1), ..., alpha_j(h_r)) of its eigenvalues in the given
+    integral table.  With no such element every tuple is ().
+    """
+    d = len(itable)
+    hs = [s for s in range(d) if not par[s]
+          and all(not cell or list(cell) == [j] for j, cell in enumerate(itable[s]))]
+    return [tuple(itable[s][j].get(j, 0) for s in hs) for j in range(d)]
+
+
 def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
     """dim of super-alternating 2-cocycles valued in a line, mod coboundaries.
 
@@ -485,38 +493,63 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
     coboundaries are tau = g([.,.]) for all basis functionals g.  The
     even-line and odd-line sectors decouple by grading, so one global
     elimination counts both, and by field duality the result equals the
-    full dim h2(L) for perfect L.  Independent of build_uce by
-    construction.
+    full dim h2(L) for perfect L.
+
+    Only weight-0 cochains are counted.  The even basis elements with
+    diagonal ad grade L by weight tuples (see _diagonal_weights), which
+    is certified on every cell of the table.  For such an h the Cartan
+    formula L_h = d i_h + i_h d makes L_h zero on cohomology, while it
+    multiplies a cochain of weight l by -l(h); so every block of nonzero
+    weight is acyclic and H2 is the cohomology of the weight-0 block.
+    Its unknowns are the pairs of weight 0, its cocycle rows come from
+    the cyclic classes of weight 0, and its coboundaries are the g([.,.])
+    rows on those pairs.  The rows are built in ints on the table scaled
+    by the LCM of its denominators, which changes no rank.  This is the
+    Hochschild-Serre lemma build_uce uses, but the oracle shares no code
+    with build_uce, its torus or its relation generator.
     """
     d = L.dim
     par = L.basis.parities
-    table = L.table
+    labels = L.basis.labels
+    table, _ = _integral_table(L.table)
+    weights = _diagonal_weights(table, par)
+    for i in range(d):
+        for j, cell in enumerate(table[i]):
+            if not cell:
+                continue
+            w = tuple(a + b for a, b in zip(weights[i], weights[j]))
+            for k in cell:
+                if weights[k] != w:
+                    raise CertificateError(
+                        f"oracle weights do not grade the table: [{labels[i]},{labels[j]}] "
+                        f"has a component along {labels[k]} of another weight"
+                    )
+    negated = [tuple(-a for a in w) for w in weights]
+    by_weight: dict = {}  # weight -> basis elements of that weight, ascending
+    for k, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(k)
     pair_index = {}
     for i in range(d):
-        if par[i]:
+        if par[i] and weights[i] == negated[i]:
             pair_index[(i, i)] = len(pair_index)
-        for j in range(i + 1, d):
-            pair_index[(i, j)] = len(pair_index)
+        for j in by_weight.get(negated[i], ()):
+            if j > i:
+                pair_index[(i, j)] = len(pair_index)
     npairs = len(pair_index)
 
-    def add_value(row: Vector, i: int, t: int, coeff: Fraction) -> None:
-        # tau(b_i, b_t) resolved to a signed unknown, or zero
+    def add_value(row: dict, i: int, t: int, coeff: int) -> None:
+        # tau(b_i, b_t) resolved to a signed weight-0 unknown, or zero
         if i == t:
-            if par[i]:
-                k = pair_index[(i, i)]
-                y = row.get(k, ZERO) + coeff
-                if y:
-                    row[k] = y
-                else:
-                    del row[k]
-            return
-        if i < t:
+            if not par[i]:
+                return
+            k = pair_index[(i, i)]
+        elif i < t:
             k = pair_index[(i, t)]
-            s = coeff
         else:
             k = pair_index[(t, i)]
-            s = coeff if par[i] and par[t] else -coeff
-        y = row.get(k, ZERO) + s
+            if not (par[i] and par[t]):
+                coeff = -coeff
+        y = row.get(k, 0) + coeff
         if y:
             row[k] = y
         else:
@@ -525,35 +558,33 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
     constraint_rows = []
     for i in range(d):
         for j in range(i, d):
-            for k in range(i, d):
-                row: Vector = {}
+            target = tuple(-a - b for a, b in zip(weights[i], weights[j]))
+            for k in by_weight.get(target, ()):
+                if k < i:
+                    continue
+                row: dict = {}
                 cell = table[j][k]
                 if cell:
-                    s = -ONE if par[i] and par[k] else ONE
+                    s = -1 if par[i] and par[k] else 1
                     for t, x in cell.items():
                         add_value(row, i, t, s * x)
                 cell = table[k][i]
                 if cell:
-                    s = -ONE if par[j] and par[i] else ONE
+                    s = -1 if par[j] and par[i] else 1
                     for t, x in cell.items():
                         add_value(row, j, t, s * x)
                 cell = table[i][j]
                 if cell:
-                    s = -ONE if par[k] and par[j] else ONE
+                    s = -1 if par[k] and par[j] else 1
                     for t, x in cell.items():
                         add_value(row, k, t, s * x)
                 if row:
                     constraint_rows.append(row)
     dim_z2 = npairs - rank_of_rows(constraint_rows)
 
-    coboundary_rows = []
-    for g in range(d):
-        row = {}
-        for (i, j), k in pair_index.items():
-            x = table[i][j].get(g)
-            if x:
-                row[k] = x
-        if row:
-            coboundary_rows.append(row)
-    dim_b2 = rank_of_rows(coboundary_rows)
+    coboundary_rows: dict = {}  # g -> {pair: coefficient of b_g in [b_i, b_j]}
+    for (i, j), k in pair_index.items():
+        for g, x in table[i][j].items():
+            coboundary_rows.setdefault(g, {})[k] = x
+    dim_b2 = rank_of_rows(list(coboundary_rows.values()))
     return dim_z2 - dim_b2

@@ -6,8 +6,10 @@ kept as they were so that tests can require equal results: the same
 violations in the same order, the same relation span, and the same
 pivots, residues, certificates and reduced rows.  Beside them are the
 single-pass elimination that the clustered row-space routines must
-match, and the presentation of the tensor square by one elimination of
-the whole relation space, which the weight-block build_uce must match.
+match, the presentation of the tensor square by one elimination of
+the whole relation space, which the weight-block build_uce must match,
+and the Fraction dual-cohomology oracle over every cochain, which the
+integer weight-0 oracle must match.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from superuce.algebra import (
     LieSuperalgebra,
     ValidationReport,
     _check_grading,
+    _tensor_relations,
     vector_parity,
 )
-from superuce import linalg, uce
-from superuce.linalg import Vector, quotient_space, vec_add_scaled
+from superuce import linalg
+from superuce.linalg import Vector, quotient_space, rank_of_rows, vec_add_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -318,4 +321,87 @@ def rank_of_rows_unclustered(rows) -> int:
 def reference_presentation(L: LieSuperalgebra):
     """L (x) L modulo the relation space B, by one RREF of every row of B."""
     d = L.dim
-    return quotient_space(d * d, uce.b_relations(L))
+    return quotient_space(d * d, _tensor_relations(L.table, L.basis.parities))
+
+
+def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
+    """dim of super-alternating 2-cocycles valued in a line, mod coboundaries.
+
+    Unknowns are tau(b_i, b_j) for i < j plus tau(b_i, b_i) for odd i;
+    the remaining values are forced by super-alternation.  Cocycle rows
+    (the cyclic identity) are enumerated once per cyclic class;
+    coboundaries are tau = g([.,.]) for all basis functionals g.  The
+    even-line and odd-line sectors decouple by grading, so one global
+    elimination counts both, and by field duality the result equals the
+    full dim h2(L) for perfect L.  Independent of build_uce by
+    construction.
+    """
+    d = L.dim
+    par = L.basis.parities
+    table = L.table
+    pair_index = {}
+    for i in range(d):
+        if par[i]:
+            pair_index[(i, i)] = len(pair_index)
+        for j in range(i + 1, d):
+            pair_index[(i, j)] = len(pair_index)
+    npairs = len(pair_index)
+
+    def add_value(row: Vector, i: int, t: int, coeff: Fraction) -> None:
+        # tau(b_i, b_t) resolved to a signed unknown, or zero
+        if i == t:
+            if par[i]:
+                k = pair_index[(i, i)]
+                y = row.get(k, ZERO) + coeff
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+            return
+        if i < t:
+            k = pair_index[(i, t)]
+            s = coeff
+        else:
+            k = pair_index[(t, i)]
+            s = coeff if par[i] and par[t] else -coeff
+        y = row.get(k, ZERO) + s
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+    constraint_rows = []
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(i, d):
+                row: Vector = {}
+                cell = table[j][k]
+                if cell:
+                    s = -ONE if par[i] and par[k] else ONE
+                    for t, x in cell.items():
+                        add_value(row, i, t, s * x)
+                cell = table[k][i]
+                if cell:
+                    s = -ONE if par[j] and par[i] else ONE
+                    for t, x in cell.items():
+                        add_value(row, j, t, s * x)
+                cell = table[i][j]
+                if cell:
+                    s = -ONE if par[k] and par[j] else ONE
+                    for t, x in cell.items():
+                        add_value(row, k, t, s * x)
+                if row:
+                    constraint_rows.append(row)
+    dim_z2 = npairs - rank_of_rows(constraint_rows)
+
+    coboundary_rows = []
+    for g in range(d):
+        row = {}
+        for (i, j), k in pair_index.items():
+            x = table[i][j].get(g)
+            if x:
+                row[k] = x
+        if row:
+            coboundary_rows.append(row)
+    dim_b2 = rank_of_rows(coboundary_rows)
+    return dim_z2 - dim_b2

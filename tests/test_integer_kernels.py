@@ -1,11 +1,11 @@
 """The integer kernels against their Fraction references.
 
-validate_lie, validate_assoc, b_relations and Echelon clear denominators
-and compute on ints; tests/reference_kernels.py keeps the Fraction
-versions they replaced.  On tables and rows with non-integral entries,
-valid and invalid, both must give the same violations in the same order,
-the same relation span, and the same pivots, ranks, residues,
-certificates and reduced rows.
+validate_lie, validate_assoc, the relation generator _tensor_relations
+and Echelon clear denominators and compute on ints;
+tests/reference_kernels.py keeps the Fraction versions they replaced.
+On tables and rows with non-integral entries, valid and invalid, both
+must give the same violations in the same order, the same relation span,
+and the same pivots, ranks, residues, certificates and reduced rows.
 """
 
 from fractions import Fraction
@@ -19,12 +19,12 @@ from superuce import (
     Echelon,
     GradedBasis,
     LieSuperalgebra,
-    b_relations,
     build_family,
     coefficient_algebra,
     validate_assoc,
     validate_lie,
 )
+from superuce.algebra import _tensor_relations
 from superuce.linalg import echelon_rows
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
@@ -160,7 +160,7 @@ def test_rescaled_builtins_stay_valid():
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(random_lie(), rescaled_lie()))
 def test_b_relations_span_matches_reference(L):
-    rows = b_relations(L)
+    rows = _tensor_relations(L.table, L.basis.parities)
     assert all(type(x) is int for row in rows for x in row.values())
     # no repeated pair or diagonal row: they come first, once each, where
     # the reference repeats every even diagonal row (cyclic rows may

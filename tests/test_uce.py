@@ -12,7 +12,6 @@ from superuce import (
     GradedBasis,
     GradedLinearMap,
     UceMemo,
-    b_relations,
     build_family,
     build_uce,
     centre,
@@ -25,6 +24,7 @@ from superuce import (
     uce_of_morphism,
     validate_cocycle,
 )
+from superuce.algebra import _tensor_relations
 
 from systems_util import abelian, heisenberg, sl2
 
@@ -98,7 +98,7 @@ def test_bracket_projects_to_base_bracket():
 def test_b_relations_die_in_quotient():
     L = build_family("sl", 2, 1, coefficient_algebra("Q")).algebra
     ext = build_uce(L)
-    for row in b_relations(L):
+    for row in _tensor_relations(L.table, L.basis.parities):
         assert ext.presentation.project(dict(row)) == {}
 
 

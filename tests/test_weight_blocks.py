@@ -1,14 +1,20 @@
-"""The weight-block build_uce against one elimination of the whole
-relation space.
+"""The weight-block build_uce and the weight-0 oracle against one
+elimination of the whole relation space and the Fraction oracle.
 
 build_uce eliminates only the weight-0 relations of a regular torus
 element and reads every other weight block off the bracket images.
-tests/reference_kernels.py keeps the full route, quotient_space of all
-of b_relations; both must give the same RREF relations and free columns
-on built-in algebras in permuted and rescaled bases, on non-perfect ones,
-in bases where the torus is trivial, and on the benchmark's documents.
-Two certificates are checked to fire on a corrupted weight and on a
-block that loses its free columns.
+tests/reference_kernels.py keeps the full route, quotient_space of all the
+relation rows; both must give the same RREF relations and free columns.
+h2_cohomology_oracle counts only the weight-0 cochains of the grading by
+the diagonal basis elements, in ints; the reference counts every cochain
+in Fraction arithmetic, and both must give the same dimension.  Both
+comparisons run on built-in algebras in permuted and rescaled bases, on
+non-perfect ones, in bases where the torus is trivial, and on the
+benchmark's documents.  Three certificates are checked to fire: on a
+corrupted torus weight, on a block that loses its free columns, and on a
+corrupted oracle weight.  The oracle is checked to answer with the
+extension builder, its torus and the shared cyclic-identity generator
+all broken.
 """
 
 import json
@@ -30,7 +36,8 @@ from superuce import (
     coefficient_algebra,
     lie_from_assoc,
 )
-from superuce import uce
+from superuce import algebra, uce
+from superuce.algebra import _integral_table
 from superuce.cli import parse_algebra
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
@@ -59,11 +66,16 @@ rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 nonzero = rationals.filter(bool)
 
 
-def assert_same_presentation(L):
+def assert_same_as_reference(L):
     got = build_uce(L).presentation
     want = ref.reference_presentation(L)
     assert got.free_columns == want.free_columns
     assert got.relations == want.relations
+    assert uce.h2_cohomology_oracle(L) == ref.h2_cohomology_oracle(L)
+
+
+def oracle_weights(L):
+    return uce._diagonal_weights(_integral_table(L.table)[0], L.basis.parities)
 
 
 def change_of_basis(L, P):
@@ -102,7 +114,7 @@ def test_permuted_and_rescaled_bases(name, rng, data):
     rng.shuffle(order)
     scales = data.draw(st.lists(nonzero, min_size=d, max_size=d))
     P = [[scales[i] if a == order[i] else 0 for a in range(d)] for i in range(d)]
-    assert_same_presentation(change_of_basis(L, P))
+    assert_same_as_reference(change_of_basis(L, P))
 
 
 @settings(max_examples=15, deadline=None)
@@ -113,7 +125,7 @@ def test_dense_change_of_basis(name, data):
     par = L.basis.parities
     P = [[data.draw(nonzero) if par[a] == par[i] else 0 for a in range(d)] for i in range(d)]
     assume(sympy.Matrix(P).det() != 0)
-    assert_same_presentation(change_of_basis(L, P))
+    assert_same_as_reference(change_of_basis(L, P))
 
 
 def test_dense_basis_has_trivial_torus_and_one_block():
@@ -123,7 +135,8 @@ def test_dense_basis_has_trivial_torus_and_one_block():
     h, weights = uce._torus(M)
     assert weights == [0, 0, 0]
     assert not h
-    assert_same_presentation(M)
+    assert oracle_weights(M) == [(), (), ()]
+    assert_same_as_reference(M)
 
 
 def test_torus_grades_sl_family():
@@ -132,11 +145,16 @@ def test_torus_grades_sl_family():
     # sl(2,1;Q) has a rank-2 torus: 6 root spaces and a weight-0 Cartan
     assert weights.count(0) == 2
     assert len(set(weights)) == 7
+    # the oracle grades by the two diagonal basis elements, just as finely
+    tuples = oracle_weights(L)
+    assert {len(w) for w in tuples} == {2}
+    assert tuples.count((0, 0)) == 2
+    assert len(set(tuples)) == 7
 
 
 @pytest.mark.parametrize("path", sorted(INPUTS.glob("*.json")), ids=lambda p: p.stem)
 def test_benchmark_documents(path):
-    assert_same_presentation(parse_algebra(json.loads(path.read_text(encoding="utf-8"))))
+    assert_same_as_reference(parse_algebra(json.loads(path.read_text(encoding="utf-8"))))
 
 
 def test_corrupted_weight_is_caught(monkeypatch):
@@ -163,3 +181,31 @@ def test_block_that_drops_a_free_column_is_caught(monkeypatch):
     monkeypatch.setattr(uce, "Echelon", Forgetful)
     with pytest.raises(CertificateError, match="weight block -?[0-9]+: the free images span 0"):
         build_uce(sl2())
+
+
+def test_corrupted_oracle_weight_is_caught(monkeypatch):
+    weights = uce._diagonal_weights
+
+    def corrupted(itable, par):
+        out = weights(itable, par)
+        out[1] = tuple(x + 1 for x in out[1])
+        return out
+
+    monkeypatch.setattr(uce, "_diagonal_weights", corrupted)
+    with pytest.raises(CertificateError, match="oracle weights do not grade the table"):
+        uce.h2_cohomology_oracle(sl2())
+
+
+@pytest.mark.parametrize("name", ["sl21", "osp12", "sq3", "sl2_t2"])
+def test_oracle_shares_no_code_with_the_builder(monkeypatch, name):
+    L = ALGEBRAS[name]()
+    want = ref.h2_cohomology_oracle(L)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("the oracle must not call this")
+
+    for module, attr in [(uce, "build_uce"), (uce, "_torus"), (uce, "_weight_presentation"),
+                         (uce, "_cyclic_classes"), (uce, "_tensor_relations"),
+                         (algebra, "_cyclic_classes"), (algebra, "_tensor_relations")]:
+        monkeypatch.setattr(module, attr, broken)
+    assert uce.h2_cohomology_oracle(L) == want

@@ -1,16 +1,22 @@
 """Write one BENCH_<n>.json: a committed snapshot of the benchmark.
 
-    python3 tools/bench_snapshot.py --out BENCH_6.json
-    python3 tools/bench_snapshot.py --tree ../parent --out BENCH_5.json
+    python3 tools/bench_snapshot.py --out BENCH_8.json
+    python3 tools/bench_snapshot.py --tree ../parent --out BENCH_7.json
 
 For every workload of perfbench/ it runs, in the checkout given by
---tree (default: the one holding this script), one untraced run
-(--trace 0) and one traced run (--trace 1), each with the fixed SEED
-and SECONDS, so that any two snapshots compare runs of the same length.
+--tree (default: the one holding this script), UNTRACED_RUNS untraced
+runs (--trace 0) and one traced run (--trace 1), each with the fixed
+SEED and SECONDS, so that any two snapshots compare runs of the same
+length.  The untraced runs go round the workloads in turn, so that a
+slow spell of the host falls on all of them; the traced runs follow.
 From each run's record,
 .bench_build/perfbench/<workload>/result-trace<0|1>.json, it keeps the
 machine block, the metrics, the per-pass calibration times, the pass
-times and the job and failure counts.
+times and the job and failure counts.  Per workload, "trace0" holds the
+untraced runs and the median of each end-to-end metric over them, which
+is the figure to compare between snapshots; one run alone moves with
+the host by about as much as a small change does.  "trace1" holds the
+traced run, whose counters repeat exactly.
 
 The snapshot names the commit of the checkout, whether its working tree
 differed from it, and the git tree ids of the measured src/ and
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +42,7 @@ from pathlib import Path
 WORKLOADS = ("sl_family", "chain_limit", "file_oracle")
 SEED = 11
 SECONDS = 44.0
+UNTRACED_RUNS = 3
 MEASURED = ("src", "perfbench")
 
 
@@ -94,10 +102,19 @@ def main(argv=None) -> int:
         "seconds": SECONDS,
         "workloads": {},
     }
-    for workload in WORKLOADS:
+    untraced: dict = {workload: [] for workload in WORKLOADS}
+    for k in range(UNTRACED_RUNS):
+        for workload in WORKLOADS:
+            untraced[workload].append(run(tree, workload, 0))
+            print(f"{workload}: untraced run {k + 1} of {UNTRACED_RUNS} done", file=sys.stderr)
+    for workload, runs in untraced.items():
+        median = {key: statistics.median(r["metrics"][key] for r in runs)
+                  for key in runs[0]["metrics"]}
         snapshot["workloads"][workload] = {
-            f"trace{t}": run(tree, workload, t) for t in (0, 1)}
-        print(f"{workload}: done", file=sys.stderr)
+            "trace0": {"median": median, "runs": runs},
+            "trace1": run(tree, workload, 1),
+        }
+        print(f"{workload}: traced run done", file=sys.stderr)
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     return 0
 
