@@ -53,7 +53,6 @@ from .uce import (
     CentralExtension,
     Cocycle2,
     UceAlgebra,
-    UceMemo,
     build_uce,
     extension_from_cocycle,
     h2,
@@ -110,7 +109,6 @@ __all__ = [
     "SparseMatrix",
     "Subspace",
     "UceAlgebra",
-    "UceMemo",
     "ValidationReport",
     "bracket_Eij",
     "build_family",

@@ -652,12 +652,9 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
     return quotient, projection
 
 
-def subalgebra_from_vectors(
-    parent: LieSuperalgebra,
-    vectors: Sequence[Vector],
-    labels: Optional[Sequence[str]] = None,
-):
-    """Subalgebra on the given independent homogeneous vectors.
+def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
+                            labels: Sequence[str]):
+    """Subalgebra on the given independent homogeneous vectors, one label each.
 
     Returns (algebra, embedding into parent).  Raises if the span is not
     closed under the bracket; structure constants are certificates of
@@ -673,8 +670,6 @@ def subalgebra_from_vectors(
         basis_par.append(p)
         if ech.insert(v, tag=idx) is None:
             raise ValueError("subalgebra basis is linearly dependent")
-    if labels is None:
-        labels = [f"b{i}" for i in range(n)]
     basis = GradedBasis(labels, basis_par)
     table = []
     for i in range(n):

@@ -62,11 +62,10 @@ from .algebra import (
     LieSuperalgebra,
     centre,
     derived_subalgebra,
-    is_perfect,
     validate_assoc,
     validate_lie,
 )
-from .cyclic import cyclic_pairs, hc1
+from .cyclic import hc1
 from .limits import DirectedPoset, DirectedSystem, theorem_verify
 from .matrices import (
     build_family,
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p, need_algebra=True):
+    def add_input(p):
         p.add_argument("--file", help="algebra file (JSON)")
         p.add_argument("--family", choices=FAMILY_KINDS, help="builtin matrix family")
         p.add_argument("--m", type=int, default=None, help="even block size")
@@ -411,17 +410,20 @@ def _cmd_uce(args):
     alg, _, digest = _resolve_algebra(args)
     alg = _require_lie(alg)
     ext = build_uce(alg)
-    perfect = is_perfect(alg)
+    # u maps onto [L, L]: L is perfect exactly when u has rank dim L, and
+    # then u is bijective exactly when its kernel is 0
+    rank = ext.u.rank()
+    perfect = rank == alg.dim
     results = {
         "dim_input": alg.dim,
         "perfect": perfect,
         "dim_uce": ext.dim,
-        "dim_kernel": ext.dim - ext.u.rank(),
+        "dim_kernel": ext.dim - rank,
         "basis": list(ext.lie.basis.labels),
         "parities": ["odd" if p else "even" for p in ext.lie.basis.parities],
     }
     if perfect:
-        results["centrally_closed"] = results["dim_kernel"] == 0 and ext.u.is_bijective()
+        results["centrally_closed"] = results["dim_kernel"] == 0
     if args.table:
         labels = ext.lie.basis.labels
         results["table"] = [
@@ -435,11 +437,11 @@ def _cmd_uce(args):
 def _cmd_h2(args):
     alg, _, digest = _resolve_algebra(args)
     alg = _require_lie(alg)
-    perfect = is_perfect(alg)
     ext = build_uce(alg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         space = h2(ext)
+    perfect = ext.dim - space.dim == alg.dim  # u maps onto [L, L]
     results = {
         "dim_input": alg.dim,
         "perfect": perfect,
@@ -462,8 +464,8 @@ def _cmd_hc1(args):
     else:
         alg = coefficient_algebra(args.coeff)
         digest = args.coeff.encode()
-    pairs = cyclic_pairs(alg)
-    space = hc1(alg, pairs=pairs)
+    space = hc1(alg)
+    pairs = space.ambient
     results = {
         "dim_input": alg.dim,
         "supercommutative": alg.is_supercommutative(),
@@ -510,7 +512,8 @@ def _cmd_construct(args):
     return results, 0, digest
 
 
-def _family_args(args, minimum=1):
+def _family_args(args, minimum):
+    """The sl family named by --m/--n/--coeff, with m + n >= minimum."""
     if args.file:
         raise InputError("this command works on builtin sl families; pass --family sl")
     if args.family != "sl":
@@ -519,13 +522,12 @@ def _family_args(args, minimum=1):
         raise InputError("--family needs --m")
     if args.m + args.n < minimum:
         raise InputError(f"need m + n >= {minimum}")
-    return args.m, args.n, coefficient_algebra(args.coeff)
+    return build_family("sl", args.m, args.n, coefficient_algebra(args.coeff))
 
 
 def _cmd_cocycle_check(args):
-    m, n, coeff = _family_args(args, minimum=2)
-    fam = build_family("sl", m, n, coeff)
-    tau = tau_cocycle(m, n, coeff, fam=fam)
+    fam = _family_args(args, minimum=2)
+    tau = tau_cocycle(fam)
     report = validate_cocycle(tau)
     results = {
         "dim_sl": fam.algebra.dim,
@@ -534,13 +536,13 @@ def _cmd_cocycle_check(args):
         "violations": [{"law": law, "where": where, "detail": detail}
                        for law, where, detail in report.violations],
     }
-    digest = f"sl:{m},{n}:{args.coeff}".encode()
+    digest = f"sl:{args.m},{args.n}:{args.coeff}".encode()
     return results, (0 if report.ok else 1), digest
 
 
 def _cmd_steinberg(args):
-    m, n, coeff = _family_args(args, minimum=3)
-    rep = steinberg_check(m, n, coeff, seed=args.seed)
+    fam = _family_args(args, minimum=3)
+    rep = steinberg_check(fam, seed=args.seed)
     results = {
         "dim_uce": rep.dim_uce,
         "generators": rep.generators,
@@ -550,13 +552,13 @@ def _cmd_steinberg(args):
         "generation": rep.generation,
         "ok": rep.ok,
     }
-    digest = f"sl:{m},{n}:{args.coeff}:seed={args.seed}".encode()
+    digest = f"sl:{args.m},{args.n}:{args.coeff}:seed={args.seed}".encode()
     return results, (0 if rep.ok else 1), digest
 
 
 def _cmd_h_iso(args):
-    m, n, coeff = _family_args(args, minimum=5)
-    rep = h_iso_check(m, n, coeff)
+    fam = _family_args(args, minimum=5)
+    rep = h_iso_check(fam)
     results = {
         "dim_sl": rep.dim_sl,
         "dim_uce": rep.dim_uce,
@@ -568,7 +570,7 @@ def _cmd_h_iso(args):
         "bijective": rep.bijective,
         "ok": rep.ok,
     }
-    digest = f"sl:{m},{n}:{args.coeff}".encode()
+    digest = f"sl:{args.m},{args.n}:{args.coeff}".encode()
     return results, (0 if rep.ok else 1), digest
 
 

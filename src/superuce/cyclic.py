@@ -16,10 +16,10 @@ per cyclic class is enumerated.  The rows are built, in ints, by the
 same code as the relation space of the universal central extension.
 
 The class of a (x) b is written <<a,b>>.  The supercommutator map
-sends <<a,b>> to ab - (-1)^{|a||b|} ba; it kills every relation (this
-is certified during construction), and its kernel is HC_1(A).  For
-supercommutative A the map is zero, so HC_1(A) is the whole pairing
-space.
+sends <<a,b>> to ab - (-1)^{|a||b|} ba, read off the table of
+lie_from_assoc(A); it kills every relation (this is certified during
+construction), and its kernel is HC_1(A).  For supercommutative A the
+map is zero, so HC_1(A) is the whole pairing space.
 
 This module depends only on the algebra layer, not on the extension
 machinery; its outputs are used as the expected side of the extension
@@ -28,8 +28,6 @@ tests, never the other way around.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     AssocSuperalgebra,
     CertificateError,
@@ -37,6 +35,7 @@ from .algebra import (
     GradedLinearMap,
     Subspace,
     _tensor_relations,
+    lie_from_assoc,
 )
 from .linalg import (
     QuotientPresentation,
@@ -46,8 +45,6 @@ from .linalg import (
     quotient_space,
     vec_add_scaled,
 )
-
-ONE = Fraction(1)
 
 
 class CyclicPairs:
@@ -79,15 +76,9 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
     d = A.dim
     par = A.basis.parities
     labels = A.basis.labels
-    t = A.table
-    rows = _tensor_relations(t, par)
+    rows = _tensor_relations(A.table, par)
     pres = quotient_space(d * d, rows)
-
-    def raw_commutator(a: int, b: int) -> Vector:
-        out = dict(t[a][b])
-        sign = -ONE if par[a] and par[b] else ONE
-        vec_add_scaled(out, t[b][a], -sign)
-        return out
+    commutator_table = lie_from_assoc(A).table
 
     # the commutator must vanish on every relation, else the map would
     # not descend to the quotient
@@ -95,7 +86,7 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
         acc: Vector = {}
         for k, x in row.items():
             a, b = divmod(k, d)
-            vec_add_scaled(acc, raw_commutator(a, b), x)
+            vec_add_scaled(acc, commutator_table[a][b], x)
         if acc:
             a, b = divmod(min(row), d)
             raise CertificateError(
@@ -110,14 +101,17 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
         a, b = divmod(col, d)
         qlabels.append(f"<<{labels[a]},{labels[b]}>>")
         qpar.append((par[a] + par[b]) & 1)
-        cols.append(raw_commutator(a, b))
+        cols.append(commutator_table[a][b])
     basis = GradedBasis(qlabels, qpar)
     commutator = GradedLinearMap(basis, A.basis, cols)
     return CyclicPairs(A, pres, basis, commutator)
 
 
-def hc1(A: AssocSuperalgebra, pairs: CyclicPairs = None) -> Subspace:
-    """HC_1(A) = kernel of the commutator map on <<A,A>>."""
-    if pairs is None:
-        pairs = cyclic_pairs(A)
+def hc1(A: AssocSuperalgebra) -> Subspace:
+    """HC_1(A) = kernel of the commutator map on <<A,A>>.
+
+    Builds cyclic_pairs(A) once; the pairing space is the ambient of the
+    returned subspace.
+    """
+    pairs = cyclic_pairs(A)
     return Subspace(pairs, kernel_basis(pairs.commutator.matrix()))

@@ -7,20 +7,21 @@ greatest element t, and the colimit is the top member L_t with the
 injections f_it.  The paper's theorem has its content in infinite rank;
 here it is checked exactly on finite systems.
 
-limit_u builds both colimits, colim L_i and colim uce(L_i), and the
-canonical projection v between them, once.  theorem_verify takes those
-objects from one limit_u call and builds, for a system of perfect
-algebras, the comparison phi between the colimit of the central
-extensions and the central extension of the colimit; it certifies that
-phi is an isomorphism by exhibiting the inverse and checking both
-composites and the restriction to the two kernels.
+limit_u builds the extension of every member once, both colimits,
+colim L_i and colim uce(L_i), and the canonical projection v between
+them.  theorem_verify takes all of these from one limit_u call, reads
+the extension of the colimit off the top member, and builds, for a
+system of perfect algebras, the comparison phi between the colimit of
+the central extensions and the central extension of the colimit; it
+certifies that phi is an isomorphism by exhibiting the inverse and
+checking both composites and the restriction to the two kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .algebra import (
     CertificateError,
@@ -32,7 +33,7 @@ from .algebra import (
     is_perfect,
 )
 from .linalg import Echelon, Vector, kernel_basis
-from .uce import UceAlgebra, UceMemo, uce_of_morphism
+from .uce import UceAlgebra, build_uce, uce_of_morphism
 
 ONE = Fraction(1)
 
@@ -157,14 +158,11 @@ def validate_system(system: DirectedSystem) -> ValidationReport:
 
 
 def chain_system(algebras: Sequence[LieSuperalgebra],
-                 maps: Sequence[GradedLinearMap],
-                 labels: Optional[Sequence[Hashable]] = None) -> DirectedSystem:
-    """Totally ordered system from consecutive maps L_k -> L_{k+1}."""
+                 maps: Sequence[GradedLinearMap]) -> DirectedSystem:
+    """Totally ordered system 0 < 1 < ... from consecutive maps L_k -> L_{k+1}."""
     if len(maps) != len(algebras) - 1:
         raise ValueError("need one map fewer than algebras")
-    if labels is None:
-        labels = list(range(len(algebras)))
-    labels = list(labels)
+    labels = list(range(len(algebras)))
     relation = [(labels[k], labels[k + 1]) for k in range(len(maps))]
     poset = DirectedPoset(labels, relation + [
         (labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))
@@ -239,12 +237,13 @@ def factor_through(colim: Colimit,
 
 # ------------------------------------------------------- central extensions of systems
 
-def uce_system(system: DirectedSystem,
-               memo: Optional[UceMemo] = None) -> Tuple[DirectedSystem, Dict[Hashable, UceAlgebra]]:
-    """Apply the central-extension construction to every member and map."""
-    if memo is None:
-        memo = UceMemo()
-    exts = {i: memo.uce(system.algebras[i]) for i in system.poset.elements}
+def uce_system(system: DirectedSystem) -> Tuple[DirectedSystem, Dict[Hashable, UceAlgebra]]:
+    """Apply the central-extension construction to every member and map.
+
+    Builds one extension per member; returns the system of extensions
+    and the member extensions.
+    """
+    exts = {i: build_uce(system.algebras[i]) for i in system.poset.elements}
     algebras = {i: exts[i].lie for i in system.poset.elements}
     morphisms = {}
     for i, j in system.poset.pairs():
@@ -270,17 +269,15 @@ class LimitUReport:
         return len(self.kernel)
 
 
-def limit_u(system: DirectedSystem, memo: Optional[UceMemo] = None) -> LimitUReport:
+def limit_u(system: DirectedSystem) -> LimitUReport:
     """Canonical map from the colimit of extensions onto the colimit.
 
     Builds both colimits and the member extensions once and keeps them
     in the report, with a basis of the kernel.  The kernel is checked to
     be central; the map is surjective when every member is perfect.
     """
-    if memo is None:
-        memo = UceMemo()
     colim = colimit(system)
-    usys, exts = uce_system(system, memo)
+    usys, exts = uce_system(system)
     uce_colim = colimit(usys)
     cones = {i: colim.injections[i].compose(exts[i].u) for i in system.poset.elements}
     v = factor_through(uce_colim, cones)
@@ -312,25 +309,24 @@ class TheoremReport:
                 and self.h2_restriction_bijective)
 
 
-def theorem_verify(system: DirectedSystem, memo: Optional[UceMemo] = None) -> TheoremReport:
+def theorem_verify(system: DirectedSystem) -> TheoremReport:
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
     The colimits, member extensions and canonical projection v come from
     one limit_u call, whose report is kept as the projection field.  The
-    colimit is the top member L_t, so its extension is the memoised
-    extension of L_t: one extension is built per member and no other.
+    colimit is the top member L_t, so its extension is the member
+    extension of L_t in that report: one extension is built per member
+    and no other.
     phi is the mediating map of the cone uce(phi_i); psi routes a
     bracket through preimages under v.  Both composites and the
     restriction of phi to the kernel parts are checked exactly.
     """
-    if memo is None:
-        memo = UceMemo()
     for i in system.poset.elements:
         if not is_perfect(system.algebras[i]):
             raise ValueError(f"member {i!r} is not perfect")
-    proj = limit_u(system, memo)
+    proj = limit_u(system)
     colim, uce_colim, exts, v = proj.colim, proj.colim_uce, proj.exts, proj.map
-    ext_top = memo.uce(colim.algebra)
+    ext_top = exts[colim.top]
 
     cones = {i: uce_of_morphism(colim.injections[i], source=exts[i], target=ext_top)
              for i in system.poset.elements}

@@ -55,7 +55,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
 
 from .algebra import (
     AssocSuperalgebra,
@@ -67,7 +66,7 @@ from .algebra import (
     subalgebra_from_vectors,
     vector_parity,
 )
-from .cyclic import CyclicPairs, cyclic_pairs
+from .cyclic import cyclic_pairs
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -76,7 +75,7 @@ from .linalg import (
     kernel_basis,
     vec_add_scaled,
 )
-from .uce import Cocycle2, UceAlgebra, build_uce, extension_from_cocycle
+from .uce import Cocycle2, build_uce, extension_from_cocycle
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -286,15 +285,7 @@ def supertrace(fam: MatrixFamily, v: Vector) -> Vector:
 
 
 def _supercommutator_span(A: AssocSuperalgebra) -> list:
-    rows = []
-    par = A.basis.parities
-    for i in range(A.dim):
-        for j in range(A.dim):
-            cell = dict(A.table[i][j])
-            sign = -ONE if par[i] and par[j] else ONE
-            vec_add_scaled(cell, A.table[j][i], -sign)
-            if cell:
-                rows.append(cell)
+    rows = [cell for row in lie_from_assoc(A).table for cell in row if cell]
     ech = echelon_rows(rows)
     return [ech[p] for p in sorted(ech)]
 
@@ -521,25 +512,26 @@ def bracket_Eij(fam: MatrixFamily, i: int, j: int, a: Vector,
 
 # ------------------------------------------------------------------ the cocycle
 
-def tau_cocycle(m: int, n: int, A: AssocSuperalgebra,
-                fam: Optional[MatrixFamily] = None,
-                pairs: Optional[CyclicPairs] = None) -> Cocycle2:
+def _require_sl(fam: MatrixFamily) -> None:
+    if fam.kind != "sl":
+        raise ValueError(f"this check works on sl families, not {fam.kind}")
+
+
+def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
     """Supertrace-weighted pairing cocycle on sl(m,n;A), A supercommutative.
 
     tau(x, y) = sum_{i, j} sigma_i (-1)^{|x_ij|(|i|+|j|)} <<x_ij, y_ji>>
     with sigma_i = +1 on the first m row indices and -1 on the rest;
     values in the pairing space of A (all of which is HC_1(A) since the
-    commutator map vanishes).  The entry parity factor matches the
-    graded tensor product sign of Mat and is +1 for even entries.
+    commutator map vanishes), built here with cyclic_pairs(A).  The
+    entry parity factor matches the graded tensor product sign of Mat
+    and is +1 for even entries.
     """
+    _require_sl(fam)
+    m, n, A = fam.m, fam.n, fam.coeff
     if not A.is_supercommutative():
         raise ValueError("the supertrace cocycle needs a supercommutative coefficient algebra")
-    if fam is None:
-        fam = build_family("sl", m, n, A)
-    if fam.kind != "sl" or fam.m != m or fam.n != n or fam.coeff is not A:
-        raise ValueError("family does not match the requested sl(m,n;A)")
-    if pairs is None:
-        pairs = cyclic_pairs(A)
+    pairs = cyclic_pairs(A)
     sl = fam.algebra
     d = sl.dim
     size = m + n
@@ -608,23 +600,21 @@ class HIsoReport:
         return self.is_morphism and self.commutes_with_projections and self.bijective
 
 
-def h_iso_check(m: int, n: int, A: AssocSuperalgebra,
-                fam: Optional[MatrixFamily] = None,
-                ext: Optional[UceAlgebra] = None) -> HIsoReport:
-    """Compare the built extension of sl(m,n;A) with sl (+) HC_1(A).
+def h_iso_check(fam: MatrixFamily) -> HIsoReport:
+    """Compare the built extension of the family sl(m,n;A) with sl (+) HC_1(A).
 
-    The comparison map sends the class of a (x) b to [a,b] (+) tau(a,b).
-    Needs m + n >= 5 and supercommutative A.
+    Builds the extension of sl and the cocycle tau once.  The comparison
+    map sends the class of a (x) b to [a,b] (+) tau(a,b).  Needs
+    m + n >= 5 and supercommutative A; HC_1(A) is then the whole pairing
+    space, the target of tau.
     """
+    _require_sl(fam)
+    m, n = fam.m, fam.n
     if m + n < 5:
         raise ValueError("the comparison map is an isomorphism claim for m + n >= 5 only")
-    if fam is None:
-        fam = build_family("sl", m, n, A)
     sl = fam.algebra
-    if ext is None:
-        ext = build_uce(sl)
-    pairs = cyclic_pairs(A)
-    tau = tau_cocycle(m, n, A, fam=fam, pairs=pairs)
+    tau = tau_cocycle(fam)
+    ext = build_uce(sl)
     central = extension_from_cocycle(sl, tau)
     K = central.total
     dsl = sl.dim
@@ -644,7 +634,7 @@ def h_iso_check(m: int, n: int, A: AssocSuperalgebra,
     dim_h2 = ext.dim - ext.u.rank()
     return HIsoReport(
         m=m, n=n, dim_sl=dsl, dim_uce=ext.dim, dim_extension=K.dim,
-        dim_h2=dim_h2, dim_hc1=pairs.dim,
+        dim_h2=dim_h2, dim_hc1=len(tau.target),
         is_morphism=is_morphism, commutes_with_projections=commutes,
         bijective=bijective,
     )
@@ -666,18 +656,16 @@ class SteinbergReport:
         return self.independence_of_k and self.linearity and self.relations and self.generation
 
 
-def steinberg_check(m: int, n: int, A: AssocSuperalgebra,
-                    fam: Optional[MatrixFamily] = None,
-                    ext: Optional[UceAlgebra] = None,
-                    seed: int = 0) -> SteinbergReport:
-    """Steinberg presentation checks inside the built extension of sl(m,n;A)."""
+def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
+    """Steinberg presentation checks inside the extension of the family sl(m,n;A).
+
+    Builds the extension once; seed drives the random linearity samples.
+    """
+    _require_sl(fam)
+    m, n = fam.m, fam.n
     if m + n < 3:
         raise ValueError("the Steinberg comparison needs m + n >= 3")
-    if fam is None:
-        fam = build_family("sl", m, n, A)
-    sl = fam.algebra
-    if ext is None:
-        ext = build_uce(sl)
+    ext = build_uce(fam.algebra)
     A_ = fam.coeff
     dA = A_.dim
     size = m + n

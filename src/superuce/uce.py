@@ -72,7 +72,6 @@ from .algebra import (
     _integral_table,
     _tensor_relations,
     check_morphism,
-    is_perfect,
 )
 from .linalg import (
     Echelon,
@@ -259,33 +258,18 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     return UceAlgebra(L, lie, pres, u)
 
 
-class UceMemo:
-    """Explicit cache so repeated checks reuse one extension per algebra."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self):
-        self._store = {}
-
-    def uce(self, L: LieSuperalgebra) -> UceAlgebra:
-        got = self._store.get(id(L))
-        if got is None:
-            got = build_uce(L)
-            self._store[id(L)] = got
-        return got
-
-
 def h2(L) -> Subspace:
     """Kernel of the canonical map, as a subspace of the extension.
 
     Accepts a prebuilt UceAlgebra or a LieSuperalgebra, whose extension
     is built.  Warns when L is not perfect (the kernel is still central,
-    but it is not the second homology in that case).
+    but it is not the second homology in that case).  u maps onto
+    [L, L], so L is perfect exactly when the rank of u is dim L.
     """
     ext = L if isinstance(L, UceAlgebra) else build_uce(L)
-    if not is_perfect(ext.base):
-        warnings.warn("algebra is not perfect; kernel of u is not H2", stacklevel=2)
     vectors = kernel_basis(ext.u.matrix())
+    if ext.dim - len(vectors) != ext.base.dim:
+        warnings.warn("algebra is not perfect; kernel of u is not H2", stacklevel=2)
     return Subspace(ext.lie, vectors)
 
 
@@ -319,13 +303,14 @@ def _free_coords(ext: UceAlgebra):
 
 
 def is_centrally_closed(ext: UceAlgebra) -> bool:
-    """For the extension of a perfect L: is the canonical map an isomorphism?"""
-    L = ext.base
-    if not is_perfect(L):
+    """For the extension of a perfect L: is the canonical map an isomorphism?
+
+    u maps onto [L, L], so L is perfect exactly when the rank of u is
+    dim L; u is then bijective exactly when it has no kernel.
+    """
+    if ext.u.rank() != ext.base.dim:
         raise ValueError("central closure is defined here for perfect algebras only")
-    if ext.dim != L.dim:
-        return False
-    return ext.u.rank() == L.dim
+    return ext.dim == ext.base.dim
 
 
 class Cocycle2:

@@ -2,8 +2,10 @@
 
 Every equality below is exact rational arithmetic; there are no
 tolerances anywhere.  A summary line per criterion is printed after the
-run (see conftest).  Family and extension objects are shared through
-module-level caches so later criteria reuse earlier work.
+run (see conftest).  Families, and the extensions the criteria build
+themselves, are shared through module-level dicts so later criteria
+reuse earlier work; steinberg_check, h_iso_check and theorem_verify
+build their own.
 """
 
 import random
@@ -14,7 +16,6 @@ import pytest
 
 from superuce import (
     GradedLinearMap,
-    UceMemo,
     build_family,
     build_uce,
     centre,
@@ -40,8 +41,8 @@ from superuce.uce import h2_cohomology_oracle
 from reference_colimit import check_against_reference
 from systems_util import random_chain_system, random_system_morphism, vee_system
 
-MEMO = UceMemo()
 _FAMILIES = {}
+_EXTENSIONS = {}
 _STRANGE = {}
 
 
@@ -50,6 +51,13 @@ def family(kind, m, n, coeff_name):
     if key not in _FAMILIES:
         _FAMILIES[key] = build_family(kind, m, n, coefficient_algebra(coeff_name))
     return _FAMILIES[key]
+
+
+def extension(L):
+    """build_uce(L), once per algebra object (they live in the dicts here)."""
+    if id(L) not in _EXTENSIONS:
+        _EXTENSIONS[id(L)] = build_uce(L)
+    return _EXTENSIONS[id(L)]
 
 
 def strange_family_matrix():
@@ -100,7 +108,7 @@ def test_criterion_02_centrally_closed_classics(record_criterion):
     cases = [("sl", 3, 0), ("sl", 4, 0), ("sl", 5, 0), ("osp", 3, 2)]
     for kind, m, n in cases:
         L = family(kind, m, n, "Q").algebra
-        assert h2(MEMO.uce(L)).dim == 0, (kind, m, n)
+        assert h2(extension(L)).dim == 0, (kind, m, n)
         assert h2_cohomology_oracle(L) == 0, (kind, m, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -118,11 +126,11 @@ def test_criterion_03_kernel_is_cyclic_homology(record_criterion):
         started = time.perf_counter()
         A = coefficient_algebra(name)
         fam = family("sl", m, n, name)
-        ext = MEMO.uce(fam.algebra)
+        ext = extension(fam.algebra)
         want = hc1(A).dim
         got = h2(ext).dim
         assert got == want, (m, n, name, got, want)
-        rep = steinberg_check(m, n, A, fam=fam, ext=ext)
+        rep = steinberg_check(fam)
         assert rep.independence_of_k, (m, n, name)
         assert rep.linearity, (m, n, name)
         assert rep.relations, (m, n, name)
@@ -139,8 +147,7 @@ def test_criterion_04_cocycle_model_of_the_extension(record_criterion):
     for m, n, name in cases:
         started = time.perf_counter()
         fam = family("sl", m, n, name)
-        rep = h_iso_check(m, n, coefficient_algebra(name),
-                          fam=fam, ext=MEMO.uce(fam.algebra))
+        rep = h_iso_check(fam)
         assert rep.is_morphism, (m, n, name)
         assert rep.commutes_with_projections, (m, n, name)
         assert rep.bijective, (m, n, name)
@@ -160,7 +167,7 @@ def test_criterion_05_extension_commutes_with_chains(record_criterion):
     dims = []
     for sizes, name in chains:
         system = sl_chain_system(sizes, name)
-        rep = theorem_verify(system, MEMO)
+        rep = theorem_verify(system)
         assert rep.phi_is_morphism, name
         assert rep.phi_bijective, name
         assert rep.psi_after_phi_is_id, name
@@ -188,7 +195,7 @@ def test_criterion_06_central_kernels_on_random_systems(record_criterion):
                 system = vee_system(rng)
             else:
                 system, _ = random_chain_system(rng)
-            rep = limit_u(system, UceMemo())
+            rep = limit_u(system)
             assert rep.kernel_central, trial
             check_against_reference(rep.colim)
             check_against_reference(rep.colim_uce)
@@ -208,7 +215,7 @@ def test_criterion_07_functoriality(record_criterion):
     checked = 0
     for chain in chains:
         fams = [family(*key) for key in chain]
-        exts = [MEMO.uce(fam.algebra) for fam in fams]
+        exts = [extension(fam.algebra) for fam in fams]
         for fam, ext in zip(fams, exts):
             ident = GradedLinearMap.identity(fam.algebra.basis)
             lifted = uce_of_morphism(ident, source=ext, target=ext)
@@ -249,7 +256,7 @@ def test_criterion_08_cross_oracle_on_the_test_matrix(record_criterion):
         if not is_perfect(L):
             skipped.append(label)
             continue
-        ours = h2(MEMO.uce(L)).dim
+        ours = h2(extension(L)).dim
         oracle = h2_cohomology_oracle(L)
         assert ours == oracle, (label, ours, oracle)
         compared.append((label, ours))
@@ -261,7 +268,7 @@ def test_criterion_08_cross_oracle_on_the_test_matrix(record_criterion):
 
 def test_criterion_09_queer_central_quotient(record_criterion):
     L = strange_family_matrix()["sq(3)/centre"]
-    ours = h2(MEMO.uce(L)).dim
+    ours = h2(extension(L)).dim
     oracle = h2_cohomology_oracle(L)
     assert ours == oracle
     # the dimension itself is an output of the run, not a frozen input

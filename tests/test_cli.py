@@ -316,12 +316,45 @@ def test_limit_check_builds_each_colimit_once(monkeypatch):
     names = ("colimit", "uce_system", "validate_system", "factor_through", "centre")
     for name in names:
         monkeypatch.setattr(superuce.limits, name, counted(superuce.limits, name))
-    monkeypatch.setattr(superuce.uce, "build_uce", counted(superuce.uce, "build_uce"))
+    monkeypatch.setattr(superuce.limits, "build_uce", counted(superuce.limits, "build_uce"))
     _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
     assert code == 0
     # one extension per member; the colimit is the top member, so none more
     assert counts == {"colimit": 2, "uce_system": 1, "validate_system": 2,
                       "factor_through": 2, "centre": 1, "build_uce": 3}
+
+
+def _count_where_bound(monkeypatch, names):
+    """Count calls of each name in every superuce module that binds it."""
+    counts = dict.fromkeys(names, 0)
+    modules = (superuce.algebra, superuce.cyclic, superuce.uce, superuce.matrices,
+               superuce.limits, superuce.cli)
+    for module in modules:
+        for name in names:
+            inner = getattr(module, name, None)
+            if inner is None:
+                continue
+
+            def wrapper(*args, _inner=inner, _name=name, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("command,pairs_built", [("h-iso-check", 1), ("steinberg-check", 0)])
+def test_sl_checks_build_each_object_once(monkeypatch, command, pairs_built):
+    counts = _count_where_bound(monkeypatch, ("build_family", "build_uce", "cyclic_pairs"))
+    _, code = run([command, "--family", "sl", "--m", "3", "--n", "2", "--coeff", "Grassmann(1)"])
+    assert code == 0
+    assert counts == {"build_family": 1, "build_uce": 1, "cyclic_pairs": pairs_built}
+
+
+def test_h_iso_check_refuses_coefficients_before_building(monkeypatch, capsys):
+    counts = _count_where_bound(monkeypatch, ("build_uce",))
+    assert main(["h-iso-check", "--family", "sl", "--m", "5", "--coeff", "Mat(2,0;Q)"]) == 2
+    assert "supercommutative" in capsys.readouterr().err
+    assert counts == {"build_uce": 0}
 
 
 def test_certificate_failure_exits_1(monkeypatch, capsys):

@@ -90,7 +90,7 @@ def test_pairs_equal_hc1_iff_supercommutative_kernel(name):
     if A.is_supercommutative():
         # the supercommutator map vanishes, so the kernel is everything
         assert all(not col for col in pairs.commutator.columns)
-        assert hc1(A, pairs).dim == pairs.dim
+        assert hc1(A).dim == pairs.dim
     else:
         assert any(col for col in pairs.commutator.columns)
 
@@ -148,4 +148,4 @@ def test_matrix_coefficients_pairs_dim():
     pairs = cyclic_pairs(A)
     assert pairs.dim == 3
     assert not A.is_supercommutative()
-    assert hc1(A, pairs).dim == 0
+    assert hc1(A).dim == 0

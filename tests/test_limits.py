@@ -13,7 +13,6 @@ from superuce import (
     GradedLinearMap,
     InvalidSystemError,
     LieSuperalgebra,
-    UceMemo,
     build_family,
     chain_system,
     check_morphism,
@@ -197,8 +196,7 @@ def test_factor_through_rejects_incompatible_cone():
 
 def test_uce_system_naturality():
     system, _ = sl_chain([3, 4, 5], coeff="Q[t]/(t^2)")
-    memo = UceMemo()
-    ext_system, exts = uce_system(system, memo)
+    ext_system, exts = uce_system(system)
     assert validate_system(ext_system).ok
     for (i, j) in system.poset.pairs():
         if i == j:
@@ -212,14 +210,14 @@ def test_uce_system_naturality():
 
 def test_limit_u_centrally_closed_chain_has_zero_kernel():
     system, _ = sl_chain([3, 4, 5])
-    rep = limit_u(system, UceMemo())
+    rep = limit_u(system)
     assert rep.kernel_dim == 0
     assert rep.kernel_central and rep.surjective
 
 
 def test_limit_u_kernel_dim_one_for_plane_coefficients():
     system, _ = sl_chain([5, 6], coeff="Q[x,y]/(x,y)^2")
-    rep = limit_u(system, UceMemo())
+    rep = limit_u(system)
     assert rep.kernel_dim == 1
     assert rep.kernel_central and rep.surjective
 
@@ -230,7 +228,7 @@ def test_limit_u_abelian_system():
     system = chain_system([A2, A2], [ident])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = limit_u(system, UceMemo())
+        rep = limit_u(system)
     assert rep.kernel_central
     # uce of an abelian algebra is 0, so the induced map cannot be onto
     assert not rep.surjective
@@ -240,7 +238,7 @@ def test_limit_u_abelian_system():
 
 def test_theorem_verify_small_chain():
     system, _ = sl_chain([3, 4])
-    rep = theorem_verify(system, UceMemo())
+    rep = theorem_verify(system)
     assert rep.ok
 
 
@@ -248,7 +246,7 @@ def test_theorem_verify_rejects_non_perfect():
     H = heisenberg()
     system = chain_system([H, H], [GradedLinearMap.identity(H.basis)])
     with pytest.raises(ValueError, match="perfect"):
-        theorem_verify(system, UceMemo())
+        theorem_verify(system)
 
 
 # ------------------------------------------------------- morphisms of systems

@@ -208,7 +208,7 @@ def test_bracket_Eij_matches_gl_table(m, n, coeff):
 # --------------------------------------------------------------------- cocycle
 
 def test_tau_zero_over_rationals():
-    tau = tau_cocycle(3, 0, coefficient_algebra("Q"))
+    tau = tau_cocycle(build_family("sl", 3, 0, coefficient_algebra("Q")))
     assert all(not v for row in tau.values for v in row)
     assert validate_cocycle(tau).ok
 
@@ -218,7 +218,7 @@ def test_tau_single_surviving_term():
     A = coefficient_algebra("Q[x,y]/(x,y)^2")
     fam = build_family("sl", 3, 0, A)
     pairs = cyclic_pairs(A)
-    tau = tau_cocycle(3, 0, A, fam=fam, pairs=pairs)
+    tau = tau_cocycle(fam)
     sl = fam.algebra
     ix = A.basis.index("x")
     iy = A.basis.index("y")
@@ -229,7 +229,7 @@ def test_tau_single_surviving_term():
 
 def test_tau_alternating_on_even():
     A = coefficient_algebra("Q[x,y]/(x,y)^2")
-    tau = tau_cocycle(3, 0, A)
+    tau = tau_cocycle(build_family("sl", 3, 0, A))
     for i in range(len(tau.values)):
         assert tau.values[i][i] == {} or tau.source.basis.parities[i] == 1
 
@@ -240,42 +240,49 @@ def test_tau_alternating_on_even():
 ])
 def test_tau_validates(m, n, coeff):
     A = coefficient_algebra(coeff)
-    tau = tau_cocycle(m, n, A)
+    tau = tau_cocycle(build_family("sl", m, n, A))
     assert validate_cocycle(tau).ok
 
 
 def test_tau_needs_supercommutative():
     with pytest.raises(ValueError, match="supercommutative"):
-        tau_cocycle(3, 0, coefficient_algebra("Mat(2,0;Q)"))
+        tau_cocycle(build_family("sl", 3, 0, coefficient_algebra("Mat(2,0;Q)")))
 
 
 # ------------------------------------------------------------------ big checks
 
+@pytest.mark.parametrize("check", [tau_cocycle, h_iso_check, steinberg_check])
+def test_sl_checks_refuse_other_families(check):
+    fam = build_family("gl", 5, 0, coefficient_algebra("Q"))
+    with pytest.raises(ValueError, match="sl families"):
+        check(fam)
+
+
 def test_h_iso_small_rank_rejected():
     with pytest.raises(ValueError, match="m \\+ n >= 5"):
-        h_iso_check(2, 0, coefficient_algebra("Q"))
+        h_iso_check(build_family("sl", 2, 0, coefficient_algebra("Q")))
 
 
 def test_h_iso_rational_case():
-    rep = h_iso_check(5, 0, coefficient_algebra("Q"))
+    rep = h_iso_check(build_family("sl", 5, 0, coefficient_algebra("Q")))
     assert rep.ok
     assert rep.dim_h2 == 0 and rep.dim_hc1 == 0
 
 
 def test_steinberg_small_rank_rejected():
     with pytest.raises(ValueError, match="m \\+ n >= 3"):
-        steinberg_check(1, 1, coefficient_algebra("Q"))
+        steinberg_check(build_family("sl", 1, 1, coefficient_algebra("Q")))
 
 
 def test_steinberg_rank_three():
-    rep = steinberg_check(2, 1, coefficient_algebra("Q"))
+    rep = steinberg_check(build_family("sl", 2, 1, coefficient_algebra("Q")))
     assert rep.ok
 
 
 def test_steinberg_canonical_image():
     """u applied to each generator returns the plain matrix unit; this is
     folded into the independence flag."""
-    rep = steinberg_check(3, 0, coefficient_algebra("Q"))
+    rep = steinberg_check(build_family("sl", 3, 0, coefficient_algebra("Q")))
     assert rep.independence_of_k and rep.generation
 
 

@@ -62,7 +62,7 @@ def test_every_constructor_output_validates(name):
 
     if A.is_supercommutative():
         sl = build_family("sl", 2, 1, A)
-        tau = tau_cocycle(2, 1, A, fam=sl)
+        tau = tau_cocycle(sl)
         assert_valid(validate_cocycle(tau), f"tau on sl(2,1;{name})")
         total = extension_from_cocycle(sl.algebra, tau).total
         assert_valid(validate_lie(total), f"sl(2,1;{name}) + HC1")

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superuce
 from superuce import (
     Cocycle2,
     GradedBasis,
     GradedLinearMap,
-    UceMemo,
     build_family,
     build_uce,
     centre,
@@ -109,8 +109,7 @@ def test_functor_laws_on_corner_chain():
 
     f = corner_embedding(fams[0], fams[1])
     g = corner_embedding(fams[1], fams[2])
-    memo = UceMemo()
-    exts = [memo.uce(f_.algebra) for f_ in fams]
+    exts = [build_uce(f_.algebra) for f_ in fams]
     uf = uce_of_morphism(f, source=exts[0], target=exts[1])
     ug = uce_of_morphism(g, source=exts[1], target=exts[2])
     ugf = uce_of_morphism(g.compose(f), source=exts[0], target=exts[2])
@@ -128,10 +127,38 @@ def test_h2_warns_on_non_perfect():
         h2(L)
 
 
-def test_uce_memo_reuses_instances():
-    memo = UceMemo()
-    L = sl2()
-    assert memo.uce(L) is memo.uce(L)
+def test_perfectness_is_read_off_the_rank_of_u(monkeypatch):
+    """h2 warns, and is_centrally_closed refuses, exactly on the non-perfect
+    algebras, without asking is_perfect: u maps onto [L, L]."""
+    from superuce import lie_from_assoc
+    from systems_util import gl2_assoc
+
+    cases = {
+        "sl(2)": sl2(),
+        "heisenberg": heisenberg(),
+        "gl(2)": lie_from_assoc(gl2_assoc()),
+        "abelian(2)": abelian(2),
+        "p(2)": build_family("p", 2, 2, coefficient_algebra("Q")).algebra,
+    }
+    non_perfect = {name for name, L in cases.items() if not is_perfect(L)}
+    assert non_perfect == {"heisenberg", "gl(2)", "abelian(2)", "p(2)"}
+
+    def refuse(L):
+        raise AssertionError("is_perfect must not be called")
+
+    for module in (superuce, superuce.algebra, superuce.uce):
+        monkeypatch.setattr(module, "is_perfect", refuse, raising=False)
+    for name, L in cases.items():
+        ext = build_uce(L)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h2(ext)
+        assert bool(caught) == (name in non_perfect), name
+        if name in non_perfect:
+            with pytest.raises(ValueError, match="perfect"):
+                is_centrally_closed(ext)
+        else:
+            assert is_centrally_closed(ext)
 
 
 def test_oracle_agrees_with_kernel_dimension():
