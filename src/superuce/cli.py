@@ -75,7 +75,7 @@ from .matrices import (
     steinberg_check,
     tau_cocycle,
 )
-from .uce import build_uce, h2, validate_cocycle
+from .uce import build_uce, h2, is_centrally_closed, validate_cocycle
 
 FAMILY_KINDS = ("gl", "sl", "osp", "p", "sq")
 
@@ -410,20 +410,16 @@ def _cmd_uce(args):
     alg, _, digest = _resolve_algebra(args)
     alg = _require_lie(alg)
     ext = build_uce(alg)
-    # u maps onto [L, L]: L is perfect exactly when u has rank dim L, and
-    # then u is bijective exactly when its kernel is 0
-    rank = ext.u.rank()
-    perfect = rank == alg.dim
     results = {
         "dim_input": alg.dim,
-        "perfect": perfect,
+        "perfect": ext.perfect,
         "dim_uce": ext.dim,
-        "dim_kernel": ext.dim - rank,
+        "dim_kernel": len(ext.kernel),
         "basis": list(ext.lie.basis.labels),
         "parities": ["odd" if p else "even" for p in ext.lie.basis.parities],
     }
-    if perfect:
-        results["centrally_closed"] = results["dim_kernel"] == 0
+    if ext.perfect:
+        results["centrally_closed"] = is_centrally_closed(ext)
     if args.table:
         labels = ext.lie.basis.labels
         results["table"] = [
@@ -441,14 +437,13 @@ def _cmd_h2(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         space = h2(ext)
-    perfect = ext.dim - space.dim == alg.dim  # u maps onto [L, L]
     results = {
         "dim_input": alg.dim,
-        "perfect": perfect,
+        "perfect": ext.perfect,
         "dim_h2": space.dim,
         "vectors": [vector_to_json(v, ext.lie.basis.labels) for v in space.vectors],
     }
-    if not perfect:
+    if not ext.perfect:
         results["warning"] = "algebra is not perfect; reported space is the kernel of the canonical map"
     return results, 0, digest
 
@@ -579,7 +574,7 @@ def _cmd_limit_check(args):
     rep = theorem_verify(system)
     vrep = rep.projection
     # theorem_verify has checked that every member is perfect
-    h2_dims = [vrep.exts[i].dim - vrep.exts[i].u.rank() for i in system.poset.elements]
+    h2_dims = [len(vrep.exts[i].kernel) for i in system.poset.elements]
     results = {
         "members": len(system.poset.elements),
         "dim_colim": rep.dim_colim,
@@ -644,8 +639,11 @@ def emit_report(report: dict, fmt: str, stream) -> None:
 
 def run(argv: Sequence[str]) -> Tuple[dict, int]:
     """Parse argv, execute, and return (report, exit_code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(build_parser().parse_args(argv))
+
+
+def _execute(args) -> Tuple[dict, int]:
+    """Execute parsed arguments and return (report, exit_code)."""
     started = time.perf_counter()
     results, code, digest = _COMMANDS[args.command](args)
     elapsed = time.perf_counter() - started
@@ -661,10 +659,9 @@ def run(argv: Sequence[str]) -> Tuple[dict, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        report, code = run(argv)
+        report, code = _execute(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -679,11 +676,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # coefficient names, non-perfect members) are argument errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = "json"
-    for i, tok in enumerate(argv):
-        if tok == "--format" and i + 1 < len(argv):
-            fmt = argv[i + 1]
-        elif tok.startswith("--format="):
-            fmt = tok.split("=", 1)[1]
-    emit_report(report, fmt, sys.stdout)
+    emit_report(report, args.format, sys.stdout)
     return code

@@ -7,14 +7,15 @@ greatest element t, and the colimit is the top member L_t with the
 injections f_it.  The paper's theorem has its content in infinite rank;
 here it is checked exactly on finite systems.
 
-limit_u builds the extension of every member once, both colimits,
-colim L_i and colim uce(L_i), and the canonical projection v between
-them.  theorem_verify takes all of these from one limit_u call, reads
-the extension of the colimit off the top member, and builds, for a
-system of perfect algebras, the comparison phi between the colimit of
-the central extensions and the central extension of the colimit; it
-certifies that phi is an isomorphism by exhibiting the inverse and
-checking both composites and the restriction to the two kernels.
+limit_u builds the extension of every member once, the lifted
+transitions uce(f_ij) once, both colimits, colim L_i and colim uce(L_i),
+and the canonical projection v between them.  theorem_verify takes all
+of these from one limit_u call, reads the extension of the colimit off
+the top member, and builds, for a system of perfect algebras, the
+comparison phi between the colimit of the central extensions and the
+central extension of the colimit; it certifies that phi is an
+isomorphism by exhibiting the inverse and checking both composites and
+the restriction to the two kernels.
 """
 
 from __future__ import annotations
@@ -312,25 +313,25 @@ class TheoremReport:
 def theorem_verify(system: DirectedSystem) -> TheoremReport:
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
-    The colimits, member extensions and canonical projection v come from
-    one limit_u call, whose report is kept as the projection field.  The
-    colimit is the top member L_t, so its extension is the member
-    extension of L_t in that report: one extension is built per member
-    and no other.
-    phi is the mediating map of the cone uce(phi_i); psi routes a
-    bracket through preimages under v.  Both composites and the
-    restriction of phi to the kernel parts are checked exactly.
+    The colimits, member extensions, lifted transitions and canonical
+    projection v come from one limit_u call, whose report is kept as the
+    projection field.  The colimit is the top member L_t, so its
+    extension, with the kernel of its u, is the member extension of L_t
+    in that report: one extension is built per member and no other.
+    phi is the mediating map of the cone uce(phi_i).  Since phi_i is the
+    transition f_it, uce(phi_i) is the lifted transition uce(f_it) that
+    is the injection of colim uce(L_i), so the cone is those injections.
+    psi routes a bracket through preimages under v.  Both composites and
+    the restriction of phi to the kernel parts are checked exactly.
     """
     for i in system.poset.elements:
         if not is_perfect(system.algebras[i]):
             raise ValueError(f"member {i!r} is not perfect")
     proj = limit_u(system)
-    colim, uce_colim, exts, v = proj.colim, proj.colim_uce, proj.exts, proj.map
-    ext_top = exts[colim.top]
+    colim, uce_colim, v = proj.colim, proj.colim_uce, proj.map
+    ext_top = proj.exts[colim.top]
 
-    cones = {i: uce_of_morphism(colim.injections[i], source=exts[i], target=ext_top)
-             for i in system.poset.elements}
-    phi = factor_through(uce_colim, cones)
+    phi = factor_through(uce_colim, uce_colim.injections)
     phi_is_morphism = check_morphism(phi, uce_colim.algebra, ext_top.lie)
     phi_bijective = phi.is_bijective()
 
@@ -358,7 +359,7 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
     psi_after_phi = psi.compose(phi) == GradedLinearMap.identity(CK.basis)
     phi_after_psi = phi.compose(psi) == GradedLinearMap.identity(ext_top.lie.basis)
 
-    h2_top = kernel_basis(ext_top.u.matrix())
+    h2_top = ext_top.kernel
     ker_v = proj.kernel
     h2_span = Echelon()
     for w in h2_top:

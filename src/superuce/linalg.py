@@ -19,10 +19,7 @@ certificates of reduce(), and the rows of rref_rows(), whose pivot
 coefficient is 1.
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
-on them) partition the input rows into column-connected clusters
-(union-find on shared columns) and eliminate each cluster separately.
-Clusters share no columns, so the union of the per-cluster reduced forms
-is exactly the global RREF.
+on them) insert every input row into one Echelon, in the order given.
 """
 
 from __future__ import annotations
@@ -294,51 +291,16 @@ class Echelon:
         return out
 
 
-def _cluster_rows(rows: Sequence[Vector]) -> list:
-    """Row indices of the nonzero rows, partitioned into column-connected
-    clusters: lists of indices in input order, ordered by their root."""
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+def _echelon_of(rows: Sequence[Vector]) -> Echelon:
+    ech = Echelon()
     for row in rows:
-        it = iter(row)
-        first = next(it, None)
-        if first is None:
-            continue
-        if first not in parent:
-            parent[first] = first
-        a = find(first)
-        for c in it:
-            if c not in parent:
-                parent[c] = c
-            b = find(c)
-            if a != b:
-                parent[b] = a
-    groups: dict = {}
-    for idx, row in enumerate(rows):
-        if not row:
-            continue
-        root = find(next(iter(row)))
-        groups.setdefault(root, []).append(idx)
-    return [groups[root] for root in sorted(groups)]
+        ech.insert(row)
+    return ech
 
 
 def echelon_rows(rows: Sequence[Vector]) -> dict:
     """RREF of the span of rows, as {pivot column: row}."""
-    out: dict = {}
-    for group in _cluster_rows(rows):
-        ech = Echelon()
-        for idx in group:
-            ech.insert(rows[idx])
-        out.update(ech.rref_rows())
-    return out
+    return _echelon_of(rows).rref_rows()
 
 
 def rref(matrix: SparseMatrix):
@@ -354,13 +316,7 @@ def rref(matrix: SparseMatrix):
 
 
 def rank_of_rows(rows: Sequence[Vector]) -> int:
-    total = 0
-    for group in _cluster_rows(rows):
-        ech = Echelon()
-        for idx in group:
-            ech.insert(rows[idx])
-        total += ech.rank
-    return total
+    return _echelon_of(rows).rank
 
 
 def kernel_basis(matrix: SparseMatrix) -> list:
@@ -386,10 +342,7 @@ def kernel_basis(matrix: SparseMatrix) -> list:
 
 def span_membership(v: Vector, basis: Sequence[Vector]) -> bool:
     """Exact test: is v in the span of basis?"""
-    ech = Echelon()
-    for b in basis:
-        ech.insert(b)
-    return ech.contains(v)
+    return _echelon_of(basis).contains(v)
 
 
 def solve_in_span(vectors: Sequence[Vector], target: Vector):

@@ -615,7 +615,7 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     sl = fam.algebra
     tau = tau_cocycle(fam)
     ext = build_uce(sl)
-    central = extension_from_cocycle(sl, tau)
+    central = extension_from_cocycle(tau)
     K = central.total
     dsl = sl.dim
 
@@ -631,10 +631,9 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     is_morphism = check_morphism(hmap, ext.lie, K)
     commutes = central.projection.compose(hmap) == ext.u
     bijective = hmap.is_bijective()
-    dim_h2 = ext.dim - ext.u.rank()
     return HIsoReport(
         m=m, n=n, dim_sl=dsl, dim_uce=ext.dim, dim_extension=K.dim,
-        dim_h2=dim_h2, dim_hc1=len(tau.target),
+        dim_h2=len(ext.kernel), dim_hc1=len(tau.target),
         is_morphism=is_morphism, commutes_with_projections=commutes,
         bijective=bijective,
     )

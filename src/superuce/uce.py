@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     CertificateError,
@@ -94,22 +93,36 @@ class UceAlgebra:
     """The universal central extension data of a Lie superalgebra.
 
     Fields: base (L), lie (the extension algebra), presentation (of
-    L (x) L by the relation space), u (extension -> L).  The quotient
-    basis element at free tensor coordinate (a, b) is labelled
-    <label_a,label_b> and has parity |a| + |b|.
+    L (x) L by the relation space), u (extension -> L), and kernel, the
+    canonical basis of the kernel of u (a tuple of extension vectors,
+    computed once by build_uce).  The quotient basis element at free
+    tensor coordinate (a, b) is labelled <label_a,label_b> and has
+    parity |a| + |b|.
     """
 
-    __slots__ = ("base", "lie", "presentation", "u")
+    __slots__ = ("base", "lie", "presentation", "u", "kernel")
 
-    def __init__(self, base, lie, presentation, u):
+    def __init__(self, base, lie, presentation, u, kernel):
         self.base = base
         self.lie = lie
         self.presentation = presentation
         self.u = u
+        self.kernel = kernel
 
     @property
     def dim(self) -> int:
         return self.lie.dim
+
+    @property
+    def perfect(self) -> bool:
+        """Is L perfect?
+
+        u maps <a,b> to [a,b], so its image is [L, L]: L is perfect
+        exactly when u has rank dim L, that is, when
+        dim - len(kernel) == dim L.  The kernel of u is then H2(L), and
+        u is bijective exactly when the kernel is 0.
+        """
+        return self.dim - len(self.kernel) == self.base.dim
 
     def class_of(self, x: Vector, y: Vector) -> Vector:
         """Class <x, y> of a tensor x (x) y in extension coordinates."""
@@ -249,28 +262,28 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
-    for z in kernel_basis(u.matrix()):
+    kernel = tuple(kernel_basis(u.matrix()))
+    for z in kernel:
         for j in range(n):
             if lie.bracket(z, {j: ONE}):
                 raise CertificateError(
                     f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
                 )
-    return UceAlgebra(L, lie, pres, u)
+    return UceAlgebra(L, lie, pres, u, kernel)
 
 
 def h2(L) -> Subspace:
     """Kernel of the canonical map, as a subspace of the extension.
 
     Accepts a prebuilt UceAlgebra or a LieSuperalgebra, whose extension
-    is built.  Warns when L is not perfect (the kernel is still central,
-    but it is not the second homology in that case).  u maps onto
-    [L, L], so L is perfect exactly when the rank of u is dim L.
+    is built.  The kernel is the one build_uce computed.  Warns when L
+    is not perfect (see UceAlgebra.perfect): the kernel is still
+    central, but it is not the second homology in that case.
     """
     ext = L if isinstance(L, UceAlgebra) else build_uce(L)
-    vectors = kernel_basis(ext.u.matrix())
-    if ext.dim - len(vectors) != ext.base.dim:
+    if not ext.perfect:
         warnings.warn("algebra is not perfect; kernel of u is not H2", stacklevel=2)
-    return Subspace(ext.lie, vectors)
+    return Subspace(ext.lie, ext.kernel)
 
 
 def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
@@ -303,14 +316,10 @@ def _free_coords(ext: UceAlgebra):
 
 
 def is_centrally_closed(ext: UceAlgebra) -> bool:
-    """For the extension of a perfect L: is the canonical map an isomorphism?
-
-    u maps onto [L, L], so L is perfect exactly when the rank of u is
-    dim L; u is then bijective exactly when it has no kernel.
-    """
-    if ext.u.rank() != ext.base.dim:
+    """For the extension of a perfect L: is the canonical map an isomorphism?"""
+    if not ext.perfect:
         raise ValueError("central closure is defined here for perfect algebras only")
-    return ext.dim == ext.base.dim
+    return not ext.kernel
 
 
 class Cocycle2:
@@ -351,15 +360,15 @@ class Cocycle2:
         return f"Cocycle2({self.source!r} -> dim {len(self.target)})"
 
 
-def validate_cocycle(tau: Cocycle2, L: Optional[LieSuperalgebra] = None) -> ValidationReport:
-    """Degree zero, super-alternating, and the cyclic cocycle identity.
+def validate_cocycle(tau: Cocycle2) -> ValidationReport:
+    """Degree zero, super-alternating, and the cyclic cocycle identity on
+    tau's source L.
 
     The cyclic identity reads the structure constants scaled by the LCM
     D of their denominators, as in validate_lie: each sum is D times the
     rational one.
     """
-    if L is None:
-        L = tau.source
+    L = tau.source
     report = ValidationReport()
     d = L.dim
     par = L.basis.parities
@@ -413,14 +422,16 @@ class CentralExtension:
         return f"CentralExtension(total dim={self.total.dim})"
 
 
-def extension_from_cocycle(L: LieSuperalgebra, tau: Cocycle2) -> CentralExtension:
-    """L (+) C with bracket [l1 (+) c1, l2 (+) c2] = [l1,l2] (+) tau(l1,l2).
+def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
+    """L (+) C with bracket [l1 (+) c1, l2 (+) c2] = [l1,l2] (+) tau(l1,l2),
+    where L is tau's source and C its target.
 
-    tau is validated against L; the total algebra is then a Lie
-    superalgebra by construction and is built without re-validation.
+    tau is validated; the total algebra is then a Lie superalgebra by
+    construction and is built without re-validation.
     """
-    if not validate_cocycle(tau, L).ok:
-        raise ValueError("cocycle does not validate against the given algebra")
+    if not validate_cocycle(tau).ok:
+        raise ValueError("cocycle does not validate against its source algebra")
+    L = tau.source
     d = L.dim
     c = len(tau.target)
     labels = list(L.basis.labels)

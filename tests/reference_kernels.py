@@ -5,11 +5,11 @@ incremental elimination that the integer kernels in superuce replaced,
 kept as they were so that tests can require equal results: the same
 violations in the same order, the same relation span, and the same
 pivots, residues, certificates and reduced rows.  Beside them are the
-single-pass elimination that the clustered row-space routines must
-match, the presentation of the tensor square by one elimination of
-the whole relation space, which the weight-block build_uce must match,
-and the Fraction dual-cohomology oracle over every cochain, which the
-integer weight-0 oracle must match.
+row space and rank by this Fraction Echelon, which the integer
+row-space routines must match, the presentation of the tensor square
+by one elimination of the whole relation space, which the weight-block
+build_uce must match, and the Fraction dual-cohomology oracle over
+every cochain, which the integer weight-0 oracle must match.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from superuce.algebra import (
     _tensor_relations,
     vector_parity,
 )
-from superuce import linalg
 from superuce.linalg import Vector, quotient_space, rank_of_rows, vec_add_scaled
 
 ZERO = Fraction(0)
@@ -303,16 +302,16 @@ class Echelon:
         return done
 
 
-def echelon_rows_unclustered(rows) -> dict:
-    """RREF of the span of rows by one elimination over all of them."""
-    ech = linalg.Echelon()
+def fraction_echelon_rows(rows) -> dict:
+    """RREF of the span of rows by the Fraction Echelon above."""
+    ech = Echelon()
     for row in rows:
         ech.insert(row)
     return ech.rref_rows()
 
 
-def rank_of_rows_unclustered(rows) -> int:
-    ech = linalg.Echelon()
+def fraction_rank_of_rows(rows) -> int:
+    ech = Echelon()
     for row in rows:
         ech.insert(row)
     return ech.rank

@@ -12,8 +12,6 @@ import random
 import time
 import warnings
 
-import pytest
-
 from superuce import (
     GradedLinearMap,
     build_family,

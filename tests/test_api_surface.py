@@ -21,7 +21,6 @@ ALLOWED = {
     "Echelon.insert:tag",
     "ValidationReport.__init__:violations",
     "steinberg_check:seed",
-    "validate_cocycle:L",
 }
 
 
@@ -67,6 +66,8 @@ def test_each_check_takes_the_object_it_works_on():
     assert names["h_iso_check"] == ["fam"]
     assert names["steinberg_check"] == ["fam", "seed"]
     assert names["hc1"] == ["A"]
+    assert names["validate_cocycle"] == ["tau"]
+    assert names["extension_from_cocycle"] == ["tau"]
     for qual in ("uce_system", "limit_u", "theorem_verify"):
         assert names[qual] == ["system"], qual
     for qual, params in names.items():

@@ -313,15 +313,18 @@ def test_limit_check_builds_each_colimit_once(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    names = ("colimit", "uce_system", "validate_system", "factor_through", "centre")
+    names = ("colimit", "uce_system", "validate_system", "factor_through", "centre",
+             "build_uce", "uce_of_morphism")
     for name in names:
         monkeypatch.setattr(superuce.limits, name, counted(superuce.limits, name))
-    monkeypatch.setattr(superuce.limits, "build_uce", counted(superuce.limits, "build_uce"))
+    k = 3
     _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
     assert code == 0
-    # one extension per member; the colimit is the top member, so none more
+    # one extension per member; the colimit is the top member, so none more;
+    # one lift per strictly related pair, which theorem_verify reuses
     assert counts == {"colimit": 2, "uce_system": 1, "validate_system": 2,
-                      "factor_through": 2, "centre": 1, "build_uce": 3}
+                      "factor_through": 2, "centre": 1, "build_uce": k,
+                      "uce_of_morphism": k * (k - 1) // 2}
 
 
 def _count_where_bound(monkeypatch, names):
@@ -432,6 +435,16 @@ def test_text_format(capsys):
     assert lines[0] == "command: h2"
     assert "dim_h2: 0" in lines
     assert lines[-1].startswith("elapsed:")
+
+
+@pytest.mark.parametrize("flag", [["--form", "text"], ["--format=text"]])
+def test_text_format_read_from_the_parsed_arguments(capsys, flag):
+    # argparse accepts a unique prefix of --format, and its value is the one emitted
+    code = main(["perfect", "--family", "sl", "--m", "2", *flag])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "command: perfect"
+    assert "perfect: True" in lines
 
 
 def test_console_script():

@@ -9,10 +9,8 @@ import pytest
 from superuce import (
     DirectedPoset,
     DirectedSystem,
-    GradedBasis,
     GradedLinearMap,
     InvalidSystemError,
-    LieSuperalgebra,
     build_family,
     chain_system,
     check_morphism,
@@ -28,7 +26,7 @@ from superuce import (
 )
 
 from reference_colimit import check_against_reference
-from systems_util import abelian, block_map, heisenberg, member, sl2
+from systems_util import abelian, block_map, heisenberg, sl2
 
 ONE = Fraction(1)
 

@@ -95,9 +95,9 @@ def test_kernel_matches_sympy(mat):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_rows=8, max_cols=8))
-def test_cluster_elimination_identical(mat):
-    assert echelon_rows(mat.rows) == ref.echelon_rows_unclustered(mat.rows)
-    assert rank_of_rows(mat.rows) == ref.rank_of_rows_unclustered(mat.rows)
+def test_row_space_matches_fraction_reference(mat):
+    assert echelon_rows(mat.rows) == ref.fraction_echelon_rows(mat.rows)
+    assert rank_of_rows(mat.rows) == ref.fraction_rank_of_rows(mat.rows)
 
 
 def test_rref_deterministic_under_shuffle():

@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from superuce import (
-    GradedLinearMap,
     bracket_Eij,
     build_family,
-    build_uce,
     check_morphism,
     coefficient_algebra,
     corner_embedding,

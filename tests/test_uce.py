@@ -19,8 +19,10 @@ from superuce import (
     extension_from_cocycle,
     h2,
     h2_cohomology_oracle,
+    h_iso_check,
     is_centrally_closed,
     is_perfect,
+    kernel_basis,
     uce_of_morphism,
     validate_cocycle,
 )
@@ -161,6 +163,49 @@ def test_perfectness_is_read_off_the_rank_of_u(monkeypatch):
             assert is_centrally_closed(ext)
 
 
+def _refuse_elimination(monkeypatch, maps):
+    """GradedLinearMap.rank and .matrix raise on each map in maps."""
+    for name in ("rank", "matrix"):
+        inner = getattr(GradedLinearMap, name)
+
+        def guarded(self, _inner=inner, _name=name):
+            if any(self is f for f in maps):
+                raise AssertionError(f"u.{_name}() called after build_uce")
+            return _inner(self)
+        monkeypatch.setattr(GradedLinearMap, name, guarded)
+
+
+def test_h2_and_central_closure_read_the_kernel_build_uce_found(monkeypatch):
+    exts = {"sl(3)": build_uce(build_family("sl", 3, 0, coefficient_algebra("Q")).algebra),
+            "heisenberg": build_uce(heisenberg())}
+    want = {name: kernel_basis(ext.u.matrix()) for name, ext in exts.items()}
+    _refuse_elimination(monkeypatch, [ext.u for ext in exts.values()])
+    closed = exts["sl(3)"]
+    assert list(h2(closed).vectors) == want["sl(3)"] == []
+    assert is_centrally_closed(closed)
+    open_ = exts["heisenberg"]
+    with pytest.warns(UserWarning, match="not perfect"):
+        assert list(h2(open_).vectors) == want["heisenberg"]
+    with pytest.raises(ValueError, match="perfect"):
+        is_centrally_closed(open_)
+
+
+def test_h_iso_check_reads_the_kernel_build_uce_found(monkeypatch):
+    built = []
+    inner = superuce.matrices.build_uce
+
+    def marking(L):
+        ext = inner(L)
+        built.append(ext.u)
+        return ext
+    monkeypatch.setattr(superuce.matrices, "build_uce", marking)
+    _refuse_elimination(monkeypatch, built)
+    rep = h_iso_check(build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)")))
+    assert len(built) == 1
+    assert rep.ok
+    assert rep.dim_h2 == rep.dim_hc1
+
+
 def test_oracle_agrees_with_kernel_dimension():
     Qt2 = coefficient_algebra("Q[t]/(t^2)")
     cases = [
@@ -192,7 +237,7 @@ def test_extension_from_cocycle_builds_heisenberg():
     values = [[{}, {0: ONE}], [{0: -ONE}, {}]]
     tau = Cocycle2(L, target, values)
     assert validate_cocycle(tau).ok
-    central = extension_from_cocycle(L, tau)
+    central = extension_from_cocycle(tau)
     K = central.total
     assert K.dim == 3
     assert central.kernel.dim == 1
