@@ -13,10 +13,11 @@ The package constructs, from rational structure constants:
 * finite directed systems, their colimits, and exact verification that
   universal central extensions commute with direct limits.
 
-All arithmetic is exact (fractions.Fraction, and Python ints inside the
-elimination and validation kernels); every result is
-deterministic bit for bit.  The `superuce` console script exposes the
-same computations as subcommands emitting JSON or text reports.
+All arithmetic is exact: a rational is an int when integral and a
+fractions.Fraction otherwise, and the elimination and validation kernels
+run on ints; every result is deterministic bit for bit.  The `superuce`
+console script exposes the same computations as subcommands emitting
+JSON or text reports.
 """
 
 from .linalg import (
@@ -25,9 +26,6 @@ from .linalg import (
     SparseMatrix,
     kernel_basis,
     quotient_space,
-    rref,
-    solve_in_span,
-    span_membership,
 )
 from .algebra import (
     AssocSuperalgebra,
@@ -135,9 +133,6 @@ __all__ = [
     "limit_u",
     "quotient_by_central",
     "quotient_space",
-    "rref",
-    "solve_in_span",
-    "span_membership",
     "steinberg_check",
     "subalgebra_from_vectors",
     "supertrace",

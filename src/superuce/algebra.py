@@ -25,7 +25,6 @@ Everything is immutable after construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -33,15 +32,13 @@ from .linalg import (
     SparseMatrix,
     Vector,
     _denominator_lcm,
+    _ratio,
     echelon_rows,
     kernel_basis,
     quotient_space,
     rank_of_rows,
     vec_add_scaled,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 EVEN = 0
 ODD = 1
@@ -128,12 +125,14 @@ class GradedBasis:
 
 
 def _clean_table(dim: int, table) -> tuple:
+    """The table as tuples of cells, zeros dropped and every entry an int
+    when integral, a Fraction otherwise."""
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
             cell = table[i][j]
-            cell = {k: x for k, x in cell.items() if x}
+            cell = {k: _ratio(x.numerator, x.denominator) for k, x in cell.items() if x}
             for k in cell:
                 if not 0 <= k < dim:
                     raise ValueError(f"structure constant index {k} out of range")
@@ -196,7 +195,7 @@ class AssocSuperalgebra:
     def __init__(self, basis: GradedBasis, table, unit: Vector, validate: bool = True):
         self.basis = basis
         self.table = _clean_table(len(basis), table)
-        self.unit = {k: Fraction(x) for k, x in unit.items() if x}
+        self.unit = {k: _ratio(x.numerator, x.denominator) for k, x in unit.items() if x}
         if validate:
             report = validate_assoc(self)
             if not report.ok:
@@ -223,7 +222,7 @@ class AssocSuperalgebra:
         t = self.table
         for i in range(self.dim):
             for j in range(i, self.dim):
-                sign = -ONE if par[i] and par[j] else ONE
+                sign = -1 if par[i] and par[j] else 1
                 if t[i][j] != {k: sign * x for k, x in t[j][i].items()}:
                     return False
         return True
@@ -369,7 +368,7 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     _check_grading(report, basis, table)
     for i in range(d):
         for j in range(i, d):
-            sign = -ONE if par[i] and par[j] else ONE
+            sign = -1 if par[i] and par[j] else 1
             expected = {k: -sign * x for k, x in table[i][j].items()}
             if table[j][i] != expected:
                 report.add("skew", (labels[i], labels[j]), "[y,x] != -(-1)^{|x||y|}[x,y]")
@@ -411,11 +410,11 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     if upar == ODD:
         report.add("unit", ("1",), "unit must be even")
     for i in range(d):
-        left = A.product(A.unit, {i: ONE})
-        right = A.product({i: ONE}, A.unit)
-        if left != {i: ONE}:
+        left = A.product(A.unit, {i: 1})
+        right = A.product({i: 1}, A.unit)
+        if left != {i: 1}:
             report.add("unit", (labels[i],), "1 * x != x")
-        if right != {i: ONE}:
+        if right != {i: 1}:
             report.add("unit", (labels[i],), "x * 1 != x")
     itable, _ = _integral_table(table)
     for i in range(d):
@@ -449,7 +448,7 @@ def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
         row = []
         for j in range(d):
             cell = dict(t[i][j])
-            sign = -ONE if par[i] and par[j] else ONE
+            sign = -1 if par[i] and par[j] else 1
             vec_add_scaled(cell, t[j][i], -sign)
             row.append(cell)
         table.append(row)
@@ -477,7 +476,7 @@ class GradedLinearMap:
 
     @classmethod
     def identity(cls, basis: GradedBasis) -> "GradedLinearMap":
-        return cls(basis, basis, [{i: ONE} for i in range(len(basis))])
+        return cls(basis, basis, [{i: 1} for i in range(len(basis))])
 
     @classmethod
     def zero(cls, domain: GradedBasis, codomain: GradedBasis) -> "GradedLinearMap":
@@ -630,7 +629,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
         raise ValueError("subspace does not live in the given algebra")
     for z in Z.vectors:
         for j in range(L.dim):
-            w = L.bracket(z, {j: ONE})
+            w = L.bracket(z, {j: 1})
             if w:
                 raise NotCentralError(
                     f"subspace vector is not central: [z, {L.basis.labels[j]}] != 0"
@@ -647,7 +646,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
             row.append(pres.project(L.table[a][b]))
         table.append(row)
     quotient = LieSuperalgebra(basis, table, validate=False)
-    proj_cols = [pres.project({j: ONE}) for j in range(L.dim)]
+    proj_cols = [pres.project({j: 1}) for j in range(L.dim)]
     projection = GradedLinearMap(L.basis, basis, proj_cols)
     return quotient, projection
 

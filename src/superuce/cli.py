@@ -50,7 +50,6 @@ import json
 import sys
 import time
 import warnings
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
@@ -67,6 +66,7 @@ from .algebra import (
 )
 from .cyclic import hc1
 from .limits import DirectedPoset, DirectedSystem, theorem_verify
+from .linalg import _ratio
 from .matrices import (
     build_family,
     coefficient_algebra,
@@ -86,7 +86,7 @@ class InputError(Exception):
 
 # ------------------------------------------------------------------ rationals
 
-def rational_to_json(x: Fraction) -> dict:
+def rational_to_json(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
@@ -94,14 +94,15 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    """{"num": ..., "den": ...}, each a decimal string or a JSON integer."""
+def rational_from_json(obj: dict):
+    """{"num": ..., "den": ...}, each a decimal string or a JSON integer;
+    an int when den divides num, a Fraction otherwise."""
     try:
         num, den = obj["num"], obj["den"]
         for x in (num, den):
             if not (isinstance(x, str) or _is_json_int(x)):
                 raise ValueError("num and den must be decimal strings or integers")
-        return Fraction(int(num), int(den))
+        return _ratio(int(num), int(den))
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {obj!r}: {exc}") from None
 
@@ -156,7 +157,7 @@ def parse_algebra(data: dict, validate: bool = True):
                 raise InputError(f"bad product term {term!r}") from None
             x = rational_from_json(term)
             if x:
-                cell[k] = cell.get(k, Fraction(0)) + x
+                cell[k] = cell.get(k, 0) + x
         table[i][j] = {k: x for k, x in cell.items() if x}
 
     basis = GradedBasis(labels, parities)

@@ -21,7 +21,6 @@ the restriction to the two kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .algebra import (
@@ -31,12 +30,9 @@ from .algebra import (
     ValidationReport,
     centre,
     check_morphism,
-    is_perfect,
 )
-from .linalg import Echelon, Vector, kernel_basis
+from .linalg import Echelon, Vector
 from .uce import UceAlgebra, build_uce, uce_of_morphism
-
-ONE = Fraction(1)
 
 
 class InvalidSystemError(ValueError):
@@ -261,7 +257,7 @@ class LimitUReport:
     colim_uce: Colimit
     colim: Colimit
     exts: Dict[Hashable, UceAlgebra]
-    kernel: List[Vector]
+    kernel: Tuple[Vector, ...]
     kernel_central: bool
     surjective: bool
 
@@ -274,19 +270,23 @@ def limit_u(system: DirectedSystem) -> LimitUReport:
     """Canonical map from the colimit of extensions onto the colimit.
 
     Builds both colimits and the member extensions once and keeps them
-    in the report, with a basis of the kernel.  The kernel is checked to
-    be central; the map is surjective when every member is perfect.
+    in the report, with a basis of the kernel.  factor_through certifies
+    that the map equals u_t column for column, so its kernel and
+    surjectivity are those of the top member's extension.  The kernel is
+    checked to be central; the map is surjective exactly when L_t is
+    perfect.
     """
     colim = colimit(system)
     usys, exts = uce_system(system)
     uce_colim = colimit(usys)
     cones = {i: colim.injections[i].compose(exts[i].u) for i in system.poset.elements}
     v = factor_through(uce_colim, cones)
-    ker = kernel_basis(v.matrix())
+    ext_top = exts[colim.top]
     zc = centre(uce_colim.algebra)
-    central = all(zc.contains(k) for k in ker)
-    return LimitUReport(map=v, colim_uce=uce_colim, colim=colim, exts=exts, kernel=ker,
-                        kernel_central=central, surjective=v.is_surjective())
+    central = all(zc.contains(k) for k in ext_top.kernel)
+    return LimitUReport(map=v, colim_uce=uce_colim, colim=colim, exts=exts,
+                        kernel=ext_top.kernel, kernel_central=central,
+                        surjective=ext_top.perfect)
 
 
 @dataclass
@@ -323,11 +323,13 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
     is the injection of colim uce(L_i), so the cone is those injections.
     psi routes a bracket through preimages under v.  Both composites and
     the restriction of phi to the kernel parts are checked exactly.
+    Raises ValueError, naming the first member in element order that is
+    not perfect (see UceAlgebra.perfect), before phi is built.
     """
-    for i in system.poset.elements:
-        if not is_perfect(system.algebras[i]):
-            raise ValueError(f"member {i!r} is not perfect")
     proj = limit_u(system)
+    for i in system.poset.elements:
+        if not proj.exts[i].perfect:
+            raise ValueError(f"member {i!r} is not perfect")
     colim, uce_colim, v = proj.colim, proj.colim_uce, proj.map
     ext_top = proj.exts[colim.top]
 
@@ -340,7 +342,7 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
         section.insert(col, tag=idx)
 
     def preimage(a: int) -> Vector:
-        residue, cert = section.reduce({a: ONE})
+        residue, cert = section.reduce({a: 1})
         if residue:
             raise CertificateError(
                 "canonical projection of the colimit of extensions is not onto: "

@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * A vector is a dict {coordinate index: entry} with no stored zeros.
-  Entries are Fraction or int; every function here accepts both.
+  Entries are rationals: int when integral, Fraction otherwise; every
+  function here accepts both.
 * A matrix acts on column vectors: (M v)[r] = sum_c M[r][c] * v[c].
 * Echelon forms are fully reduced (RREF).  The RREF of a row space is
   unique, so every function here is deterministic bit for bit.  The
@@ -13,10 +14,12 @@ Conventions used throughout the package:
 Elimination runs on Python ints.  Echelon clears an incoming vector's
 denominators by their LCM, keeps its rows as primitive integer vectors
 and eliminates by gcd-reduced cross-multiplication (integer-preserving
-elimination in the sense of Bareiss, Math. Comp. 22, 1968).  Fractions
-are formed only where a result leaves the kernel: residues and
-certificates of reduce(), and the rows of rref_rows(), whose pivot
-coefficient is 1.
+elimination in the sense of Bareiss, Math. Comp. 22, 1968).  A quotient
+is formed only where a result leaves the kernel: residues and
+certificates of reduce() and insert(), and the rows of rref_rows(),
+whose pivot coefficient is 1.  Each goes through _ratio, which returns
+an int when the division is exact and a Fraction otherwise; this module
+is the only one that imports fractions.
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.
@@ -29,18 +32,25 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-Vector = dict  # {int: Fraction or int}
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Vector = dict  # {int: rational}; rationals are int when integral, Fraction otherwise
 
 
-def vec_add_scaled(u: Vector, v: Vector, c: Fraction) -> None:
+def _ratio(num, den: int):
+    """The exact quotient of an int or Fraction num by an int den: an int
+    when den divides num, a Fraction otherwise.  den == 0 raises
+    ZeroDivisionError, as Fraction does."""
+    if type(num) is int and den and not num % den:
+        return num // den
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def vec_add_scaled(u: Vector, v: Vector, c) -> None:
     """u += c*v in place."""
     if not c:
         return
     for i, x in v.items():
-        y = u.get(i, ZERO) + c * x
+        y = u.get(i, 0) + c * x
         if y:
             u[i] = y
         else:
@@ -88,7 +98,7 @@ class SparseMatrix:
         """Matrix times column vector."""
         out: Vector = {}
         for r, row in enumerate(self.rows):
-            s = ZERO
+            s = 0
             if len(row) <= len(v):
                 for c, x in row.items():
                     y = v.get(c)
@@ -180,7 +190,7 @@ class Echelon:
 
     def __init__(self, track: bool = False):
         self.rows: dict = {}  # pivot column -> primitive int row
-        self.certs: dict = {}  # pivot column -> {tag: Fraction}
+        self.certs: dict = {}  # pivot column -> {tag: rational}
         self.track = track
         self._ntags = 0
 
@@ -218,7 +228,7 @@ class Echelon:
                 if b != 1:
                     cert = {t: b * x for t, x in cert.items()}
                 for t, x in self.certs[c].items():
-                    y = cert.get(t, ZERO) + a * x
+                    y = cert.get(t, 0) + a * x
                     if y:
                         cert[t] = y
                     else:
@@ -229,14 +239,14 @@ class Echelon:
     def reduce(self, vec: Vector):
         """Forward-reduce vec against the stored rows.
 
-        Returns (residue, certificate).  The residue is a Fraction vector
-        with no pivot columns, and residue == vec - sum(cert[t] * original_t)
+        Returns (residue, certificate).  The residue is a vector with no
+        pivot columns, and residue == vec - sum(cert[t] * original_t)
         holds exactly when tracking is on (certificate is None otherwise).
         """
         v, scale, cert = self._forward(vec)
-        residue = {c: Fraction(x, scale) for c, x in v.items()}
-        if cert is not None and scale != 1:
-            cert = {t: x / scale for t, x in cert.items()}
+        if cert is not None:
+            cert = {t: _ratio(x, scale) for t, x in cert.items()}
+        residue = v if scale == 1 else {c: _ratio(x, scale) for c, x in v.items()}
         return residue, cert
 
     def insert(self, vec: Vector, tag=None):
@@ -257,8 +267,8 @@ class Echelon:
         self.rows[p] = v
         if self.track:
             # the stored row is (scale*vec - sum(cert[t] * original_t)) / g
-            rc = {t: -x / g for t, x in cert.items()}
-            y = rc.get(tag, ZERO) + Fraction(scale, g)
+            rc = {t: _ratio(-x, g) for t, x in cert.items()}
+            y = rc.get(tag, 0) + _ratio(scale, g)
             if y:
                 rc[tag] = y
             else:
@@ -270,7 +280,7 @@ class Echelon:
         return not self._forward(vec)[0]
 
     def rref_rows(self) -> dict:
-        """Fully reduced rows as {pivot: row} with Fraction entries.
+        """Fully reduced rows as {pivot: row}, pivot coefficient 1.
 
         One back-substitution pass from the last pivot to the first runs
         on the integer rows; each finished row is kept primitive, and
@@ -287,7 +297,7 @@ class Echelon:
                 r = {c: x // g for c, x in r.items()}
             done[p] = r
             pv = r[p]
-            out[p] = {c: Fraction(x, pv) for c, x in r.items()}
+            out[p] = {c: _ratio(x, pv) for c, x in r.items()}
         return out
 
 
@@ -301,18 +311,6 @@ def _echelon_of(rows: Sequence[Vector]) -> Echelon:
 def echelon_rows(rows: Sequence[Vector]) -> dict:
     """RREF of the span of rows, as {pivot column: row}."""
     return _echelon_of(rows).rref_rows()
-
-
-def rref(matrix: SparseMatrix):
-    """Reduced row echelon form.
-
-    Returns (echelon matrix, pivot columns, rank); echelon rows are
-    sorted by pivot column and the zero rows are dropped.
-    """
-    ech = echelon_rows(matrix.rows)
-    pivots = tuple(sorted(ech))
-    rows = [ech[p] for p in pivots]
-    return SparseMatrix(rows, matrix.ncols), pivots, len(pivots)
 
 
 def rank_of_rows(rows: Sequence[Vector]) -> int:
@@ -331,33 +329,13 @@ def kernel_basis(matrix: SparseMatrix) -> list:
     for j in range(matrix.ncols):
         if j in pivset:
             continue
-        v = {j: ONE}
+        v = {j: 1}
         for p, row in ech.items():
             x = row.get(j)
             if x:
                 v[p] = -x
         out.append(v)
     return out
-
-
-def span_membership(v: Vector, basis: Sequence[Vector]) -> bool:
-    """Exact test: is v in the span of basis?"""
-    return _echelon_of(basis).contains(v)
-
-
-def solve_in_span(vectors: Sequence[Vector], target: Vector):
-    """Coefficients expressing target over vectors, or None.
-
-    Returns {index: Fraction} with target == sum coeff[i] * vectors[i];
-    the certificate of the deterministic forward elimination.
-    """
-    ech = Echelon(track=True)
-    for i, b in enumerate(vectors):
-        ech.insert(b, tag=i)
-    residue, cert = ech.reduce(target)
-    if residue:
-        return None
-    return cert
 
 
 class QuotientPresentation:
@@ -394,7 +372,7 @@ class QuotientPresentation:
         for c, x in v.items():
             q = qi.get(c)
             if q is not None:
-                y = out.get(q, ZERO) + x
+                y = out.get(q, 0) + x
                 if y:
                     out[q] = y
                 else:
@@ -410,7 +388,7 @@ class QuotientPresentation:
                     if c2 == c:
                         continue
                     q = qi[c2]  # rref rows touch no other pivot column
-                    y = out.get(q, ZERO) - x * v2
+                    y = out.get(q, 0) - x * v2
                     if y:
                         out[q] = y
                     else:

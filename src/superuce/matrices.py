@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .algebra import (
@@ -77,9 +76,6 @@ from .linalg import (
 )
 from .uce import Cocycle2, build_uce, extension_from_cocycle
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------- coefficients
 
@@ -87,7 +83,7 @@ _COEFF_CACHE: dict = {}
 
 
 def rational_algebra() -> AssocSuperalgebra:
-    return AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: ONE}]], {0: ONE})
+    return AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: 1})
 
 
 def truncated_polynomials(N: int) -> AssocSuperalgebra:
@@ -95,15 +91,15 @@ def truncated_polynomials(N: int) -> AssocSuperalgebra:
     if N < 2:
         raise ValueError("need N >= 2")
     labels = ["1", "t"] + [f"t^{k}" for k in range(2, N)]
-    table = [[({i + j: ONE} if i + j < N else {}) for j in range(N)] for i in range(N)]
-    return AssocSuperalgebra(GradedBasis(labels, [0] * N), table, {0: ONE})
+    table = [[({i + j: 1} if i + j < N else {}) for j in range(N)] for i in range(N)]
+    return AssocSuperalgebra(GradedBasis(labels, [0] * N), table, {0: 1})
 
 
 def plane_square_zero() -> AssocSuperalgebra:
     """Q[x,y]/(x,y)^2."""
     labels = ["1", "x", "y"]
-    table = [[{j: ONE} if i == 0 else ({i: ONE} if j == 0 else {}) for j in range(3)] for i in range(3)]
-    return AssocSuperalgebra(GradedBasis(labels, [0, 0, 0]), table, {0: ONE})
+    table = [[{j: 1} if i == 0 else ({i: 1} if j == 0 else {}) for j in range(3)] for i in range(3)]
+    return AssocSuperalgebra(GradedBasis(labels, [0, 0, 0]), table, {0: 1})
 
 
 def grassmann(r: int) -> AssocSuperalgebra:
@@ -125,14 +121,14 @@ def grassmann(r: int) -> AssocSuperalgebra:
                 row.append({})
             else:
                 seq = list(S) + list(T)
-                sign = ONE
+                sign = 1
                 for i in range(len(seq)):
                     for j in range(i + 1, len(seq)):
                         if seq[i] > seq[j]:
                             sign = -sign
                 row.append({index[tuple(sorted(seq))]: sign})
         table.append(row)
-    return AssocSuperalgebra(GradedBasis(labels, parities), table, {0: ONE})
+    return AssocSuperalgebra(GradedBasis(labels, parities), table, {0: 1})
 
 
 _COEFF_GRAMMAR = """\
@@ -206,7 +202,7 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgeb
                 left = coord(i, j, t)
                 for q in range(size):
                     pq = 0 if q < m else 1
-                    sign = -ONE if apar[t] and ((pj + pq) & 1) else ONE
+                    sign = -1 if apar[t] and ((pj + pq) & 1) else 1
                     for s in range(dA):
                         right = coord(j, q, s)
                         prod = A.table[t][s]
@@ -271,12 +267,12 @@ def supertrace(fam: MatrixFamily, v: Vector) -> Vector:
     size = fam.size
     out: Vector = {}
     for i in range(size):
-        sign = ONE if i < fam.m else -ONE
+        sign = 1 if i < fam.m else -1
         base = (i * size + i) * dA
         for t in range(dA):
             x = v.get(base + t)
             if x:
-                y = out.get(t, ZERO) + sign * x
+                y = out.get(t, 0) + sign * x
                 if y:
                     out[t] = y
                 else:
@@ -299,7 +295,7 @@ def _sl_vectors(fam_m: int, fam_n: int, A: AssocSuperalgebra):
         return (i * size + j) * dA + t
 
     def sigma(i):
-        return ONE if i < fam_m else -ONE
+        return 1 if i < fam_m else -1
 
     vectors = []
     labels = []
@@ -308,12 +304,12 @@ def _sl_vectors(fam_m: int, fam_n: int, A: AssocSuperalgebra):
             if i == j:
                 continue
             for t in range(dA):
-                vectors.append({coord(i, j, t): ONE})
+                vectors.append({coord(i, j, t): 1})
                 labels.append(f"E{i + 1},{j + 1}({alabels[t]})")
     for i in range(size - 1):
         ss = sigma(i) * sigma(i + 1)
         for t in range(dA):
-            vectors.append({coord(i, i, t): ONE, coord(i + 1, i + 1, t): -ss})
+            vectors.append({coord(i, i, t): 1, coord(i + 1, i + 1, t): -ss})
             labels.append(f"H{i + 1}({alabels[t]})")
     for idx, c in enumerate(_supercommutator_span(A)):
         s1 = sigma(0)
@@ -325,21 +321,21 @@ def _sl_vectors(fam_m: int, fam_n: int, A: AssocSuperalgebra):
 def _gram_osp(m: int, n: int):
     size = m + n
     h = n // 2
-    G = [[ZERO] * size for _ in range(size)]
+    G = [[0] * size for _ in range(size)]
     for i in range(m):
-        G[i][i] = ONE
+        G[i][i] = 1
     for r in range(h):
-        G[m + r][m + h + r] = ONE
-        G[m + h + r][m + r] = -ONE
+        G[m + r][m + h + r] = 1
+        G[m + h + r][m + r] = -1
     return G
 
 
 def _gram_p(m: int):
     size = 2 * m
-    G = [[ZERO] * size for _ in range(size)]
+    G = [[0] * size for _ in range(size)]
     for r in range(m):
-        G[r][m + r] = ONE
-        G[m + r][r] = -ONE
+        G[r][m + r] = 1
+        G[m + r][r] = -1
     return G
 
 
@@ -386,11 +382,11 @@ def _stabilizer_vectors(m: int, n: int, A: AssocSuperalgebra, G,
                     g = G[i][s]
                     if g:
                         e1 = ((apar[t] + apar[ta]) & 1) * pos_par(s) + apar[t] * pos_par(j)
-                        s1 = -ONE if e1 & 1 else ONE
+                        s1 = -1 if e1 & 1 else 1
                         for k, x in prod.items():
                             key = (j, s, ta, k)
                             row = rows.setdefault(key, {})
-                            y = row.get(cu, ZERO) + s1 * g * x
+                            y = row.get(cu, 0) + s1 * g * x
                             if y:
                                 row[cu] = y
                             else:
@@ -401,11 +397,11 @@ def _stabilizer_vectors(m: int, n: int, A: AssocSuperalgebra, G,
                         e = (P * ((pos_par(r) + apar[ta]) & 1)
                              + apar[ta] * ((pos_par(i) + apar[t]) & 1)
                              + apar[t] * pos_par(j))
-                        s2 = -ONE if e & 1 else ONE
+                        s2 = -1 if e & 1 else 1
                         for k, x in prod.items():
                             key = (r, j, ta, k)
                             row = rows.setdefault(key, {})
-                            y = row.get(cu, ZERO) + s2 * g * x
+                            y = row.get(cu, 0) + s2 * g * x
                             if y:
                                 row[cu] = y
                             else:
@@ -415,7 +411,7 @@ def _stabilizer_vectors(m: int, n: int, A: AssocSuperalgebra, G,
             tr: Vector = {}
             for c, (i, j, t) in enumerate(unknowns):
                 if i == j:
-                    tr[c] = ONE if pos_par(i) == 0 else -ONE
+                    tr[c] = 1 if pos_par(i) == 0 else -1
             if tr:
                 row_list.append(tr)
         mat = SparseMatrix(row_list, len(unknowns))
@@ -433,9 +429,9 @@ def _sq_vectors(m: int) -> list:
     rows = []
     for i in range(m):
         for j in range(m):
-            rows.append({coord(i, j): ONE, coord(m + i, m + j): -ONE})
-            rows.append({coord(i, m + j): ONE, coord(m + i, j): -ONE})
-    rows.append({coord(i, m + i): ONE for i in range(m)})
+            rows.append({coord(i, j): 1, coord(m + i, m + j): -1})
+            rows.append({coord(i, m + j): 1, coord(m + i, j): -1})
+    rows.append({coord(i, m + i): 1 for i in range(m)})
     mat = SparseMatrix(rows, size * size)
     return kernel_basis(mat)
 
@@ -499,13 +495,13 @@ def bracket_Eij(fam: MatrixFamily, i: int, j: int, a: Vector,
     pb = vector_parity(b, A.basis) or 0
     out: Vector = {}
     if j == p:
-        s1 = -ONE if pa and ((fam.index_parity(p) + fam.index_parity(q)) & 1) else ONE
+        s1 = -1 if pa and ((fam.index_parity(p) + fam.index_parity(q)) & 1) else 1
         vec_add_scaled(out, fam.E(i, q, A.product(a, b)), s1)
     if i == q:
         px = (fam.index_parity(i) + fam.index_parity(j) + pa) & 1
         py = (fam.index_parity(p) + fam.index_parity(q) + pb) & 1
-        sign = -ONE if px and py else ONE
-        s2 = -ONE if pb and ((fam.index_parity(i) + fam.index_parity(j)) & 1) else ONE
+        sign = -1 if px and py else 1
+        s2 = -1 if pb and ((fam.index_parity(i) + fam.index_parity(j)) & 1) else 1
         vec_add_scaled(out, fam.E(p, j, A.product(b, a)), -sign * s2)
     return out
 
@@ -551,7 +547,7 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
     def pclass(t: int, s: int) -> Vector:
         got = pair_class.get((t, s))
         if got is None:
-            got = pairs.pair({t: ONE}, {s: ONE})
+            got = pairs.pair({t: 1}, {s: 1})
             pair_class[(t, s)] = got
         return got
 
@@ -567,7 +563,7 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
                 bv = exj.get((j, i))
                 if not bv:
                     continue
-                sign = ONE if i < m else -ONE
+                sign = 1 if i < m else -1
                 odd_pos = ((0 if i < m else 1) + (0 if j < m else 1)) & 1
                 for t, x in av.items():
                     tsign = -sign if (apar[t] and odd_pos) else sign
@@ -702,7 +698,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
             if i == j:
                 continue
             for t in range(dA):
-                a = {t: ONE}
+                a = {t: 1}
                 k0 = middle(i, j)
                 base = ehat_via(i, j, a, k0)
                 ehat[(i, j, t)] = base
@@ -727,7 +723,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     offdiag = [(i, j) for i in range(size) for j in range(size) if i != j]
     for _ in range(10):
         i, j = offdiag[rng.randrange(len(offdiag))]
-        a = {t: Fraction(rng.randint(-3, 3)) for t in range(dA)}
+        a = {t: rng.randint(-3, 3) for t in range(dA)}
         a = {t: x for t, x in a.items() if x}
         if not a:
             continue
@@ -743,7 +739,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
                 continue  # not a presentation relation
             lhs = uce_lie.bracket(ehat[(i, j, t)], ehat[(p, q, s)])
             # the generator bracket, lifted coefficient-for-coefficient
-            expected = bracket_Eij(fam, i, j, {t: ONE}, p, q, {s: ONE})
+            expected = bracket_Eij(fam, i, j, {t: 1}, p, q, {s: 1})
             rhs: Vector = {}
             if j == p:
                 rhs = ehat_lin(i, q, fam.entry(expected, i, q))

@@ -58,7 +58,6 @@ enumerates its own weight-0 cyclic classes.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .algebra import (
     CertificateError,
@@ -84,9 +83,6 @@ from .linalg import (
     rank_of_rows,
     vec_add_scaled,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UceAlgebra:
@@ -161,7 +157,7 @@ def _torus(L: LieSuperalgebra) -> tuple:
     hs = []
     alphas = []
     for v in kernel_basis(SparseMatrix(list(off_diagonal.values()), len(even))):
-        alpha = [sum(x * table[even[n]][j].get(j, ZERO) for n, x in v.items()) for j in range(d)]
+        alpha = [sum(x * table[even[n]][j].get(j, 0) for n, x in v.items()) for j in range(d)]
         den = _denominator_lcm(alpha)
         hs.append({even[n]: x * den for n, x in v.items()})
         alphas.append([int(a * den) for a in alpha])
@@ -204,7 +200,7 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
                 if residue:
                     ech.insert(image, tag=c)
                     continue
-            row = {c: ONE}
+            row = {c: 1}
             for t, x in cert.items():
                 row[t] = -x
             relations[c] = row
@@ -238,7 +234,7 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     labels = L.basis.labels
     h, weights = _torus(L)
     for j, w in enumerate(weights):
-        if L.bracket(h, {j: ONE}) != ({j: w} if w else {}):
+        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
             raise CertificateError(
                 f"torus element is not diagonal with weight {w} at basis element {labels[j]}"
             )
@@ -265,7 +261,7 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     kernel = tuple(kernel_basis(u.matrix()))
     for z in kernel:
         for j in range(n):
-            if lie.bracket(z, {j: ONE}):
+            if lie.bracket(z, {j: 1}):
                 raise CertificateError(
                     f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
                 )
@@ -384,7 +380,7 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
                                f"value component has parity {tpar[k]}, expected {want}")
     for i in range(d):
         for j in range(i, d):
-            sign = -ONE if par[i] and par[j] else ONE
+            sign = -1 if par[i] and par[j] else 1
             if vals[j][i] != {k: -sign * x for k, x in vals[i][j].items()}:
                 report.add("alternating", (labels[i], labels[j]),
                            "tau(y,x) != -(-1)^{|x||y|} tau(x,y)")
@@ -458,9 +454,9 @@ def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
         table.append(row)
     total = LieSuperalgebra(basis, table, validate=False)
     projection = GradedLinearMap(
-        basis, L.basis, [{i: ONE} if i < d else {} for i in range(d + c)]
+        basis, L.basis, [{i: 1} if i < d else {} for i in range(d + c)]
     )
-    kernel = Subspace(total, [{d + k: ONE} for k in range(c)])
+    kernel = Subspace(total, [{d + k: 1} for k in range(c)])
     return CentralExtension(total, projection, kernel)
 
 

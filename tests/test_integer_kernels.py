@@ -5,7 +5,8 @@ and Echelon clear denominators and compute on ints;
 tests/reference_kernels.py keeps the Fraction versions they replaced.
 On tables and rows with non-integral entries, valid and invalid, both
 must give the same violations in the same order, the same relation span,
-and the same pivots, ranks, residues, certificates and reduced rows.
+and the same pivots, ranks, residues, certificates and reduced rows;
+Echelon's values are ints wherever they are integral.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from scalar_rule import scalar_faults
 from superuce import (
     AssocSuperalgebra,
     Echelon,
@@ -194,6 +196,9 @@ def test_echelon_matches_reference(data, track):
         assert new.insert(row, tag=tag) == old.insert(row, tag=tag)
     assert new.rank == old.rank and new.pivots == old.pivots
     assert new.rref_rows() == old.rref_rows()
+    # equal values, but an int wherever the reference holds an integral Fraction
+    assert not scalar_faults([new.certs, new.rref_rows()])
     for target in targets:
         assert new.reduce(target) == old.reduce(target)
+        assert not scalar_faults(new.reduce(target))
         assert new.contains(target) == old.contains(target)

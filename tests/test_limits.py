@@ -1,11 +1,13 @@
 """Directed systems, colimits, and the extension-commutes-with-limits
 verification at small sizes."""
 
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from superuce import algebra, limits
 from superuce import (
     DirectedPoset,
     DirectedSystem,
@@ -24,9 +26,10 @@ from superuce import (
     uce_system,
     validate_system,
 )
+from superuce.linalg import kernel_basis
 
 from reference_colimit import check_against_reference
-from systems_util import abelian, block_map, heisenberg, sl2
+from systems_util import abelian, block_map, heisenberg, random_chain_system, sl2, vee_system
 
 ONE = Fraction(1)
 
@@ -232,6 +235,38 @@ def test_limit_u_abelian_system():
     assert not rep.surjective
 
 
+def _limit_u_systems():
+    rng = random.Random(5)
+    A2 = abelian(2)
+    systems = [sl_chain([3, 4])[0], sl_chain([5, 6], coeff="Q[x,y]/(x,y)^2")[0],
+               chain_system([A2, A2], [GradedLinearMap.identity(A2.basis)])]
+    systems += [random_chain_system(rng)[0] for _ in range(3)]
+    systems += [vee_system(rng) for _ in range(3)]
+    return systems
+
+
+def test_limit_u_reads_kernel_and_surjectivity_off_the_top_extension(monkeypatch):
+    """v equals u_t, so limit_u runs no elimination of v: its kernel and
+    surjectivity are those of the top member's extension."""
+    systems = _limit_u_systems()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit_u must not eliminate v again")
+
+    with monkeypatch.context() as m:
+        m.setattr(limits, "kernel_basis", refuse, raising=False)
+        m.setattr(GradedLinearMap, "is_surjective", refuse)
+        m.setattr(GradedLinearMap, "rank", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = [limit_u(system) for system in systems]
+    for rep in reports:
+        assert list(rep.kernel) == kernel_basis(rep.map.matrix())
+        assert rep.surjective == rep.map.is_surjective()
+        assert rep.kernel_central
+    assert {rep.surjective for rep in reports} == {True, False}
+
+
 # ---------------------------------------------------------------- the theorem
 
 def test_theorem_verify_small_chain():
@@ -245,6 +280,24 @@ def test_theorem_verify_rejects_non_perfect():
     system = chain_system([H, H], [GradedLinearMap.identity(H.basis)])
     with pytest.raises(ValueError, match="perfect"):
         theorem_verify(system)
+
+
+def test_theorem_verify_reads_perfectness_off_the_member_extensions(monkeypatch):
+    """theorem_verify asks UceAlgebra.perfect, not is_perfect, and names
+    the first member in element order that is not perfect."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_perfect must not be called")
+
+    for module in (algebra, limits):
+        monkeypatch.setattr(module, "is_perfect", refuse, raising=False)
+    assert theorem_verify(sl_chain([3, 4])[0]).ok
+    H = heisenberg()
+    with pytest.raises(ValueError, match="member 0 is not perfect"):
+        theorem_verify(chain_system([H, H], [GradedLinearMap.identity(H.basis)]))
+    src, dst, f = block_map(("sl2",), ("sl2", "heis"), [0])
+    with pytest.raises(ValueError, match="member 1 is not perfect"):
+        theorem_verify(chain_system([src, dst], [f]))
 
 
 # ------------------------------------------------------- morphisms of systems

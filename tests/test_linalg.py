@@ -7,15 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superuce import (
-    Echelon,
-    SparseMatrix,
-    kernel_basis,
-    quotient_space,
-    rref,
-    solve_in_span,
-    span_membership,
-)
+from superuce import Echelon, SparseMatrix, kernel_basis, quotient_space
 from superuce.linalg import echelon_rows, rank_of_rows
 
 import reference_kernels as ref
@@ -71,12 +63,12 @@ def matrices(draw, max_rows=6, max_cols=6):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rref_matches_sympy(mat):
-    ech, pivots, rank = rref(mat)
+    ech = echelon_rows(mat.rows)
+    pivots = tuple(sorted(ech))
     oracle, opivots = to_sympy(mat).rref()
     assert pivots == tuple(opivots)
-    assert rank == len(opivots)
-    dense = to_sympy(ech)
-    assert dense == oracle[:rank, :]
+    dense = to_sympy(SparseMatrix([ech[p] for p in pivots], mat.ncols))
+    assert dense == oracle[:len(pivots), :]
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,19 +114,28 @@ def test_echelon_reduce_certificate():
     assert cert == {"a": ONE, "b": -ONE}
 
 
-def test_solve_in_span_and_membership():
+def test_reduce_certificate_and_membership():
     basis = [{0: ONE, 1: ONE}, {1: ONE, 2: ONE}]
-    target = {0: Fraction(2), 1: Fraction(3), 2: ONE}
-    coeffs = solve_in_span(basis, target)
-    assert coeffs is not None
-    recon = {}
-    for i, x in coeffs.items():
-        for c, y in basis[i].items():
-            recon[c] = recon.get(c, Fraction(0)) + x * y
-    assert {c: x for c, x in recon.items() if x} == target
-    assert span_membership(target, basis)
-    assert not span_membership({3: ONE}, basis)
-    assert solve_in_span(basis, {0: ONE}) is None
+    ech = Echelon(track=True)
+    for i, b in enumerate(basis):
+        ech.insert(b, tag=i)
+    for half in (Fraction(1, 2), 1):
+        target = {0: 2 * half, 1: 3 * half, 2: half}
+        residue, coeffs = ech.reduce(target)
+        assert not residue
+        assert coeffs == {0: 2 * half, 1: half}
+        # a coefficient is an int exactly when it is integral
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in coeffs.values())
+        recon = {}
+        for i, x in coeffs.items():
+            for c, y in basis[i].items():
+                recon[c] = recon.get(c, 0) + x * y
+        assert {c: x for c, x in recon.items() if x} == target
+        assert ech.contains(target)
+        residue, _ = ech.reduce({0: half})
+        assert residue == {2: half}
+    assert not ech.contains({3: ONE})
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +158,10 @@ def test_quotient_laws(mat):
     for c, x in v.items():
         diff[c] = diff.get(c, Fraction(0)) - x
     diff = {c: x for c, x in diff.items() if x}
-    assert span_membership(diff, list(mat.rows))
+    ech = Echelon()
+    for row in mat.rows:
+        ech.insert(row)
+    assert ech.contains(diff)
 
 
 def test_quotient_matrices_consistent():

@@ -10,9 +10,10 @@ the diagonal basis elements, in ints; the reference counts every cochain
 in Fraction arithmetic, and both must give the same dimension.  Both
 comparisons run on built-in algebras in permuted and rescaled bases, on
 non-perfect ones, in bases where the torus is trivial, and on the
-benchmark's documents.  Three certificates are checked to fire: on a
-corrupted torus weight, on a block that loses its free columns, and on a
-corrupted oracle weight.  The oracle is checked to answer with the
+benchmark's documents, and the extension is checked to store every
+integral value as an int (tests/scalar_rule.py).  Three certificates
+are checked to fire: on a corrupted torus weight, on a block that loses
+its free columns, and on a corrupted oracle weight.  The oracle is checked to answer with the
 extension builder, its torus and the shared cyclic-identity generator
 all broken.
 """
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from scalar_rule import scalar_faults
 from superuce import (
     CertificateError,
     GradedBasis,
@@ -67,11 +69,14 @@ nonzero = rationals.filter(bool)
 
 
 def assert_same_as_reference(L):
-    got = build_uce(L).presentation
+    ext = build_uce(L)
+    got = ext.presentation
     want = ref.reference_presentation(L)
     assert got.free_columns == want.free_columns
     assert got.relations == want.relations
     assert uce.h2_cohomology_oracle(L) == ref.h2_cohomology_oracle(L)
+    # tables, presentation and kernel: a Fraction only where a denominator exists
+    assert not scalar_faults(ext)
 
 
 def oracle_weights(L):
