@@ -19,7 +19,8 @@ satisfies them by construction and is built with validate=False; the
 certificates of each construction (closure, centrality, morphism and
 bijectivity checks) always run.
 
-Everything is immutable after construction.
+Everything is immutable after construction, apart from the private
+echelon a GradedLinearMap builds of its columns on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .linalg import (
     SparseMatrix,
     Vector,
     _denominator_lcm,
-    _ratio,
+    _rational,
     echelon_rows,
     kernel_basis,
     quotient_space,
@@ -124,15 +125,20 @@ class GradedBasis:
         return f"GradedBasis({len(self.labels)} elements)"
 
 
-def _clean_table(dim: int, table) -> tuple:
-    """The table as tuples of cells, zeros dropped and every entry an int
-    when integral, a Fraction otherwise."""
+def _clean_table(basis: GradedBasis, table) -> tuple:
+    """The table as tuples of cells, zeros dropped and every entry put
+    under the scalar rule by linalg._rational; ValueError names a bad cell."""
+    labels = basis.labels
+    dim = len(labels)
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            cell = table[i][j]
-            cell = {k: _ratio(x.numerator, x.denominator) for k, x in cell.items() if x}
+            try:
+                cell = {k: y for k, x in table[i][j].items()
+                        if (y := x if type(x) is int else _rational(x))}
+            except TypeError as exc:
+                raise ValueError(f"table cell ({labels[i]}, {labels[j]}): {exc}") from None
             for k in cell:
                 if not 0 <= k < dim:
                     raise ValueError(f"structure constant index {k} out of range")
@@ -161,7 +167,7 @@ class LieSuperalgebra:
 
     def __init__(self, basis: GradedBasis, table, validate: bool = True):
         self.basis = basis
-        self.table = _clean_table(len(basis), table)
+        self.table = _clean_table(basis, table)
         if validate:
             report = validate_lie(self)
             if not report.ok:
@@ -194,8 +200,15 @@ class AssocSuperalgebra:
 
     def __init__(self, basis: GradedBasis, table, unit: Vector, validate: bool = True):
         self.basis = basis
-        self.table = _clean_table(len(basis), table)
-        self.unit = {k: _ratio(x.numerator, x.denominator) for k, x in unit.items() if x}
+        self.table = _clean_table(basis, table)
+        self.unit = {}
+        for k, x in unit.items():
+            try:
+                x = _rational(x)
+            except TypeError as exc:
+                raise ValueError(f"unit entry {k}: {exc}") from None
+            if x:
+                self.unit[k] = x
         if validate:
             report = validate_assoc(self)
             if not report.ok:
@@ -351,6 +364,19 @@ def _tensor_relations(table, par, weights=None) -> list:
     return rows
 
 
+def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
+    """(pairs, GradedBasis) of a quotient of V (x) V on its free tensor
+    columns: free column q is a*dim + b for (a, b) = pairs[q], and its
+    basis element, of parity |a| + |b|, is labelled open la,lb close for
+    (open, close) = brackets."""
+    d = len(basis)
+    labels, par = basis.labels, basis.parities
+    left, right = brackets
+    pairs = tuple(divmod(c, d) for c in free_columns)
+    return pairs, GradedBasis([f"{left}{labels[a]},{labels[b]}{right}" for a, b in pairs],
+                              [(par[a] + par[b]) & 1 for a, b in pairs])
+
+
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
@@ -456,9 +482,10 @@ def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
 
 
 class GradedLinearMap:
-    """Even linear map between graded spaces, stored column-wise."""
+    """Even linear map between graded spaces, stored column-wise; rank()
+    and preimage() read one tracked Echelon of the columns, built on first use."""
 
-    __slots__ = ("domain", "codomain", "columns")
+    __slots__ = ("domain", "codomain", "columns", "_echelon")
 
     def __init__(self, domain: GradedBasis, codomain: GradedBasis, columns: Sequence[Vector]):
         if len(columns) != len(domain):
@@ -473,6 +500,7 @@ class GradedLinearMap:
         self.domain = domain
         self.codomain = codomain
         self.columns = tuple(cols)
+        self._echelon = None
 
     @classmethod
     def identity(cls, basis: GradedBasis) -> "GradedLinearMap":
@@ -511,11 +539,22 @@ class GradedLinearMap:
                 rows[k][j] = x
         return SparseMatrix(rows, len(self.domain))
 
+    def _columns_echelon(self) -> Echelon:
+        if self._echelon is None:
+            ech = Echelon(track=True)  # column j is tagged j
+            for col in self.columns:
+                ech.insert(col)
+            self._echelon = ech
+        return self._echelon
+
+    def preimage(self, v: Vector) -> Optional[Vector]:
+        """A domain vector x with apply(x) == v (exact and deterministic: the
+        elimination's certificate), or None when v is not in the image."""
+        residue, cert = self._columns_echelon().reduce(v)
+        return None if residue else cert
+
     def rank(self) -> int:
-        ech = Echelon()
-        for col in self.columns:
-            ech.insert(col)
-        return ech.rank
+        return self._columns_echelon().rank
 
     def is_injective(self) -> bool:
         return self.rank() == len(self.domain)
@@ -544,7 +583,7 @@ class GradedLinearMap:
 class Subspace:
     """Homogeneous subspace of an algebra's underlying graded space."""
 
-    __slots__ = ("ambient", "vectors")
+    __slots__ = ("ambient", "vectors", "_echelon")
 
     def __init__(self, ambient, vectors: Sequence[Vector]):
         basis = ambient.basis
@@ -561,16 +600,14 @@ class Subspace:
                 raise ValueError("subspace basis is linearly dependent")
         self.ambient = ambient
         self.vectors = tuple(vecs)
+        self._echelon = ech
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def contains(self, v: Vector) -> bool:
-        ech = Echelon()
-        for b in self.vectors:
-            ech.insert(b)
-        return ech.contains(v)
+        return self._echelon.contains(v)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.ambient!r})"
@@ -655,33 +692,23 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
                             labels: Sequence[str]):
     """Subalgebra on the given independent homogeneous vectors, one label each.
 
-    Returns (algebra, embedding into parent).  Raises if the span is not
-    closed under the bracket; structure constants are certificates of
-    the tracked elimination, so they are exact and deterministic.
+    Returns (algebra, embedding into parent).  The embedding is built
+    first; its rank certifies independence, and each structure constant
+    is the embedding's preimage of a bracket, so it is exact and
+    deterministic.  Raises if the span is not closed under the bracket.
     """
-    n = len(vectors)
-    basis_par = []
-    ech = Echelon(track=True)
-    for idx, v in enumerate(vectors):
-        p = vector_parity(v, parent.basis)
-        if p is None:
-            raise ValueError("zero vector in subalgebra basis")
-        basis_par.append(p)
-        if ech.insert(v, tag=idx) is None:
-            raise ValueError("subalgebra basis is linearly dependent")
+    basis_par = [vector_parity(v, parent.basis) for v in vectors]
+    if None in basis_par:
+        raise ValueError("zero vector in subalgebra basis")
     basis = GradedBasis(labels, basis_par)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = parent.bracket(vectors[i], vectors[j])
-            residue, cert = ech.reduce(w)
-            if residue:
-                raise ValueError(
-                    f"span not closed under bracket at pair ({labels[i]}, {labels[j]})"
-                )
-            row.append({t: x for t, x in cert.items() if x})
-        table.append(row)
-    algebra = LieSuperalgebra(basis, table, validate=False)
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
-    return algebra, embedding
+    if embedding.rank() != len(vectors):
+        raise ValueError("subalgebra basis is linearly dependent")
+    table = []
+    for i, v in enumerate(vectors):
+        row = [embedding.preimage(parent.bracket(v, w)) for w in vectors]
+        if None in row:
+            pair = f"({labels[i]}, {labels[row.index(None)]})"
+            raise ValueError(f"span not closed under bracket at pair {pair}")
+        table.append(row)
+    return LieSuperalgebra(basis, table, validate=False), embedding

@@ -34,6 +34,7 @@ from .algebra import (
     GradedBasis,
     GradedLinearMap,
     Subspace,
+    _pair_basis,
     _tensor_relations,
     lie_from_assoc,
 )
@@ -93,17 +94,8 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
                 f"supercommutator does not kill the pair relation on <<{labels[a]},{labels[b]}>>"
             )
 
-    free = pres.free_columns
-    qlabels = []
-    qpar = []
-    cols = []
-    for col in free:
-        a, b = divmod(col, d)
-        qlabels.append(f"<<{labels[a]},{labels[b]}>>")
-        qpar.append((par[a] + par[b]) & 1)
-        cols.append(commutator_table[a][b])
-    basis = GradedBasis(qlabels, qpar)
-    commutator = GradedLinearMap(basis, A.basis, cols)
+    free_pairs, basis = _pair_basis(A.basis, pres.free_columns, ("<<", ">>"))
+    commutator = GradedLinearMap(basis, A.basis, [commutator_table[a][b] for a, b in free_pairs])
     return CyclicPairs(A, pres, basis, commutator)
 
 

@@ -321,7 +321,9 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
     phi is the mediating map of the cone uce(phi_i).  Since phi_i is the
     transition f_it, uce(phi_i) is the lifted transition uce(f_it) that
     is the injection of colim uce(L_i), so the cone is those injections.
-    psi routes a bracket through preimages under v.  Both composites and
+    psi sends the extension basis element of the pair (a, b) (see
+    UceAlgebra.free_pairs) to the bracket of the preimages of b_a and b_b
+    under v (GradedLinearMap.preimage).  Both composites and
     the restriction of phi to the kernel parts are checked exactly.
     Raises ValueError, naming the first member in element order that is
     not perfect (see UceAlgebra.perfect), before phi is built.
@@ -337,25 +339,17 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
     phi_is_morphism = check_morphism(phi, uce_colim.algebra, ext_top.lie)
     phi_bijective = phi.is_bijective()
 
-    section = Echelon(track=True)
-    for idx, col in enumerate(v.columns):
-        section.insert(col, tag=idx)
-
     def preimage(a: int) -> Vector:
-        residue, cert = section.reduce({a: 1})
-        if residue:
+        x = v.preimage({a: 1})
+        if x is None:
             raise CertificateError(
                 "canonical projection of the colimit of extensions is not onto: "
                 f"{colim.algebra.basis.labels[a]} has no preimage"
             )
-        return {t: x for t, x in cert.items() if x}
+        return x
 
     CK = uce_colim.algebra
-    dcl = colim.algebra.dim
-    psi_cols = []
-    for col in ext_top.presentation.free_columns:
-        a, b = divmod(col, dcl)
-        psi_cols.append(CK.bracket(preimage(a), preimage(b)))
+    psi_cols = [CK.bracket(preimage(a), preimage(b)) for a, b in ext_top.free_pairs]
     psi = GradedLinearMap(ext_top.lie.basis, CK.basis, psi_cols)
 
     psi_after_phi = psi.compose(phi) == GradedLinearMap.identity(CK.basis)

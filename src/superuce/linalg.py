@@ -19,7 +19,8 @@ is formed only where a result leaves the kernel: residues and
 certificates of reduce() and insert(), and the rows of rref_rows(),
 whose pivot coefficient is 1.  Each goes through _ratio, which returns
 an int when the division is exact and a Fraction otherwise; this module
-is the only one that imports fractions.
+is the only one that imports fractions.  _rational decides what a
+rational is where values enter the package (tables and units).
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.
@@ -43,6 +44,14 @@ def _ratio(num, den: int):
         return num // den
     q = Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
+
+
+def _rational(x):
+    """x under the scalar rule.  A rational is an int that is not a bool, or
+    a Fraction; anything else (a float, a bool, a str) raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{x!r} is not a rational (an int or a Fraction)")
+    return _ratio(x.numerator, x.denominator)
 
 
 def vec_add_scaled(u: Vector, v: Vector, c) -> None:
@@ -364,7 +373,7 @@ class QuotientPresentation:
         return len(self.free_columns)
 
     def project(self, v: Vector) -> Vector:
-        """Ambient vector to quotient coordinates."""
+        """Ambient vector to quotient coordinates; an integral sum is an int."""
         qi = self._qindex
         rel = self.relations
         out: Vector = {}
@@ -393,6 +402,9 @@ class QuotientPresentation:
                         out[q] = y
                     else:
                         out.pop(q, None)
+        for q, y in out.items():
+            if type(y) is not int and y.denominator == 1:
+                out[q] = y.numerator
         return out
 
     def __repr__(self) -> str:

@@ -218,14 +218,13 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgeb
 class MatrixFamily:
     """A matrix family member together with its gl environment."""
 
-    __slots__ = ("kind", "m", "n", "coeff", "gl_assoc", "gl", "algebra", "embedding")
+    __slots__ = ("kind", "m", "n", "coeff", "gl", "algebra", "embedding")
 
-    def __init__(self, kind, m, n, coeff, gl_assoc, gl, algebra, embedding):
+    def __init__(self, kind, m, n, coeff, gl, algebra, embedding):
         self.kind = kind
         self.m = m
         self.n = n
         self.coeff = coeff
-        self.gl_assoc = gl_assoc
         self.gl = gl
         self.algebra = algebra
         self.embedding = embedding
@@ -457,8 +456,7 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
     if kind == "osp" and not coeff.is_supercommutative():
         raise ValueError("osp needs a supercommutative coefficient algebra")
 
-    gl_assoc = matrix_superalgebra(m, n, coeff)
-    gl = lie_from_assoc(gl_assoc)
+    gl = lie_from_assoc(matrix_superalgebra(m, n, coeff))
     if kind == "gl":
         fam_alg = gl
         embedding = GradedLinearMap.identity(gl.basis)
@@ -475,7 +473,7 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
             vectors = _sq_vectors(m)
             labels = [f"sq{i}" for i in range(len(vectors))]
         fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
-    return MatrixFamily(kind, m, n, coeff, gl_assoc, gl, fam_alg, embedding)
+    return MatrixFamily(kind, m, n, coeff, gl, fam_alg, embedding)
 
 
 def bracket_Eij(fam: MatrixFamily, i: int, j: int, a: Vector,
@@ -600,7 +598,9 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     """Compare the built extension of the family sl(m,n;A) with sl (+) HC_1(A).
 
     Builds the extension of sl and the cocycle tau once.  The comparison
-    map sends the class of a (x) b to [a,b] (+) tau(a,b).  Needs
+    map sends the class <a,b> to [a,b] (+) tau(a,b), which is the bracket
+    of a and b in the cocycle extension K; so its column at the basis
+    pair (a, b) of the extension is the table cell K[a][b].  Needs
     m + n >= 5 and supercommutative A; HC_1(A) is then the whole pairing
     space, the target of tau.
     """
@@ -613,22 +613,12 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     ext = build_uce(sl)
     central = extension_from_cocycle(tau)
     K = central.total
-    dsl = sl.dim
-
-    free = ext.presentation.free_columns
-    cols = []
-    for col in free:
-        a, b = divmod(col, dsl)
-        kcol = dict(sl.table[a][b])
-        for k, x in tau.values[a][b].items():
-            kcol[dsl + k] = x
-        cols.append(kcol)
-    hmap = GradedLinearMap(ext.lie.basis, K.basis, cols)
+    hmap = GradedLinearMap(ext.lie.basis, K.basis, [K.table[a][b] for a, b in ext.free_pairs])
     is_morphism = check_morphism(hmap, ext.lie, K)
     commutes = central.projection.compose(hmap) == ext.u
     bijective = hmap.is_bijective()
     return HIsoReport(
-        m=m, n=n, dim_sl=dsl, dim_uce=ext.dim, dim_extension=K.dim,
+        m=m, n=n, dim_sl=sl.dim, dim_uce=ext.dim, dim_extension=K.dim,
         dim_h2=len(ext.kernel), dim_hc1=len(tau.target),
         is_morphism=is_morphism, commutes_with_projections=commutes,
         bijective=bijective,
@@ -664,15 +654,15 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     A_ = fam.coeff
     dA = A_.dim
     size = m + n
-    sl_solver = Echelon(track=True)
-    for idx, col in enumerate(fam.embedding.columns):
-        sl_solver.insert(col, tag=idx)
 
     def sl_coords(glvec: Vector) -> Vector:
-        residue, cert = sl_solver.reduce(glvec)
-        if residue:
-            raise CertificateError(f"a gl({m},{n}) vector of the Steinberg check is not in sl({m},{n})")
-        return {t: x for t, x in cert.items() if x}
+        x = fam.embedding.preimage(glvec)
+        if x is None:
+            support = ", ".join(fam.gl.basis.labels[c] for c in sorted(glvec))
+            raise CertificateError(
+                f"the gl({m},{n}) vector on {support} of the Steinberg check is not in sl({m},{n})"
+            )
+        return x
 
     apar = A_.basis.parities
 
@@ -794,9 +784,6 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
     def posmap(i: int) -> int:
         return i if i < src.m else dst.m + (i - src.m)
 
-    solver = Echelon(track=True)
-    for idx, col in enumerate(dst.embedding.columns):
-        solver.insert(col, tag=idx)
     cols = []
     for col in src.embedding.columns:
         big: Vector = {}
@@ -804,8 +791,8 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
             pos, t = divmod(cgl, dA)
             i, j = divmod(pos, ssize)
             big[(posmap(i) * dsize + posmap(j)) * dA + t] = x
-        residue, cert = solver.reduce(big)
-        if residue:
+        coords = dst.embedding.preimage(big)
+        if coords is None:
             raise ValueError("corner image does not land in the target family")
-        cols.append({t: x for t, x in cert.items() if x})
+        cols.append(coords)
     return GradedLinearMap(src.algebra.basis, dst.algebra.basis, cols)

@@ -68,6 +68,7 @@ from .algebra import (
     ValidationReport,
     _cyclic_classes,
     _integral_table,
+    _pair_basis,
     _tensor_relations,
     check_morphism,
 )
@@ -89,21 +90,24 @@ class UceAlgebra:
     """The universal central extension data of a Lie superalgebra.
 
     Fields: base (L), lie (the extension algebra), presentation (of
-    L (x) L by the relation space), u (extension -> L), and kernel, the
+    L (x) L by the relation space), u (extension -> L), kernel, the
     canonical basis of the kernel of u (a tuple of extension vectors,
-    computed once by build_uce).  The quotient basis element at free
-    tensor coordinate (a, b) is labelled <label_a,label_b> and has
-    parity |a| + |b|.
+    computed once by build_uce), and free_pairs, the basis pair of each
+    element: extension basis element q is the class <b_a, b_b> for
+    (a, b) = free_pairs[q], is labelled <label_a,label_b>, has parity
+    |a| + |b|, and u maps it to [b_a, b_b].  Every map out of the
+    extension is read off these pairs.
     """
 
-    __slots__ = ("base", "lie", "presentation", "u", "kernel")
+    __slots__ = ("base", "lie", "presentation", "u", "kernel", "free_pairs")
 
-    def __init__(self, base, lie, presentation, u, kernel):
+    def __init__(self, base, lie, presentation, u, kernel, free_pairs):
         self.base = base
         self.lie = lie
         self.presentation = presentation
         self.u = u
         self.kernel = kernel
+        self.free_pairs = free_pairs
 
     @property
     def dim(self) -> int:
@@ -230,7 +234,6 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     be a morphism with central kernel.
     """
     d = L.dim
-    par = L.basis.parities
     labels = L.basis.labels
     h, weights = _torus(L)
     for j, w in enumerate(weights):
@@ -239,19 +242,8 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
                 f"torus element is not diagonal with weight {w} at basis element {labels[j]}"
             )
     pres = _weight_presentation(L, weights)
-    free = pres.free_columns
-    n = len(free)
-    coords = []
-    qlabels = []
-    qpar = []
-    for col in free:
-        a, b = divmod(col, d)
-        coords.append((a, b))
-        qlabels.append(f"<{labels[a]},{labels[b]}>")
-        qpar.append((par[a] + par[b]) & 1)
-    basis = GradedBasis(qlabels, qpar)
-
-    brackets = [L.table[a][b] for a, b in coords]
+    free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
+    brackets = [L.table[a][b] for a, b in free_pairs]
     project = pres.project
     table = [[project(_tensor(w, w2, d)) for w2 in brackets] for w in brackets]
     lie = LieSuperalgebra(basis, table, validate=False)
@@ -260,12 +252,12 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
     kernel = tuple(kernel_basis(u.matrix()))
     for z in kernel:
-        for j in range(n):
+        for j, label in enumerate(basis.labels):
             if lie.bracket(z, {j: 1}):
                 raise CertificateError(
-                    f"kernel of u is not central: a kernel vector does not commute with {qlabels[j]}"
+                    f"kernel of u is not central: a kernel vector does not commute with {label}"
                 )
-    return UceAlgebra(L, lie, pres, u, kernel)
+    return UceAlgebra(L, lie, pres, u, kernel, free_pairs)
 
 
 def h2(L) -> Subspace:
@@ -290,9 +282,7 @@ def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
     """
     if f.domain != source.base.basis or f.codomain != target.base.basis:
         raise ValueError("morphism endpoints do not match the given extensions")
-    dM = target.base.dim
-    project = target.presentation.project
-    cols = [project(_tensor(f.columns[a], f.columns[b], dM)) for a, b in _free_coords(source)]
+    cols = [target.class_of(f.columns[a], f.columns[b]) for a, b in source.free_pairs]
     out = GradedLinearMap(source.lie.basis, target.lie.basis, cols)
     # naturality: u_M after uce(f) equals f after u_L
     lhs = target.u.compose(out)
@@ -304,11 +294,6 @@ def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
                 f"at {source.lie.basis.labels[j]}"
             )
     return out
-
-
-def _free_coords(ext: UceAlgebra):
-    d = ext.base.dim
-    return [divmod(col, d) for col in ext.presentation.free_columns]
 
 
 def is_centrally_closed(ext: UceAlgebra) -> bool:

@@ -4,24 +4,23 @@ float.
 
 scalar_faults walks an object the package built (tables, vectors, map
 columns, presentations, reports) and returns every value that breaks the
-rule.  Tables, presentations, kernels and certificates keep it fully;
-a vector the package only computes with (a map column, say) may hold an
-integral Fraction, but never a float.
+rule.
 """
 
 from fractions import Fraction
 
 
-def scalar_faults(obj, path="obj") -> list:
+def scalar_faults(obj, path="obj", skip=()) -> list:
     """(path, value) of each float and each Fraction with denominator 1
     in obj.
 
     Dicts (keys and values), lists, tuples and sets are walked, and so is
     every attribute (slot or instance field) of an object of a superuce
-    class; every object is visited once.
+    class; every object is visited once.  The objects in skip (a caller's
+    own inputs, say) are not walked.
     """
     faults: list = []
-    seen: set = set()
+    seen: set = {id(x) for x in skip}
     stack = [(obj, path)]
     while stack:
         x, where = stack.pop()

@@ -1,5 +1,6 @@
 """Structure-constant algebra layer: validation, maps, subquotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from superuce import (
     validate_lie,
 )
 from superuce.algebra import NotCentralError, subalgebra_from_vectors, vector_parity
+from superuce.linalg import _ratio
 
+from reference_kernels import fraction_rank_of_rows
 from systems_util import gl2_assoc, heisenberg, sl2
 
 ONE = Fraction(1)
@@ -180,3 +183,40 @@ def test_morphism_check_rejects_non_morphism():
     # swapping e and f is not a morphism (it negates h but fixes [e,f]... check)
     f = GradedLinearMap(L.basis, L.basis, [{2: ONE}, {1: ONE}, {0: ONE}])
     assert not check_morphism(f, L, L)
+
+
+# ------------------------------------------------------------ preimages of a map
+
+def _random_map(rng):
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    domain = GradedBasis([f"a{j}" for j in range(n)], [0] * n)
+    codomain = GradedBasis([f"b{k}" for k in range(m)], [0] * m)
+    # a few columns repeat earlier ones up to scale, so many maps drop rank
+    cols = []
+    for _ in range(n):
+        if cols and rng.random() < 0.3:
+            c = _ratio(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+            cols.append({k: c * x for k, x in rng.choice(cols).items()})
+        else:
+            cols.append({k: _ratio(rng.randint(-3, 3), rng.randint(1, 3))
+                         for k in range(m) if rng.random() < 0.6})
+    return GradedLinearMap(domain, codomain, cols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_preimage_round_trips_on_random_maps(seed):
+    rng = random.Random(seed)
+    f = _random_map(rng)
+    rank = fraction_rank_of_rows(f.columns)
+    assert f.rank() == rank
+    for _ in range(5):
+        x = {j: rng.randint(-2, 2) for j in range(len(f.domain))}
+        v = f.apply({j: c for j, c in x.items() if c})
+        assert f.apply(f.preimage(v)) == v
+    for k in range(len(f.codomain)):
+        # e_k is in the image exactly when adding it keeps the rank
+        onto = fraction_rank_of_rows(list(f.columns) + [{k: 1}]) == rank
+        got = f.preimage({k: 1})
+        assert (got is not None) == onto, k
+        if onto:
+            assert f.apply(got) == {k: 1}

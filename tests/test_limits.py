@@ -2,13 +2,15 @@
 verification at small sizes."""
 
 import random
+import re
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from superuce import algebra, limits
+from superuce import algebra, cli, limits
 from superuce import (
+    CertificateError,
     DirectedPoset,
     DirectedSystem,
     GradedLinearMap,
@@ -298,6 +300,29 @@ def test_theorem_verify_reads_perfectness_off_the_member_extensions(monkeypatch)
     src, dst, f = block_map(("sl2",), ("sl2", "heis"), [0])
     with pytest.raises(ValueError, match="member 1 is not perfect"):
         theorem_verify(chain_system([src, dst], [f]))
+
+
+def test_theorem_verify_certifies_the_preimages_psi_routes_through(monkeypatch, capsys):
+    """A projection v that misses the first basis element of the colimit
+    leaves psi without a preimage of it."""
+    inner = limits.limit_u
+
+    def missing_first(system):
+        rep = inner(system)
+        v = rep.map
+        rep.map = GradedLinearMap(v.domain, v.codomain,
+                                  [{k: x for k, x in col.items() if k} for col in v.columns])
+        return rep
+
+    monkeypatch.setattr(limits, "limit_u", missing_first)
+    message = ("canonical projection of the colimit of extensions is not onto: "
+               "E1,2(1) has no preimage")
+    system, _ = sl_chain([3, 4])
+    assert system.algebras[1].basis.labels[0] == "E1,2(1)"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        theorem_verify(system)
+    assert cli.main(["limit-check", "--chain", "sl:3..4:Q"]) == 1
+    assert capsys.readouterr().err == f"certificate failed: {message}\n"
 
 
 # ------------------------------------------------------- morphisms of systems

@@ -1,11 +1,16 @@
 """Matrix families, the supertrace cocycle, and the presentation checks."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from superuce import cli, linalg
 from superuce import (
+    CertificateError,
+    GradedLinearMap,
     bracket_Eij,
     build_family,
     check_morphism,
@@ -284,7 +289,54 @@ def test_steinberg_canonical_image():
     assert rep.independence_of_k and rep.generation
 
 
+def _drop_embedding_column(fam, label):
+    """fam with the embedding column of one basis element zeroed: that
+    element's matrix unit leaves the span of the embedding."""
+    j = fam.algebra.basis.index(label)
+    cols = [{} if k == j else col for k, col in enumerate(fam.embedding.columns)]
+    fam.embedding = GradedLinearMap(fam.algebra.basis, fam.gl.basis, cols)
+    return fam
+
+
+def test_steinberg_check_certifies_its_sl_coordinates(monkeypatch, capsys):
+    fam = _drop_embedding_column(build_family("sl", 3, 0, coefficient_algebra("Q")), "E1,2(1)")
+    message = "the gl(3,0) vector on E1,2(1) of the Steinberg check is not in sl(3,0)"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        steinberg_check(fam)
+    inner = cli.build_family
+    monkeypatch.setattr(cli, "build_family",
+                        lambda *args: _drop_embedding_column(inner(*args), "E1,2(1)"))
+    assert cli.main(["steinberg-check", "--family", "sl", "--m", "3", "--coeff", "Q"]) == 1
+    assert capsys.readouterr().err == f"certificate failed: {message}\n"
+
+
 # ------------------------------------------------------------------- embeddings
+
+def test_each_family_embedding_is_eliminated_once(monkeypatch):
+    """Over a 3-member sl chain with a corner map for every related pair,
+    Echelon.insert sees each embedding column of each family once: the
+    embedding's own echelon solves the family's structure constants and
+    every corner map into it.  Inserted vectors are kept alive, so their
+    ids stay unique."""
+    fams, inserted = [], []
+    build, insert = cli.build_family, linalg.Echelon.insert
+
+    def recording_build(*args):
+        fams.append(build(*args))
+        return fams[-1]
+
+    def recording_insert(self, vec, tag=None):
+        inserted.append(vec)
+        return insert(self, vec, tag)
+
+    monkeypatch.setattr(cli, "build_family", recording_build)
+    monkeypatch.setattr(linalg.Echelon, "insert", recording_insert)
+    _, code = cli.run(["limit-check", "--chain", "sl:2..4:Q"])
+    assert code == 0 and len(fams) == 3
+    seen = Counter(id(v) for v in inserted)
+    for fam in fams:
+        assert [seen[id(col)] for col in fam.embedding.columns] == [1] * fam.algebra.dim, fam
+
 
 def test_corner_embedding_is_morphism():
     Q = coefficient_algebra("Q")

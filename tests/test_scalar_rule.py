@@ -3,10 +3,14 @@ a Fraction only where a denominator exists.
 
 A lint keeps the decision in one module: the package has no `/`
 operator (exact division goes through linalg._ratio), and only linalg
-imports fractions.  The objects the acceptance criteria build and the
-reports of every subcommand are walked for floats, and the tables,
-presentations and kernels among those objects for integral Fractions
-too (see scalar_rule.py).
+imports fractions.  The objects the acceptance criteria build, lifted
+maps and colimits included, are walked for floats and integral
+Fractions, and the reports of every subcommand for floats (see
+scalar_rule.py).
+
+A second lint keeps coordinates with their owner: a tracked elimination
+(Echelon(track=True)) is built only by GradedLinearMap, whose preimage()
+every other solve goes through, and by the weight-block presentation.
 """
 
 import ast
@@ -75,20 +79,47 @@ def test_acceptance_objects_follow_the_scalar_rule():
     faults = scalar_faults(ruled, "ruled")
     assert not faults, faults[:10]
 
-    # lifted maps, colimits and theorem reports: no float
+    # lifted maps, colimits and theorem reports: the full rule too
     rng = random.Random(2026)
     small, big = acceptance.family("sl", 3, 0, "Q"), acceptance.family("sl", 4, 0, "Q")
+    # the two systems and their maps (the colimit injections too) are the
+    # caller's input, built by the test helpers
+    systems = [random_chain_system(rng)[0], vee_system(rng)]
+    inputs = [*systems, *(f for system in systems for f in system.morphisms.values())]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        computed = [limit_u(random_chain_system(rng)[0]), limit_u(vee_system(rng))]
+        computed = [limit_u(system) for system in systems]
     computed += [
         theorem_verify(acceptance.sl_chain_system([(5, 0), (6, 0)], "Q[x,y]/(x,y)^2")),
         uce_of_morphism(corner_embedding(small, big), source=acceptance.extension(small.algebra),
                         target=acceptance.extension(big.algebra)),
     ]
-    floats = [(where, x) for where, x in scalar_faults(computed, "computed")
-              if isinstance(x, float)]
-    assert not floats, floats[:10]
+    faults = scalar_faults(computed, "computed", skip=inputs)
+    assert not faults, faults[:10]
+
+
+def tracked_eliminations(path: Path) -> list:
+    """The class or function enclosing each Echelon(track=True) call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and owner is None:
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "Echelon"
+                    and any(k.arg == "track" for k in child.keywords)):
+                found.append(f"{path.name}:{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_only_a_map_and_the_weight_blocks_track_an_elimination():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in tracked_eliminations(path)]
+    assert sorted(found) == ["algebra.py:GradedLinearMap", "uce.py:_weight_presentation"], found
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,16 @@ validated algebra are built without re-validation.  These tests run every
 validator on every constructor output explicitly, so no law check leaves
 the suite."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from superuce import (
+    AssocSuperalgebra,
     Cocycle2,
     GradedBasis,
+    LieSuperalgebra,
     build_family,
     build_uce,
     centre,
@@ -83,3 +86,31 @@ def test_extension_from_cocycle_rejects_broken_identity_of_own_source():
     assert tau.source is L
     with pytest.raises(ValueError, match="cocycle does not validate"):
         extension_from_cocycle(tau)
+
+
+NOT_RATIONAL = [0.5, 1.0, True, "1"]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_a_table_entry_that_is_not_rational_is_refused(bad):
+    # refused where it enters, before any law is checked
+    why = f"{re.escape(repr(bad))} is not a rational"
+    with pytest.raises(ValueError, match=rf"^table cell \(x, x\): {why}"):
+        LieSuperalgebra(GradedBasis(["x"], [0]), [[{0: bad}]])
+    basis = GradedBasis(["1", "t"], [0, 0])
+    table = [[{0: 1}, {1: 1}], [{1: bad}, {}]]
+    with pytest.raises(ValueError, match=rf"^table cell \(t, 1\): {why}"):
+        AssocSuperalgebra(basis, table, {0: 1})
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_a_unit_entry_that_is_not_rational_is_refused(bad):
+    why = f"{re.escape(repr(bad))} is not a rational"
+    with pytest.raises(ValueError, match=rf"^unit entry 0: {why}"):
+        AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: bad})
+
+
+def test_rational_entries_are_stored_under_the_scalar_rule():
+    A = AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: Fraction(2, 2)}]], {0: Fraction(3, 3)})
+    assert A.table == (({0: 1},),) and A.unit == {0: 1}
+    assert type(A.table[0][0][0]) is int and type(A.unit[0]) is int

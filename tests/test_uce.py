@@ -123,6 +123,22 @@ def test_functor_laws_on_corner_chain():
     assert exts[1].u.compose(uf) == f.compose(exts[0].u)
 
 
+def test_each_extension_element_records_its_basis_pair():
+    """Basis element q of the extension is <b_a, b_b> for (a, b) =
+    free_pairs[q]: its label, parity, u-column and class all say so."""
+    import test_acceptance as acceptance
+
+    for name, L in acceptance.acceptance_test_matrix():
+        ext = acceptance.extension(L)
+        labels, par = L.basis.labels, L.basis.parities
+        assert len(ext.free_pairs) == ext.dim, name
+        for q, (a, b) in enumerate(ext.free_pairs):
+            assert ext.u.columns[q] == L.table[a][b], (name, q)
+            assert ext.lie.basis.labels[q] == f"<{labels[a]},{labels[b]}>", (name, q)
+            assert ext.lie.basis.parities[q] == (par[a] + par[b]) & 1, (name, q)
+            assert ext.class_of({a: 1}, {b: 1}) == {q: 1}, (name, q)
+
+
 def test_h2_warns_on_non_perfect():
     L = heisenberg()
     with pytest.warns(UserWarning, match="not perfect"):
