@@ -260,8 +260,12 @@ def _check_grading(report: ValidationReport, basis: GradedBasis, table) -> None:
 
 def _integral_table(table) -> tuple:
     """(int_table, D): D is the LCM of all denominators in the table and
-    int_table == D * table cell by cell, with int entries."""
+    int_table == D * table cell by cell, with int entries.  A table with
+    D == 1 has only int entries (the scalar rule) and is returned itself;
+    no caller writes to it."""
     den = _denominator_lcm(x for row in table for cell in row for x in cell.values())
+    if den == 1:
+        return table, 1
     int_table = tuple(
         tuple({k: x.numerator * (den // x.denominator) for k, x in cell.items()} for cell in row)
         for row in table
@@ -269,7 +273,7 @@ def _integral_table(table) -> tuple:
     return int_table, den
 
 
-def _cyclic_classes(itable, par, weights=None):
+def _cyclic_classes(itable, par, weights=None, skew=False):
     """The cyclic identity of a product table, one cyclic class at a time.
 
     For each basis triple (i, j, k) with i <= j and i <= k whose cells
@@ -282,6 +286,13 @@ def _cyclic_classes(itable, par, weights=None):
     The Jacobi and cocycle identities and the cyclic relations of the
     tensor square all read this sum; it is invariant under cyclic
     rotation, so each class is visited once.
+
+    With skew=True the table is trusted to be super skew-symmetric.  Each
+    term of the sum of (i, k, j) is then -(-1)^{|i||j|+|j||k|+|k||i|}
+    times the term with the same outer index in the sum of (i, j, k), so
+    only k >= j is visited: one representative per unordered triple.  The
+    Lie-table callers pass it; the associative relations of cyclic.py do
+    not, as a product table is not skew.
 
     With int weights of the basis elements (a grading of the table:
     [i,j] has weight weights[i] + weights[j]), only the classes of total
@@ -302,11 +313,12 @@ def _cyclic_classes(itable, par, weights=None):
             cij = ti[j]
             pj = par[j]
             sji = -1 if pj and pi else 1
+            low = j if skew else i
             if by_weight is None:
-                ks = range(i, d)
+                ks = range(low, d)
             else:
                 group = by_weight.get(-weights[i] - weights[j], ())
-                ks = group[bisect_left(group, i):]
+                ks = group[bisect_left(group, low):]
             for k in ks:
                 cjk = tj[k]
                 cki = itable[k][i]
@@ -319,7 +331,15 @@ def _cyclic_classes(itable, par, weights=None):
                     )
 
 
-def _tensor_relations(table, par, weights=None) -> list:
+def _with_mirrors(failed: list) -> list:
+    """The failing classes (i, j, k), j <= k, of a skew-table walk with the
+    mirror (i, k, j) of each j != k added, sorted: the classes a walk over
+    both orientations finds failing (the mirror's sum is +-1 times the
+    class's), in the order it finds them."""
+    return sorted(failed + [(i, k, j) for i, j, k in failed if j != k])
+
+
+def _tensor_relations(table, par, weights=None, skew=False) -> list:
     """Int spanning rows of the relation space in V (x) V of a product
     table on V: one pair row per basis pair a <= b, and one cyclic row per
     cyclic class.
@@ -332,6 +352,11 @@ def _tensor_relations(table, par, weights=None) -> list:
     Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Pair
     and diagonal rows are +-1, and each cyclic row is D times the
     rational one, for D the LCM of the table's denominators.
+
+    With skew=True (a Lie table) the cyclic rows are those of one
+    representative per unordered triple: the row of (i, k, j) is +-1
+    times that of (i, j, k) (see _cyclic_classes), so the span is the
+    same.  The default walks both orientations, as a product table needs.
 
     Given int weights grading the table (see _cyclic_classes), every row
     is homogeneous and only the rows of weight 0 are emitted: they span
@@ -351,7 +376,7 @@ def _tensor_relations(table, par, weights=None) -> list:
             else:
                 rows.append({i * d + j: 1, j * d + i: sign})
     itable, _ = _integral_table(table)
-    for _, _, _, terms in _cyclic_classes(itable, par, weights):
+    for _, _, _, terms in _cyclic_classes(itable, par, weights, skew):
         row: dict = {}
         for s, outer, cell in terms:
             base = outer * d
@@ -381,10 +406,14 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
     The Jacobi expression is invariant under cyclic rotation of (i, j, k),
-    so triples are checked once per cyclic class.  It is homogeneous of
-    degree 2 in the structure constants, so it is evaluated in ints on
-    the table scaled by the LCM D of its denominators: each sum is D^2
-    times the rational one and vanishes exactly when that one does.
+    and once skew-symmetry holds the expression of (i, k, j) is +-1 times
+    that of (i, j, k); so it is evaluated once per unordered triple, and
+    each failing triple is reported with its mirror, in the order a walk
+    over every class i <= j, i <= k gives (see _with_mirrors).  It is
+    homogeneous of degree 2 in the structure constants, so it is
+    evaluated in ints on the table scaled by the LCM D of its
+    denominators: each sum is D^2 times the rational one and vanishes
+    exactly when that one does.
     """
     report = ValidationReport()
     basis, table = L.basis, L.table
@@ -403,7 +432,8 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     if not report.ok:
         return report
     itable, _ = _integral_table(table)
-    for i, j, k, terms in _cyclic_classes(itable, par):
+    failed = []
+    for i, j, k, terms in _cyclic_classes(itable, par, skew=True):
         acc: dict = {}
         for s, outer, cell in terms:
             touter = itable[outer]
@@ -412,7 +442,9 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
                 for r, y in touter[t].items():
                     acc[r] = acc.get(r, 0) + x * y
         if any(acc.values()):
-            report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
+            failed.append((i, j, k))
+    for i, j, k in _with_mirrors(failed):
+        report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
     return report
 
 

@@ -12,8 +12,11 @@ first two families are bilinear; the quadratic family on even elements
 expands over a basis into its diagonal terms plus symmetric pair terms
 of the first family; the third family is trilinear.  The third family
 is invariant under cyclic rotation of (a, b, c), so one representative
-per cyclic class is enumerated.  The rows are built, in ints, by the
-same code as the relation space of the universal central extension.
+per cyclic class is enumerated.  Both orientations (a, b, c) and
+(a, c, b) are kept: a product table is not skew, so their rows are not
+multiples of each other as they are for a Lie table.  The rows are
+built, in ints, by the same code as the relation space of the universal
+central extension.
 
 The class of a (x) b is written <<a,b>>.  The supercommutator map
 sends <<a,b>> to ab - (-1)^{|a||b|} ba, read off the table of

@@ -20,7 +20,8 @@ certificates of reduce() and insert(), and the rows of rref_rows(),
 whose pivot coefficient is 1.  Each goes through _ratio, which returns
 an int when the division is exact and a Fraction otherwise; this module
 is the only one that imports fractions.  _rational decides what a
-rational is where values enter the package (tables and units).
+rational is where values enter the package (tables, units and the
+transition maps of a directed system).
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.

@@ -12,7 +12,9 @@ Evaluating the families on basis pairs and triples spans the same
 space: the first and third families are multilinear, and the quadratic
 second family expands over a basis into diagonal terms plus first-family
 pair terms.  The third family is invariant under cyclic rotation of
-(x, y, z), so one representative per cyclic class is enumerated.
+(x, y, z), and by the super skew-symmetry of the bracket its element on
+(x, z, y) is +-1 times the one on (x, y, z); so one representative per
+unordered basis triple is enumerated.
 
 The extension algebra is (L (x) L) / B with bracket
 [<a,b>, <c,d>] = <[a,b], [c,d]> and canonical map u<a,b> = [a,b]; the
@@ -58,6 +60,7 @@ enumerates its own weight-0 cyclic classes.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 
 from .algebra import (
     CertificateError,
@@ -70,6 +73,7 @@ from .algebra import (
     _integral_table,
     _pair_basis,
     _tensor_relations,
+    _with_mirrors,
     check_morphism,
 )
 from .linalg import (
@@ -134,7 +138,9 @@ class UceAlgebra:
 
 def _torus(L: LieSuperalgebra) -> tuple:
     """(h, weights): an even h with ad h diagonal in the basis and the int
-    weights with [h, b_j] = weights[j] * b_j.
+    weights with [h, b_j] = weights[j] * b_j, certified: h is re-checked
+    to be diagonal with these weights, and CertificateError names the
+    basis element where it is not.
 
     The torus T, all even elements with ad h diagonal, is the kernel of
     one exact system in the coefficients of h over the even basis
@@ -173,6 +179,11 @@ def _torus(L: LieSuperalgebra) -> tuple:
         vec_add_scaled(h, ht, scale)
         for j, a in enumerate(alpha):
             weights[j] += scale * a
+    for j, w in enumerate(weights):
+        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
+            raise CertificateError(
+                f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
+            )
     return h, weights
 
 
@@ -188,7 +199,7 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     """
     d = L.dim
     table = L.table
-    relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights))
+    relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights, skew=True))
     blocks: dict = {}
     for a, wa in enumerate(weights):
         for b, wb in enumerate(weights):
@@ -228,19 +239,13 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     block is one greedy pass from the right over the bracket images.  It
     equals the RREF presentation of the whole relation space.
 
-    Its certificates always run: h is re-checked to be diagonal with the
-    weights the blocks use, each nonzero block's free images span the
-    basis elements of its weight, and the canonical map u is checked to
-    be a morphism with central kernel.
+    Its certificates always run: h is diagonal with the weights the
+    blocks use (_torus), each nonzero block's free images span the basis
+    elements of its weight, and the canonical map u is checked to be a
+    morphism with central kernel.
     """
     d = L.dim
-    labels = L.basis.labels
-    h, weights = _torus(L)
-    for j, w in enumerate(weights):
-        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
-            raise CertificateError(
-                f"torus element is not diagonal with weight {w} at basis element {labels[j]}"
-            )
+    _, weights = _torus(L)
     pres = _weight_presentation(L, weights)
     free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
     brackets = [L.table[a][b] for a, b in free_pairs]
@@ -347,7 +352,17 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
 
     The cyclic identity reads the structure constants scaled by the LCM
     D of their denominators, as in validate_lie: each sum is D times the
-    rational one.
+    rational one.  As there, it is evaluated once per unordered triple
+    and each failing triple is reported with its mirror.  L is trusted
+    to be a Lie superalgebra (it was validated where it entered the
+    package): the mirror needs its table skew, and the weight-0
+    restriction below needs the torus weights to grade it.
+
+    When tau vanishes on every pair of nonzero total weight under the
+    certified torus of L (see _torus), only the classes of total weight 0
+    are evaluated: every term tau(b_i, [b_j, b_k]) of a class of weight
+    l != 0 is tau at a pair of weight l, so only weight-0 classes can
+    fail.  A tau with support off weight 0 is checked on every class.
     """
     L = tau.source
     report = ValidationReport()
@@ -373,8 +388,12 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
             report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
     if not report.ok:
         return report
+    _, weights = _torus(L)
+    if any(vals[i][j] for i in range(d) for j in range(d) if weights[i] + weights[j]):
+        weights = None
     itable, _ = _integral_table(L.table)
-    for i, j, k, terms in _cyclic_classes(itable, par):
+    failed = []
+    for i, j, k, terms in _cyclic_classes(itable, par, weights, skew=True):
         acc: Vector = {}
         for s, outer, cell in terms:
             vo = vals[outer]
@@ -384,8 +403,9 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
                     for r, y in vo[t].items():
                         acc[r] = acc.get(r, 0) + x * y
         if any(acc.values()):
-            report.add("cocycle", (labels[i], labels[j], labels[k]),
-                       "cyclic cocycle sum != 0")
+            failed.append((i, j, k))
+    for i, j, k in _with_mirrors(failed):
+        report.add("cocycle", (labels[i], labels[j], labels[k]), "cyclic cocycle sum != 0")
     return report
 
 
@@ -466,7 +486,9 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
 
     Unknowns are tau(b_i, b_j) for i < j plus tau(b_i, b_i) for odd i;
     the remaining values are forced by super-alternation.  Cocycle rows
-    (the cyclic identity) are enumerated once per cyclic class;
+    (the cyclic identity) are enumerated once per unordered triple
+    i <= j <= k: the row of (i, k, j) is +-1 times that of (i, j, k), as
+    the table is skew, so the rank is the same as over every class;
     coboundaries are tau = g([.,.]) for all basis functionals g.  The
     even-line and odd-line sectors decouple by grading, so one global
     elimination counts both, and by field duality the result equals the
@@ -536,9 +558,8 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
     for i in range(d):
         for j in range(i, d):
             target = tuple(-a - b for a, b in zip(weights[i], weights[j]))
-            for k in by_weight.get(target, ()):
-                if k < i:
-                    continue
+            group = by_weight.get(target, ())
+            for k in group[bisect_left(group, j):]:
                 row: dict = {}
                 cell = table[j][k]
                 if cell:

@@ -9,7 +9,12 @@ row space and rank by this Fraction Echelon, which the integer
 row-space routines must match, the presentation of the tensor square
 by one elimination of the whole relation space, which the weight-block
 build_uce must match, and the Fraction dual-cohomology oracle over
-every cochain, which the integer weight-0 oracle must match.
+every cochain, which the integer weight-0 oracle must match.  The Lie
+validators here walk every cyclic class i <= j, i <= k in both
+orientations and validate_cocycle every class of every weight; the
+package's walk one orientation per unordered triple, and validate_cocycle
+only weight 0 when it can, and must report the same violations in the
+same order.
 """
 
 from __future__ import annotations
@@ -80,6 +85,49 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
                         vec_add_scaled(acc, tk[t], s * x)
                 if acc:
                     report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
+    return report
+
+
+def validate_cocycle(tau) -> ValidationReport:
+    """Degree zero, super-alternating, and the cyclic cocycle identity on
+    tau's source, on every class i <= j, i <= k of every weight."""
+    L = tau.source
+    report = ValidationReport()
+    d = L.dim
+    par = L.basis.parities
+    tpar = tau.target.parities
+    labels = L.basis.labels
+    table = L.table
+    vals = tau.values
+    for i in range(d):
+        for j in range(d):
+            want = (par[i] + par[j]) & 1
+            for k in vals[i][j]:
+                if tpar[k] != want:
+                    report.add("degree", (labels[i], labels[j]),
+                               f"value component has parity {tpar[k]}, expected {want}")
+    for i in range(d):
+        for j in range(i, d):
+            sign = -ONE if par[i] and par[j] else ONE
+            if vals[j][i] != {k: -sign * x for k, x in vals[i][j].items()}:
+                report.add("alternating", (labels[i], labels[j]),
+                           "tau(y,x) != -(-1)^{|x||y|} tau(x,y)")
+        if par[i] == EVEN and vals[i][i]:
+            report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
+    if not report.ok:
+        return report
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(i, d):
+                acc: Vector = {}
+                for outer, cell, s in ((i, table[j][k], par[i] and par[k]),
+                                       (j, table[k][i], par[j] and par[i]),
+                                       (k, table[i][j], par[k] and par[j])):
+                    for t, x in cell.items():
+                        vec_add_scaled(acc, vals[outer][t], -x if s else x)
+                if acc:
+                    report.add("cocycle", (labels[i], labels[j], labels[k]),
+                               "cyclic cocycle sum != 0")
     return report
 
 

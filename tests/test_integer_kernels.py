@@ -26,7 +26,7 @@ from superuce import (
     validate_assoc,
     validate_lie,
 )
-from superuce.algebra import _tensor_relations
+from superuce.algebra import _integral_table, _tensor_relations
 from superuce.linalg import echelon_rows
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
@@ -167,6 +167,20 @@ def test_b_relations_span_matches_reference(L):
     want = ref.fraction_echelon_rows(ref.b_relations(L))
     assert ref.fraction_echelon_rows(rows) == want
     assert echelon_rows(rows) == want
+
+
+def test_integral_table_returns_an_int_table_itself():
+    L = sl2()
+    assert _integral_table(L.table) == (L.table, 1)
+    assert _integral_table(L.table)[0] is L.table
+    # in the basis e, 2h, 3f: [2h, e] = 4e, [2h, 3f] = -4(3f), [e, 3f] = (3/2)(2h)
+    scaled = LieSuperalgebra(L.basis, rescaled(L.table, [Fraction(k) for k in (1, 2, 3)]),
+                             validate=False)
+    itable, den = _integral_table(scaled.table)
+    assert den == 2 and itable is not scaled.table
+    assert all(type(x) is int for row in itable for cell in row for x in cell.values())
+    assert itable == tuple(tuple({k: den * x for k, x in cell.items()} for cell in row)
+                           for row in scaled.table)
 
 
 @st.composite

@@ -12,6 +12,8 @@ from superuce import (
     AssocSuperalgebra,
     Cocycle2,
     GradedBasis,
+    GradedLinearMap,
+    InvalidSystemError,
     LieSuperalgebra,
     build_family,
     build_uce,
@@ -21,6 +23,7 @@ from superuce import (
     colimit,
     corner_embedding,
     extension_from_cocycle,
+    limit_u,
     quotient_by_central,
     tau_cocycle,
     validate_assoc,
@@ -28,6 +31,8 @@ from superuce import (
     validate_lie,
 )
 from superuce.matrices import matrix_superalgebra
+
+from systems_util import sl2
 
 ONE = Fraction(1)
 
@@ -108,6 +113,19 @@ def test_a_unit_entry_that_is_not_rational_is_refused(bad):
     why = f"{re.escape(repr(bad))} is not a rational"
     with pytest.raises(ValueError, match=rf"^unit entry 0: {why}"):
         AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: bad})
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)
+def test_a_transition_entry_that_is_not_rational_is_refused(bad):
+    # refused where the system is validated, before the morphism check
+    L = sl2()
+    f = GradedLinearMap(L.basis, L.basis, [{0: bad}, {1: bad}, {2: bad}])
+    with pytest.raises(InvalidSystemError) as err:
+        limit_u(chain_system([L, L], [f]))
+    why = f"{bad!r} is not a rational (an int or a Fraction)"
+    assert err.value.report.violations == [
+        ("scalar", "0 <= 1", f"column {label}: {why}") for label in L.basis.labels
+    ]
 
 
 def test_rational_entries_are_stored_under_the_scalar_rule():

@@ -123,6 +123,36 @@ def test_functor_laws_on_corner_chain():
     assert exts[1].u.compose(uf) == f.compose(exts[0].u)
 
 
+def test_a_non_central_kernel_vector_is_caught(monkeypatch):
+    L = sl2()
+    ext = build_uce(L)
+    u_matrix = ext.u.matrix()
+    # the first extension element that some basis element does not commute with
+    j = next(j for j in range(ext.dim) if ext.lie.table[0][j])
+    real = superuce.uce.kernel_basis
+
+    def planted(m):
+        return real(m) + ([{0: ONE}] if m == u_matrix else [])
+
+    monkeypatch.setattr(superuce.uce, "kernel_basis", planted)
+    label = ext.lie.basis.labels[j]
+    with pytest.raises(superuce.CertificateError,
+                       match=f"^kernel of u is not central: a kernel vector does not commute with {label}$"):
+        build_uce(L)
+
+
+def test_a_lift_of_a_map_that_is_not_a_morphism_is_caught():
+    L = sl2()
+    ext = build_uce(L)
+    double = GradedLinearMap(L.basis, L.basis, [{i: 2} for i in range(L.dim)])
+    # <2a, 2b> goes to 4[a,b] and <a,b> to 2[a,b]: they part where [a,b] != 0
+    q = next(q for q, (a, b) in enumerate(ext.free_pairs) if L.table[a][b])
+    label = ext.lie.basis.labels[q]
+    with pytest.raises(superuce.CertificateError,
+                       match=f"^induced map does not commute with the canonical maps at {label}$"):
+        uce_of_morphism(double, source=ext, target=ext)
+
+
 def test_each_extension_element_records_its_basis_pair():
     """Basis element q of the extension is <b_a, b_b> for (a, b) =
     free_pairs[q]: its label, parity, u-column and class all say so."""

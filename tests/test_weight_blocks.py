@@ -163,16 +163,15 @@ def test_benchmark_documents(path):
 
 
 def test_corrupted_weight_is_caught(monkeypatch):
-    torus = uce._torus
-
-    def corrupted(L):
-        h, weights = torus(L)
-        weights[1] += 1
-        return h, weights
-
-    monkeypatch.setattr(uce, "_torus", corrupted)
-    L = sl2()
-    with pytest.raises(CertificateError, match=f"basis element {L.basis.labels[1]}"):
+    # sl(2) on e, h/4, f: the torus weights 1/2, 0, -1/2 need the
+    # denominator 2, and without it they truncate to 0
+    L = change_of_basis(sl2(), [[1, 0, 0], [0, Fraction(1, 4), 0], [0, 0, 1]])
+    assert uce._torus(L)[1] == [1, 0, -1]
+    monkeypatch.setattr(uce, "_denominator_lcm", lambda values: 1)
+    message = f"not diagonal with weight 0 at basis element {L.basis.labels[0]}$"
+    with pytest.raises(CertificateError, match=message):
+        uce._torus(L)
+    with pytest.raises(CertificateError, match=message):
         build_uce(L)
 
 
