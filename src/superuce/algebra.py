@@ -12,12 +12,21 @@ sparse vector of the product of basis elements i and j.  The laws are:
   even unit.
 
 They are checked where data enters the package: an algebra a caller
-builds with validate=True (the default), and every algebra file.  An
-algebra the package derives from a validated one (supercommutator
-algebra, matrix algebra, subalgebra, central quotient, extension)
-satisfies them by construction and is built with validate=False; the
-certificates of each construction (closure, centrality, morphism and
-bijectivity checks) always run.
+builds with validate=True (the default), and every algebra file.  A
+table is cleaned (zeros dropped, entries put under the scalar rule,
+indices range-checked) only there too, by the public constructors,
+also with validate=False.  An algebra the package derives from a
+validated one (supercommutator algebra, matrix algebra, subalgebra,
+central quotient, extension) satisfies the laws by construction, and
+the package builds each of its cells under the scalar rule; it is
+built by LieSuperalgebra._derived or AssocSuperalgebra._derived, with
+neither check.  The certificates of each construction (closure,
+centrality, morphism and bijectivity checks) always run.
+
+A Lie table is super skew-symmetric, [y,x] = -(-1)^{|x||y|}[x,y], so
+every pair loop over a trusted one computes only the cells i <= j of a
+derived table and writes each cell (j, i) as the sign-flipped copy, and
+check_morphism checks only the pairs i <= j.
 
 Everything is immutable after construction, apart from the private
 echelon a GradedLinearMap builds of its columns on first use.
@@ -173,6 +182,17 @@ class LieSuperalgebra:
             if not report.ok:
                 raise InvalidAlgebraError(report)
 
+    @classmethod
+    def _derived(cls, basis: GradedBasis, table) -> "LieSuperalgebra":
+        """An algebra the package derived from a trusted one.  Every cell
+        was built under the scalar rule, with no stored zero and every
+        index in range, so the rows only become tuples: no _clean_table,
+        no validation."""
+        alg = object.__new__(cls)
+        alg.basis = basis
+        alg.table = tuple(tuple(row) for row in table)
+        return alg
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -213,6 +233,15 @@ class AssocSuperalgebra:
             report = validate_assoc(self)
             if not report.ok:
                 raise InvalidAlgebraError(report)
+
+    @classmethod
+    def _derived(cls, basis: GradedBasis, table, unit: Vector) -> "AssocSuperalgebra":
+        """As LieSuperalgebra._derived, with the unit stored as given."""
+        alg = object.__new__(cls)
+        alg.basis = basis
+        alg.table = tuple(tuple(row) for row in table)
+        alg.unit = unit
+        return alg
 
     @property
     def dim(self) -> int:
@@ -389,6 +418,19 @@ def _tensor_relations(table, par, weights=None, skew=False) -> list:
     return rows
 
 
+def _skew_mirror(table: list, par) -> list:
+    """Fill the cells below the diagonal of a Lie table whose cells
+    i <= j are built: by super skew-symmetry, cell (j, i) is
+    -(-1)^{|i||j|} times cell (i, j).  Returns the table."""
+    d = len(par)
+    for i in range(d):
+        row = table[i]
+        for j in range(i + 1, d):
+            cell = row[j]
+            table[j][i] = dict(cell) if par[i] and par[j] else {k: -x for k, x in cell.items()}
+    return table
+
+
 def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
     """(pairs, GradedBasis) of a quotient of V (x) V on its free tensor
     columns: free column q is a*dim + b for (a, b) = pairs[q], and its
@@ -497,20 +539,29 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
 
 
 def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
-    """Supercommutator algebra: [x,y] = xy - (-1)^{|x||y|} yx."""
+    """Supercommutator algebra: [x,y] = xy - (-1)^{|x||y|} yx.
+
+    Only the cells i <= j are computed; cell (j, i) is -(-1)^{|i||j|}
+    times cell (i, j).  A sum of two Fractions that is integral is stored
+    as an int.
+    """
     d = A.dim
     par = A.basis.parities
     t = A.table
-    table = []
+    table = [[None] * d for _ in range(d)]
     for i in range(d):
-        row = []
-        for j in range(d):
-            cell = dict(t[i][j])
+        ti = t[i]
+        for j in range(i, d):
             sign = -1 if par[i] and par[j] else 1
-            vec_add_scaled(cell, t[j][i], -sign)
-            row.append(cell)
-        table.append(row)
-    return LieSuperalgebra(A.basis, table, validate=False)
+            cell = dict(ti[j])
+            for k, x in t[j][i].items():
+                y = cell.get(k, 0) - sign * x
+                if y:
+                    cell[k] = y if type(y) is int else _rational(y)
+                else:
+                    del cell[k]
+            table[i][j] = cell
+    return LieSuperalgebra._derived(A.basis, _skew_mirror(table, par))
 
 
 class GradedLinearMap:
@@ -646,7 +697,13 @@ class Subspace:
 
 
 def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -> bool:
-    """True iff f is an even Lie morphism, checked basis-pairwise."""
+    """True iff f is an even Lie morphism, checked on the basis pairs i <= j.
+
+    f is checked to be parity-preserving first, and L and M are trusted
+    Lie tables (super skew-symmetric), so the equation of the pair (j, i),
+    f[b_j, b_i] = [f b_j, f b_i], is -(-1)^{|i||j|} times the one of
+    (i, j) and holds exactly when it does.
+    """
     if f.domain != L.basis or f.codomain != M.basis:
         return False
     if not f.is_parity_preserving():
@@ -654,8 +711,9 @@ def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -
     cols = f.columns
     for i in range(L.dim):
         fi = cols[i]
-        for j in range(L.dim):
-            if f.apply(L.table[i][j]) != M.bracket(fi, cols[j]):
+        row = L.table[i]
+        for j in range(i, L.dim):
+            if f.apply(row[j]) != M.bracket(fi, cols[j]):
                 return False
     return True
 
@@ -714,7 +772,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
         for b in free:
             row.append(pres.project(L.table[a][b]))
         table.append(row)
-    quotient = LieSuperalgebra(basis, table, validate=False)
+    quotient = LieSuperalgebra._derived(basis, table)
     proj_cols = [pres.project({j: 1}) for j in range(L.dim)]
     projection = GradedLinearMap(L.basis, basis, proj_cols)
     return quotient, projection
@@ -727,20 +785,25 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     Returns (algebra, embedding into parent).  The embedding is built
     first; its rank certifies independence, and each structure constant
     is the embedding's preimage of a bracket, so it is exact and
-    deterministic.  Raises if the span is not closed under the bracket.
+    deterministic.  Only the pairs i <= j are solved: [v_j, v_i] is
+    -(-1)^{|v_i||v_j|} [v_i, v_j], so it lies in the span exactly when
+    [v_i, v_j] does, and its coordinates are the sign-flipped copy.
+    Raises if the span is not closed under the bracket, naming the first
+    failing pair in row order.
     """
     basis_par = [vector_parity(v, parent.basis) for v in vectors]
     if None in basis_par:
         raise ValueError("zero vector in subalgebra basis")
     basis = GradedBasis(labels, basis_par)
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
-    if embedding.rank() != len(vectors):
+    n = len(vectors)
+    if embedding.rank() != n:
         raise ValueError("subalgebra basis is linearly dependent")
-    table = []
+    table = [[None] * n for _ in range(n)]
     for i, v in enumerate(vectors):
-        row = [embedding.preimage(parent.bracket(v, w)) for w in vectors]
-        if None in row:
-            pair = f"({labels[i]}, {labels[row.index(None)]})"
-            raise ValueError(f"span not closed under bracket at pair {pair}")
-        table.append(row)
-    return LieSuperalgebra(basis, table, validate=False), embedding
+        for j in range(i, n):
+            cell = embedding.preimage(parent.bracket(v, vectors[j]))
+            if cell is None:
+                raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
+            table[i][j] = cell
+    return LieSuperalgebra._derived(basis, _skew_mirror(table, basis_par)), embedding

@@ -171,8 +171,8 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgeb
 
     Product: E_ij(a) E_pq(b) = [j == p] (-1)^{|a|(|p|+|q|)} E_iq(ab)
     (the graded tensor product sign; trivial over even A or for n = 0).
-    Associative with unit whenever A is, so it is built without
-    re-validation.
+    Associative with unit whenever A is, and every cell is a signed
+    product cell of A, so it is built without re-validation or cleaning.
     """
     size = m + n
     if size < 1:
@@ -212,7 +212,7 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgeb
     for i in range(size):
         for t, x in A.unit.items():
             unit[coord(i, i, t)] = x
-    return AssocSuperalgebra(GradedBasis(labels, parities), table, unit, validate=False)
+    return AssocSuperalgebra._derived(GradedBasis(labels, parities), table, unit)
 
 
 class MatrixFamily:

@@ -19,7 +19,9 @@ unordered basis triple is enumerated.
 The extension algebra is (L (x) L) / B with bracket
 [<a,b>, <c,d>] = <[a,b], [c,d]> and canonical map u<a,b> = [a,b]; the
 kernel of u is central, and for perfect L it is the second homology of
-L and u is the universal central extension.
+L and u is the universal central extension.  The extension is a Lie
+superalgebra, so only its cells p <= q are projected and each cell
+(q, p) is the sign-flipped copy.
 
 Weight blocks.  build_uce presents the quotient by the reduced row
 echelon form (RREF) of B, but it eliminates only a small part of B.
@@ -43,10 +45,14 @@ when e_c is not in B_l + span{e_c' : c' > c}, that is, when [b_a, b_b]
 is not in the span of the images of the later columns; so one greedy
 pass from the right over the images yields the free columns, and the
 RREF row of a pivot c is e_c minus the exact expression of its image
-over the later free images.  The presentation is the one a full
-elimination of B gives.  h is a regular element of the torus of all
-such elements (see _torus); with no such element there is one block and
-B is eliminated whole.
+over the later free images.  The pass reduces no column (a, b) with
+a < b: its image is -s times that of (b, a), s = (-1)^{|a||b|}, and
+(b, a) lies further right, so it was passed first.  Its row is read off
+the pair relation: e_(a,b) + s e_(b,a) when (b, a) is free, and
+e_(a,b) - s (row of (b, a) without its pivot) otherwise.  The
+presentation is the one a full elimination of B gives.  h is a regular
+element of the torus of all such elements (see _torus); with no such
+element there is one block and B is eliminated whole.
 
 The cohomological cross-check h2_cohomology_oracle counts degree-zero
 super-alternating 2-cocycles with values in Q modulo coboundaries.  It
@@ -72,6 +78,7 @@ from .algebra import (
     _cyclic_classes,
     _integral_table,
     _pair_basis,
+    _skew_mirror,
     _tensor_relations,
     _with_mirrors,
     check_morphism,
@@ -82,6 +89,7 @@ from .linalg import (
     SparseMatrix,
     Vector,
     _denominator_lcm,
+    _rational,
     _tensor,
     echelon_rows,
     kernel_basis,
@@ -193,9 +201,10 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     The weight-0 rows are generated and eliminated.  Every other block is
     one greedy pass from the right over the images [b_a, b_b]: a column
     whose image is in the span of the later free images is a pivot, and
-    its RREF row is read off the Echelon(track=True) certificate.  Raises
-    CertificateError when the free images of a block do not span the
-    basis elements of that weight.
+    its RREF row is read off the Echelon(track=True) certificate, or, for
+    a column (a, b) with a < b, off the mirror column (b, a) (see the
+    module docstring).  Raises CertificateError when the free images of a
+    block do not span the basis elements of that weight.
     """
     d = L.dim
     table = L.table
@@ -205,10 +214,26 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
         for b, wb in enumerate(weights):
             if wa + wb:
                 blocks.setdefault(wa + wb, []).append(a * d + b)
+    par = L.basis.parities
     for weight, cols in blocks.items():
         ech = Echelon(track=True)
         for c in reversed(cols):
-            image = table[c // d][c % d]
+            a, b = divmod(c, d)
+            if a < b:
+                # the image is -s times that of the mirror column, already processed
+                sign = -1 if par[a] and par[b] else 1
+                mirror = b * d + a
+                mrow = relations.get(mirror)
+                if mrow is None:
+                    relations[c] = {c: 1, mirror: sign}
+                else:
+                    row = {c: 1}
+                    for t, x in mrow.items():
+                        if t != mirror:
+                            row[t] = -sign * x
+                    relations[c] = row
+                continue
+            image = table[a][b]
             cert = {}
             if image:
                 residue, cert = ech.reduce(image)
@@ -237,7 +262,10 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     module docstring): a regular element h of the torus is found, only
     the weight-0 relations are generated and eliminated, and each other
     block is one greedy pass from the right over the bracket images.  It
-    equals the RREF presentation of the whole relation space.
+    equals the RREF presentation of the whole relation space.  The
+    extension table is projected on the pairs p <= q of its basis and
+    mirrored by super skew-symmetry; its cells are built under the scalar
+    rule, so it is not cleaned again.
 
     Its certificates always run: h is diagonal with the weights the
     blocks use (_torus), each nonzero block's free images span the basis
@@ -250,8 +278,12 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
     brackets = [L.table[a][b] for a, b in free_pairs]
     project = pres.project
-    table = [[project(_tensor(w, w2, d)) for w2 in brackets] for w in brackets]
-    lie = LieSuperalgebra(basis, table, validate=False)
+    n = len(brackets)
+    table = [[None] * n for _ in range(n)]
+    for p, w in enumerate(brackets):
+        for q in range(p, n):
+            table[p][q] = project(_tensor(w, brackets[q], d))
+    lie = LieSuperalgebra._derived(basis, _skew_mirror(table, basis.parities))
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
@@ -312,6 +344,9 @@ class Cocycle2:
     """Degree-zero 2-cocycle on L with values in a graded space.
 
     values[i][j] is tau(b_i, b_j) in coordinates of the target basis.
+    Each value is put under the scalar rule by linalg._rational, zeros
+    dropped; a value that is not a rational raises ValueError naming the
+    pair and the component.
     """
 
     __slots__ = ("source", "target", "values")
@@ -320,14 +355,22 @@ class Cocycle2:
         self.source = source
         self.target = target
         d = source.dim
+        labels = source.basis.labels
         vals = []
         for i in range(d):
             row = []
             for j in range(d):
-                cell = {k: x for k, x in values[i][j].items() if x}
-                for k in cell:
+                cell = {}
+                for k, x in values[i][j].items():
                     if not 0 <= k < len(target):
                         raise ValueError("cocycle value out of target range")
+                    try:
+                        x = _rational(x)
+                    except TypeError as exc:
+                        raise ValueError(f"cocycle value ({labels[i]}, {labels[j]}) component "
+                                         f"{target.labels[k]}: {exc}") from None
+                    if x:
+                        cell[k] = x
                 row.append(cell)
             vals.append(tuple(row))
         self.values = tuple(vals)
@@ -428,7 +471,9 @@ def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
     where L is tau's source and C its target.
 
     tau is validated; the total algebra is then a Lie superalgebra by
-    construction and is built without re-validation.
+    construction, and its cells are those of L and of tau, both already
+    under the scalar rule, so it is built without re-validation or
+    cleaning.
     """
     if not validate_cocycle(tau).ok:
         raise ValueError("cocycle does not validate against its source algebra")
@@ -457,7 +502,7 @@ def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
             else:
                 row.append({})
         table.append(row)
-    total = LieSuperalgebra(basis, table, validate=False)
+    total = LieSuperalgebra._derived(basis, table)
     projection = GradedLinearMap(
         basis, L.basis, [{i: 1} if i < d else {} for i in range(d + c)]
     )

@@ -9,7 +9,12 @@ row space and rank by this Fraction Echelon, which the integer
 row-space routines must match, the presentation of the tensor square
 by one elimination of the whole relation space, which the weight-block
 build_uce must match, and the Fraction dual-cohomology oracle over
-every cochain, which the integer weight-0 oracle must match.  The Lie
+every cochain, which the integer weight-0 oracle must match.  The
+supercommutator algebra, the subalgebra table, the extension table and
+the morphism check here compute every ordered pair (i, j); the
+package's compute the pairs i <= j and mirror the rest by super
+skew-symmetry, and must give the same cells and the same verdicts.  The
+Lie
 validators here walk every cyclic class i <= j, i <= k in both
 orientations and validate_cocycle every class of every weight; the
 package's walk one orientation per unordered triple, and validate_cocycle
@@ -27,13 +32,15 @@ from superuce.algebra import (
     EVEN,
     ODD,
     AssocSuperalgebra,
+    GradedBasis,
+    GradedLinearMap,
     LieSuperalgebra,
     ValidationReport,
     _check_grading,
     _tensor_relations,
     vector_parity,
 )
-from superuce.linalg import Vector, quotient_space, rank_of_rows, vec_add_scaled
+from superuce.linalg import Vector, _tensor, quotient_space, rank_of_rows, vec_add_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -452,3 +459,67 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
             coboundary_rows.append(row)
     dim_b2 = rank_of_rows(coboundary_rows)
     return dim_z2 - dim_b2
+
+
+def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
+    """Supercommutator algebra on every ordered pair, cleaned by the
+    public constructor."""
+    d = A.dim
+    par = A.basis.parities
+    t = A.table
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            cell = dict(t[i][j])
+            sign = -1 if par[i] and par[j] else 1
+            vec_add_scaled(cell, t[j][i], -sign)
+            row.append(cell)
+        table.append(row)
+    return LieSuperalgebra(A.basis, table, validate=False)
+
+
+def subalgebra_from_vectors(parent: LieSuperalgebra, vectors, labels):
+    """Subalgebra table from the embedding's preimage of every ordered
+    pair's bracket, cleaned by the public constructor."""
+    basis_par = [vector_parity(v, parent.basis) for v in vectors]
+    if None in basis_par:
+        raise ValueError("zero vector in subalgebra basis")
+    basis = GradedBasis(labels, basis_par)
+    embedding = GradedLinearMap(basis, parent.basis, list(vectors))
+    if embedding.rank() != len(vectors):
+        raise ValueError("subalgebra basis is linearly dependent")
+    table = []
+    for i, v in enumerate(vectors):
+        row = [embedding.preimage(parent.bracket(v, w)) for w in vectors]
+        if None in row:
+            pair = f"({labels[i]}, {labels[row.index(None)]})"
+            raise ValueError(f"span not closed under bracket at pair {pair}")
+        table.append(row)
+    return LieSuperalgebra(basis, table, validate=False), embedding
+
+
+def uce_table(ext) -> tuple:
+    """The extension table of a UceAlgebra, <[a,b], [c,d]> projected on
+    every ordered pair of its basis pairs and cleaned by the public
+    constructor."""
+    L = ext.base
+    brackets = [L.table[a][b] for a, b in ext.free_pairs]
+    project = ext.presentation.project
+    table = [[project(_tensor(w, w2, L.dim)) for w2 in brackets] for w in brackets]
+    return LieSuperalgebra(ext.lie.basis, table, validate=False).table
+
+
+def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -> bool:
+    """True iff f is an even Lie morphism, checked on every ordered basis pair."""
+    if f.domain != L.basis or f.codomain != M.basis:
+        return False
+    if not f.is_parity_preserving():
+        return False
+    cols = f.columns
+    for i in range(L.dim):
+        fi = cols[i]
+        for j in range(L.dim):
+            if f.apply(L.table[i][j]) != M.bracket(fi, cols[j]):
+                return False
+    return True

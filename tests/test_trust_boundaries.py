@@ -128,6 +128,28 @@ def test_a_transition_entry_that_is_not_rational_is_refused(bad):
     ]
 
 
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_a_cocycle_value_that_is_not_rational_is_refused(bad):
+    # refused where the cocycle is built, before validate_cocycle or the
+    # total algebra of extension_from_cocycle see it
+    L = sl2()
+    values = [[{} for _ in range(L.dim)] for _ in range(L.dim)]
+    values[0][1] = {0: bad}
+    values[1][0] = {0: bad}
+    why = f"{re.escape(repr(bad))} is not a rational"
+    with pytest.raises(ValueError, match=rf"^cocycle value \(e, h\) component c: {why}"):
+        Cocycle2(L, GradedBasis(["c"], [0]), values)
+
+
+def test_cocycle_values_are_stored_under_the_scalar_rule():
+    L = sl2()
+    values = [[{} for _ in range(L.dim)] for _ in range(L.dim)]
+    values[0][2] = {0: Fraction(2, 2), 1: Fraction(0)}
+    values[2][0] = {0: -1}
+    tau = Cocycle2(L, GradedBasis(["c", "d"], [0, 0]), values)
+    assert tau.values[0][2] == {0: 1} and type(tau.values[0][2][0]) is int
+
+
 def test_rational_entries_are_stored_under_the_scalar_rule():
     A = AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: Fraction(2, 2)}]], {0: Fraction(3, 3)})
     assert A.table == (({0: 1},),) and A.unit == {0: 1}
