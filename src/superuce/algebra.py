@@ -170,13 +170,15 @@ def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
 
 class LieSuperalgebra:
     """Lie superalgebra from structure constants; validated at construction
-    unless validate=False."""
+    unless validate=False.  Its certified torus (see uce._torus) is found
+    on first use and kept."""
 
-    __slots__ = ("basis", "table")
+    __slots__ = ("basis", "table", "_torus")
 
     def __init__(self, basis: GradedBasis, table, validate: bool = True):
         self.basis = basis
         self.table = _clean_table(basis, table)
+        self._torus = None
         if validate:
             report = validate_lie(self)
             if not report.ok:
@@ -191,6 +193,7 @@ class LieSuperalgebra:
         alg = object.__new__(cls)
         alg.basis = basis
         alg.table = tuple(tuple(row) for row in table)
+        alg._torus = None
         return alg
 
     @property
@@ -370,26 +373,25 @@ def _with_mirrors(failed: list) -> list:
 
 def _tensor_relations(table, par, weights=None, skew=False) -> list:
     """Int spanning rows of the relation space in V (x) V of a product
-    table on V: one pair row per basis pair a <= b, and one cyclic row per
-    cyclic class.
+    table on V: the pair rows (_pair_relations), then the cyclic rows
+    (_cyclic_relations).
+
+    Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Given
+    int weights grading the table (see _cyclic_classes), every row is
+    homogeneous and only the rows of weight 0 are emitted: they span the
+    relations inside the weight-0 part of V (x) V.
+    """
+    return _pair_relations(par, weights) + _cyclic_relations(table, par, weights, skew)
+
+
+def _pair_relations(par, weights=None) -> list:
+    """One pair row per basis pair a <= b, each +-1.
 
     For a < b the pair row is a (x) b + (-1)^{|a||b|} b (x) a.  For a = b
     it is the diagonal row a (x) a when a is even (half the pair sum, and
     the quadratic relation too) and absent when a is odd (the sum is 0),
-    so no pair or diagonal row is emitted twice.
-
-    Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Pair
-    and diagonal rows are +-1, and each cyclic row is D times the
-    rational one, for D the LCM of the table's denominators.
-
-    With skew=True (a Lie table) the cyclic rows are those of one
-    representative per unordered triple: the row of (i, k, j) is +-1
-    times that of (i, j, k) (see _cyclic_classes), so the span is the
-    same.  The default walks both orientations, as a product table needs.
-
-    Given int weights grading the table (see _cyclic_classes), every row
-    is homogeneous and only the rows of weight 0 are emitted: they span
-    the relations inside the weight-0 part of V (x) V.
+    so no pair or diagonal row is emitted twice.  Given weights, only the
+    rows of weight 0.
     """
     d = len(par)
     w = weights or (0,) * d
@@ -404,6 +406,21 @@ def _tensor_relations(table, par, weights=None, skew=False) -> list:
                     rows.append({i * d + i: 1})
             else:
                 rows.append({i * d + j: 1, j * d + i: sign})
+    return rows
+
+
+def _cyclic_relations(table, par, weights=None, skew=False) -> list:
+    """One cyclic row per cyclic class of the table (see _cyclic_classes),
+    D times the rational one, for D the LCM of the table's denominators.
+
+    With skew=True (a Lie table) the rows are those of one representative
+    per unordered triple: the row of (i, k, j) is +-1 times that of
+    (i, j, k), so the span is the same.  The default walks both
+    orientations, as a product table needs.  Given weights, only the
+    classes of weight 0.
+    """
+    d = len(par)
+    rows = []
     itable, _ = _integral_table(table)
     for _, _, _, terms in _cyclic_classes(itable, par, weights, skew):
         row: dict = {}

@@ -45,6 +45,7 @@ its transition map.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -271,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: run and main build it on first use and
+    share it, so a later command in the same process does not rebuild it."""
+    return build_parser()
 
 
 def _load_json(path: str) -> Tuple[dict, bytes]:
@@ -640,7 +648,7 @@ def emit_report(report: dict, fmt: str, stream) -> None:
 
 def run(argv: Sequence[str]) -> Tuple[dict, int]:
     """Parse argv, execute, and return (report, exit_code)."""
-    return _execute(build_parser().parse_args(argv))
+    return _execute(_parser().parse_args(argv))
 
 
 def _execute(args) -> Tuple[dict, int]:
@@ -660,7 +668,7 @@ def _execute(args) -> Tuple[dict, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, code = _execute(args)
     except InputError as exc:

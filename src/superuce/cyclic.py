@@ -37,8 +37,9 @@ from .algebra import (
     GradedBasis,
     GradedLinearMap,
     Subspace,
+    _cyclic_relations,
     _pair_basis,
-    _tensor_relations,
+    _pair_relations,
     lie_from_assoc,
 )
 from .linalg import (
@@ -80,22 +81,24 @@ def cyclic_pairs(A: AssocSuperalgebra) -> CyclicPairs:
     d = A.dim
     par = A.basis.parities
     labels = A.basis.labels
-    rows = _tensor_relations(A.table, par)
-    pres = quotient_space(d * d, rows)
+    rows = {"pair": _pair_relations(par), "cyclic": _cyclic_relations(A.table, par)}
+    pres = quotient_space(d * d, rows["pair"] + rows["cyclic"])
     commutator_table = lie_from_assoc(A).table
 
     # the commutator must vanish on every relation, else the map would
     # not descend to the quotient
-    for row in rows:
-        acc: Vector = {}
-        for k, x in row.items():
-            a, b = divmod(k, d)
-            vec_add_scaled(acc, commutator_table[a][b], x)
-        if acc:
-            a, b = divmod(min(row), d)
-            raise CertificateError(
-                f"supercommutator does not kill the pair relation on <<{labels[a]},{labels[b]}>>"
-            )
+    for kind, kind_rows in rows.items():
+        for row in kind_rows:
+            acc: Vector = {}
+            for k, x in row.items():
+                a, b = divmod(k, d)
+                vec_add_scaled(acc, commutator_table[a][b], x)
+            if acc:
+                a, b = divmod(min(row), d)
+                raise CertificateError(
+                    f"supercommutator does not kill the {kind} relation "
+                    f"on <<{labels[a]},{labels[b]}>>"
+                )
 
     free_pairs, basis = _pair_basis(A.basis, pres.free_columns, ("<<", ">>"))
     commutator = GradedLinearMap(basis, A.basis, [commutator_table[a][b] for a, b in free_pairs])

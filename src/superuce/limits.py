@@ -20,7 +20,6 @@ the restriction to the two kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .algebra import (
@@ -192,15 +191,18 @@ def chain_system(algebras: Sequence[LieSuperalgebra],
     return DirectedSystem(poset, dict(zip(labels, algebras)), morphisms)
 
 
-@dataclass
 class Colimit:
     """Colimit of a finite directed system: the top member t, the
     algebra L_t and the injections f_it."""
 
-    system: DirectedSystem
-    top: Hashable
-    algebra: LieSuperalgebra
-    injections: Dict[Hashable, GradedLinearMap]
+    __slots__ = ("system", "top", "algebra", "injections")
+
+    def __init__(self, system: DirectedSystem, top: Hashable, algebra: LieSuperalgebra,
+                 injections: Dict[Hashable, GradedLinearMap]):
+        self.system = system
+        self.top = top
+        self.algebra = algebra
+        self.injections = injections
 
     def injection(self, i) -> GradedLinearMap:
         return self.injections[i]
@@ -269,15 +271,19 @@ def uce_system(system: DirectedSystem) -> Tuple[DirectedSystem, Dict[Hashable, U
     return DirectedSystem(system.poset, algebras, morphisms), exts
 
 
-@dataclass
 class LimitUReport:
-    map: GradedLinearMap
-    colim_uce: Colimit
-    colim: Colimit
-    exts: Dict[Hashable, UceAlgebra]
-    kernel: Tuple[Vector, ...]
-    kernel_central: bool
-    surjective: bool
+    __slots__ = ("map", "colim_uce", "colim", "exts", "kernel", "kernel_central", "surjective")
+
+    def __init__(self, map: GradedLinearMap, colim_uce: Colimit, colim: Colimit,
+                 exts: Dict[Hashable, UceAlgebra], kernel: Tuple[Vector, ...],
+                 kernel_central: bool, surjective: bool):
+        self.map = map
+        self.colim_uce = colim_uce
+        self.colim = colim
+        self.exts = exts
+        self.kernel = kernel
+        self.kernel_central = kernel_central
+        self.surjective = surjective
 
     @property
     def kernel_dim(self) -> int:
@@ -307,19 +313,28 @@ def limit_u(system: DirectedSystem) -> LimitUReport:
                         surjective=ext_top.perfect)
 
 
-@dataclass
 class TheoremReport:
-    dim_colim: int
-    dim_uce_of_colim: int
-    dim_colim_of_uce: int
-    phi_is_morphism: bool
-    phi_bijective: bool
-    psi_after_phi_is_id: bool
-    phi_after_psi_is_id: bool
-    h2_of_colim_dim: int
-    h2_colim_of_kernels_dim: int
-    h2_restriction_bijective: bool
-    projection: LimitUReport
+    __slots__ = ("dim_colim", "dim_uce_of_colim", "dim_colim_of_uce", "phi_is_morphism",
+                 "phi_bijective", "psi_after_phi_is_id", "phi_after_psi_is_id",
+                 "h2_of_colim_dim", "h2_colim_of_kernels_dim", "h2_restriction_bijective",
+                 "projection")
+
+    def __init__(self, dim_colim: int, dim_uce_of_colim: int, dim_colim_of_uce: int,
+                 phi_is_morphism: bool, phi_bijective: bool, psi_after_phi_is_id: bool,
+                 phi_after_psi_is_id: bool, h2_of_colim_dim: int,
+                 h2_colim_of_kernels_dim: int, h2_restriction_bijective: bool,
+                 projection: LimitUReport):
+        self.dim_colim = dim_colim
+        self.dim_uce_of_colim = dim_uce_of_colim
+        self.dim_colim_of_uce = dim_colim_of_uce
+        self.phi_is_morphism = phi_is_morphism
+        self.phi_bijective = phi_bijective
+        self.psi_after_phi_is_id = psi_after_phi_is_id
+        self.phi_after_psi_is_id = phi_after_psi_is_id
+        self.h2_of_colim_dim = h2_of_colim_dim
+        self.h2_colim_of_kernels_dim = h2_colim_of_kernels_dim
+        self.h2_restriction_bijective = h2_restriction_bijective
+        self.projection = projection
 
     @property
     def ok(self) -> bool:

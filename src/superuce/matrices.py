@@ -52,7 +52,6 @@ and that the ehat generate the whole extension.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from random import Random
 
 from .algebra import (
@@ -576,18 +575,23 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
 
 # ------------------------------------------------------------------ big checks
 
-@dataclass
 class HIsoReport:
-    m: int
-    n: int
-    dim_sl: int
-    dim_uce: int
-    dim_extension: int
-    dim_h2: int
-    dim_hc1: int
-    is_morphism: bool
-    commutes_with_projections: bool
-    bijective: bool
+    __slots__ = ("m", "n", "dim_sl", "dim_uce", "dim_extension", "dim_h2", "dim_hc1",
+                 "is_morphism", "commutes_with_projections", "bijective")
+
+    def __init__(self, m: int, n: int, dim_sl: int, dim_uce: int, dim_extension: int,
+                 dim_h2: int, dim_hc1: int, is_morphism: bool,
+                 commutes_with_projections: bool, bijective: bool):
+        self.m = m
+        self.n = n
+        self.dim_sl = dim_sl
+        self.dim_uce = dim_uce
+        self.dim_extension = dim_extension
+        self.dim_h2 = dim_h2
+        self.dim_hc1 = dim_hc1
+        self.is_morphism = is_morphism
+        self.commutes_with_projections = commutes_with_projections
+        self.bijective = bijective
 
     @property
     def ok(self) -> bool:
@@ -625,16 +629,21 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     )
 
 
-@dataclass
 class SteinbergReport:
-    m: int
-    n: int
-    dim_uce: int
-    generators: int
-    independence_of_k: bool
-    linearity: bool
-    relations: bool
-    generation: bool
+    __slots__ = ("m", "n", "dim_uce", "generators", "independence_of_k", "linearity",
+                 "relations", "generation")
+
+    def __init__(self, m: int, n: int, dim_uce: int, generators: int,
+                 independence_of_k: bool, linearity: bool, relations: bool,
+                 generation: bool):
+        self.m = m
+        self.n = n
+        self.dim_uce = dim_uce
+        self.generators = generators
+        self.independence_of_k = independence_of_k
+        self.linearity = linearity
+        self.relations = relations
+        self.generation = generation
 
     @property
     def ok(self) -> bool:

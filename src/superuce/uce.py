@@ -162,7 +162,13 @@ def _torus(L: LieSuperalgebra) -> tuple:
     weight blocks of the whole torus.  A trivial torus gives all weights 0.
     The blocks are correct for any base, since the weights are h's own
     eigenvalues; the base only makes them as fine as the torus allows.
+
+    The certified pair is kept on L and returned by every later call,
+    so build_uce and validate_cocycle find it once per algebra; callers
+    only read it.
     """
+    if L._torus is not None:
+        return L._torus
     d = L.dim
     table = L.table
     even = [s for s in range(d) if not L.basis.parities[s]]
@@ -192,7 +198,8 @@ def _torus(L: LieSuperalgebra) -> tuple:
             raise CertificateError(
                 f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
             )
-    return h, weights
+    L._torus = (h, weights)
+    return L._torus
 
 
 def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentation:
@@ -209,11 +216,21 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     d = L.dim
     table = L.table
     relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights, skew=True))
+    buckets: dict = {}
+    for b, wb in enumerate(weights):
+        buckets.setdefault(wb, []).append(b)
+    # for each a, the b of one weight bucket give one block's columns a * d + b,
+    # so every block lists its columns in increasing order
     blocks: dict = {}
     for a, wa in enumerate(weights):
-        for b, wb in enumerate(weights):
+        ad = a * d
+        for wb, bs in buckets.items():
             if wa + wb:
-                blocks.setdefault(wa + wb, []).append(a * d + b)
+                cols = blocks.get(wa + wb)
+                if cols is None:
+                    cols = blocks[wa + wb] = []
+                for b in bs:
+                    cols.append(ad + b)
     par = L.basis.parities
     for weight, cols in blocks.items():
         ech = Echelon(track=True)

@@ -21,6 +21,7 @@ from superuce import (
     AssocSuperalgebra,
     CertificateError,
     GradedLinearMap,
+    LieSuperalgebra,
     chain_system,
     coefficient_algebra,
     colimit,
@@ -28,6 +29,7 @@ from superuce import (
     induced_colimit_map,
     validate_assoc,
 )
+from superuce import cyclic
 from superuce.cyclic import cyclic_pairs
 from superuce.limits import Colimit
 
@@ -98,9 +100,20 @@ def test_pairing_space_certificate_fires_on_a_broken_product():
     table[1][2] = {0: 2}
     broken = AssocSuperalgebra(A.basis, table, A.unit, validate=False)
     assert not validate_assoc(broken).ok
-    message = "supercommutator does not kill the pair relation on <<E1,2(1),E1,1(1)>>"
+    message = "supercommutator does not kill the cyclic relation on <<E1,2(1),E1,1(1)>>"
     with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
         cyclic_pairs(broken)
+
+
+def test_pairing_space_certificate_names_a_failing_pair_relation(monkeypatch):
+    """A supercommutator table that is not super skew-symmetric ([1, 1] = 1
+    on Q) fails on the diagonal pair row first, and the message names a
+    pair relation."""
+    monkeypatch.setattr(cyclic, "lie_from_assoc",
+                        lambda A: LieSuperalgebra(A.basis, [[{0: 1}]], validate=False))
+    message = "supercommutator does not kill the pair relation on <<1,1>>"
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+        cyclic_pairs(coefficient_algebra("Q"))
 
 
 def test_cone_extension_certificate_fires_on_a_broken_injection():

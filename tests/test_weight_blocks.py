@@ -13,7 +13,8 @@ non-perfect ones, in bases where the torus is trivial, and on the
 benchmark's documents, and the extension is checked to store every
 integral value as an int (tests/scalar_rule.py).  Three certificates
 are checked to fire: on a corrupted torus weight, on a block that loses
-its free columns, and on a corrupted oracle weight.  The oracle is checked to answer with the
+its free columns, and on a corrupted oracle weight.  The torus is found
+once per algebra.  The oracle is checked to answer with the
 extension builder, its torus and the shared cyclic-identity generator
 all broken.
 """
@@ -36,6 +37,7 @@ from superuce import (
     build_family,
     build_uce,
     coefficient_algebra,
+    h_iso_check,
     lie_from_assoc,
 )
 from superuce import algebra, uce
@@ -165,14 +167,37 @@ def test_benchmark_documents(path):
 def test_corrupted_weight_is_caught(monkeypatch):
     # sl(2) on e, h/4, f: the torus weights 1/2, 0, -1/2 need the
     # denominator 2, and without it they truncate to 0
-    L = change_of_basis(sl2(), [[1, 0, 0], [0, Fraction(1, 4), 0], [0, 0, 1]])
-    assert uce._torus(L)[1] == [1, 0, -1]
+    def rescaled():
+        return change_of_basis(sl2(), [[1, 0, 0], [0, Fraction(1, 4), 0], [0, 0, 1]])
+
+    assert uce._torus(rescaled())[1] == [1, 0, -1]
+    # a fresh algebra, since each one keeps the torus found on first use
+    L = rescaled()
     monkeypatch.setattr(uce, "_denominator_lcm", lambda values: 1)
     message = f"not diagonal with weight 0 at basis element {L.basis.labels[0]}$"
     with pytest.raises(CertificateError, match=message):
         uce._torus(L)
     with pytest.raises(CertificateError, match=message):
         build_uce(L)
+
+
+def test_the_torus_is_found_once_per_algebra(monkeypatch):
+    """build_uce and validate_cocycle (through extension_from_cocycle)
+    both grade the family by its torus; the algebra keeps the certified
+    pair, so h_iso_check sets up the torus system once."""
+    systems = []
+
+    class Counted(uce.SparseMatrix):
+        def __init__(self, rows, ncols):
+            systems.append(ncols)
+            super().__init__(rows, ncols)
+
+    monkeypatch.setattr(uce, "SparseMatrix", Counted)
+    fam = build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)"))
+    assert h_iso_check(fam).ok
+    assert len(systems) == 1
+    assert uce._torus(fam.algebra) is uce._torus(fam.algebra)
+    assert len(systems) == 1
 
 
 def test_block_that_drops_a_free_column_is_caught(monkeypatch):

@@ -18,6 +18,12 @@ is the figure to compare between snapshots; one run alone moves with
 the host by about as much as a small change does.  "trace1" holds the
 traced run, whose counters repeat exactly.
 
+Every run starts from a fresh checkout's state: the measured tree's
+src/**/__pycache__ is removed before it, and it runs with
+PYTHONDONTWRITEBYTECODE=1, so the package is compiled on each import
+and setup_s is the import a user of a fresh checkout pays.  The
+snapshot records this under "bytecode".
+
 The snapshot names the commit of the checkout, whether its working tree
 differed from it, and the git tree ids of the measured src/ and
 perfbench/ as they are in the working tree.  A snapshot written before
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +51,7 @@ SEED = 11
 SECONDS = 44.0
 UNTRACED_RUNS = 3
 MEASURED = ("src", "perfbench")
+BYTECODE = {"src_pycache": "removed before each run", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _git(tree: Path, *args, env=None) -> str:
@@ -68,7 +76,10 @@ def source_trees(tree: Path) -> dict:
 def run(tree: Path, workload: str, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    for cache in sorted((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE=BYTECODE["PYTHONDONTWRITEBYTECODE"])
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     path = tree / ".bench_build" / "perfbench" / workload / f"result-trace{trace}.json"
@@ -100,6 +111,7 @@ def main(argv=None) -> int:
         "source_trees": source_trees(tree),
         "seed": SEED,
         "seconds": SECONDS,
+        "bytecode": BYTECODE,
         "workloads": {},
     }
     untraced: dict = {workload: [] for workload in WORKLOADS}
