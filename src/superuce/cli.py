@@ -687,3 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     emit_report(report, args.format, sys.stdout)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,8 +45,8 @@ SITES = {
         "test_certificates_fire.py::test_cone_extension_certificate_fires_on_a_broken_injection",
     "limits.py:induced_colimit_map#1":
         "test_certificates_fire.py::test_induced_map_certificate_fires_on_one_corrupted_column",
-    "limits.py:theorem_verify.preimage#1":
-        "test_limits.py::test_theorem_verify_certifies_the_preimages_psi_routes_through",
+    "limits.py:theorem_verify#1":
+        "test_limits.py::test_theorem_verify_certifies_phi_is_the_identity",
     "matrices.py:steinberg_check.sl_coords#1":
         "test_matrices.py::test_steinberg_check_certifies_its_sl_coordinates",
     "uce.py:_torus#1": "test_weight_blocks.py::test_corrupted_weight_is_caught",

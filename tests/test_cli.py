@@ -313,18 +313,21 @@ def test_limit_check_builds_each_colimit_once(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    names = ("colimit", "uce_system", "validate_system", "factor_through", "centre",
+    names = ("colimit", "uce_system", "validate_system", "factor_through",
              "build_uce", "uce_of_morphism")
     for name in names:
         monkeypatch.setattr(superuce.limits, name, counted(superuce.limits, name))
+    centre_calls = _count_where_bound(monkeypatch, ("centre",))
     k = 3
     _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
     assert code == 0
     # one extension per member; the colimit is the top member, so none more;
-    # one lift per strictly related pair, which theorem_verify reuses
-    assert counts == {"colimit": 2, "uce_system": 1, "validate_system": 2,
-                      "factor_through": 2, "centre": 1, "build_uce": k,
-                      "uce_of_morphism": k * (k - 1) // 2}
+    # one lift per strictly related pair, which theorem_verify reuses; no
+    # centre, as build_uce has certified the kernel central
+    assert {**counts, **centre_calls} == {
+        "colimit": 2, "uce_system": 1, "validate_system": 2,
+        "factor_through": 2, "centre": 0, "build_uce": k,
+        "uce_of_morphism": k * (k - 1) // 2}
 
 
 def _count_where_bound(monkeypatch, names):
@@ -466,3 +469,23 @@ def test_console_script():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["dim_h2"] == 0
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """`python -m superuce.cli` runs the command line from a source tree
+    on PYTHONPATH, with its exit codes."""
+    src = str(Path(superuce.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "superuce.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=120)
+
+    proc = run_module("h2", "--family", "sl", "--m", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["results"]["dim_h2"] == 0
+    proc = run_module("limit-check")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: pass exactly one of --chain or --system\n"

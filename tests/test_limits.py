@@ -16,6 +16,7 @@ from superuce import (
     GradedLinearMap,
     InvalidSystemError,
     build_family,
+    centre,
     chain_system,
     check_morphism,
     coefficient_algebra,
@@ -248,25 +249,40 @@ def _limit_u_systems():
 
 
 def test_limit_u_reads_kernel_and_surjectivity_off_the_top_extension(monkeypatch):
-    """v equals u_t, so limit_u runs no elimination of v: its kernel and
-    surjectivity are those of the top member's extension."""
+    """v equals u_t, so limit_u runs no elimination of v and no centre:
+    its kernel and surjectivity are those of the top member's extension,
+    whose kernel build_uce certified central.  theorem_verify adds only
+    phi == id on the perfect systems: no preimage, bijectivity or
+    elimination work."""
     systems = _limit_u_systems()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("limit_u must not eliminate v again")
+        raise AssertionError("limit_u and theorem_verify must not re-prove a certificate")
 
     with monkeypatch.context() as m:
         m.setattr(limits, "kernel_basis", refuse, raising=False)
+        m.setattr(limits, "centre", refuse, raising=False)
+        m.setattr(limits, "Echelon", refuse, raising=False)
         m.setattr(GradedLinearMap, "is_surjective", refuse)
         m.setattr(GradedLinearMap, "rank", refuse)
+        m.setattr(GradedLinearMap, "preimage", refuse)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = [limit_u(system) for system in systems]
+        perfect = [system for system, rep in zip(systems, reports)
+                   if all(ext.perfect for ext in rep.exts.values())]
+        m.setattr(GradedLinearMap, "is_bijective", refuse)
+        theorems = [theorem_verify(system) for system in perfect]
     for rep in reports:
         assert list(rep.kernel) == kernel_basis(rep.map.matrix())
         assert rep.surjective == rep.map.is_surjective()
         assert rep.kernel_central
+        assert all(centre(rep.colim_uce.algebra).contains(z) for z in rep.kernel)
     assert {rep.surjective for rep in reports} == {True, False}
+    assert len(perfect) >= 2
+    for rep in theorems:
+        assert rep.ok
+        assert rep.h2_of_colim_dim == rep.h2_colim_of_kernels_dim == rep.projection.kernel_dim
 
 
 # ---------------------------------------------------------------- the theorem
@@ -302,24 +318,24 @@ def test_theorem_verify_reads_perfectness_off_the_member_extensions(monkeypatch)
         theorem_verify(chain_system([src, dst], [f]))
 
 
-def test_theorem_verify_certifies_the_preimages_psi_routes_through(monkeypatch, capsys):
-    """A projection v that misses the first basis element of the colimit
-    leaves psi without a preimage of it."""
-    inner = limits.limit_u
+def test_theorem_verify_certifies_phi_is_the_identity(monkeypatch, capsys):
+    """A comparison map phi with its first column doubled is not the
+    identity of the top member's extension, and the certificate names
+    the top member."""
+    inner = limits.factor_through
 
-    def missing_first(system):
-        rep = inner(system)
-        v = rep.map
-        rep.map = GradedLinearMap(v.domain, v.codomain,
-                                  [{k: x for k, x in col.items() if k} for col in v.columns])
-        return rep
+    def doubled_phi(colim, cones):
+        out = inner(colim, cones)
+        if cones is not colim.injections:
+            return out  # the projection v of limit_u
+        cols = [{k: 2 * x for k, x in col.items()} if q == 0 else col
+                for q, col in enumerate(out.columns)]
+        return GradedLinearMap(out.domain, out.codomain, cols)
 
-    monkeypatch.setattr(limits, "limit_u", missing_first)
-    message = ("canonical projection of the colimit of extensions is not onto: "
-               "E1,2(1) has no preimage")
+    monkeypatch.setattr(limits, "factor_through", doubled_phi)
+    message = "comparison map colim uce(L_i) -> uce(L_1) is not the identity"
     system, _ = sl_chain([3, 4])
-    assert system.algebras[1].basis.labels[0] == "E1,2(1)"
-    with pytest.raises(CertificateError, match=re.escape(message)):
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
         theorem_verify(system)
     assert cli.main(["limit-check", "--chain", "sl:3..4:Q"]) == 1
     assert capsys.readouterr().err == f"certificate failed: {message}\n"

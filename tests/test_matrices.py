@@ -1,5 +1,6 @@
 """Matrix families, the supertrace cocycle, and the presentation checks."""
 
+import json
 import random
 import re
 from collections import Counter
@@ -7,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from superuce import cli, linalg
+from superuce import cli, linalg, matrices
 from superuce import (
     CertificateError,
+    Cocycle2,
+    GradedBasis,
     GradedLinearMap,
+    LieSuperalgebra,
     bracket_Eij,
     build_family,
     check_morphism,
@@ -29,7 +33,8 @@ from superuce import (
     validate_lie,
 )
 from superuce.linalg import echelon_rows
-from superuce.matrices import grassmann, matrix_superalgebra
+from superuce.matrices import MatrixFamily, grassmann, matrix_superalgebra
+from superuce.uce import UceAlgebra
 
 ONE = Fraction(1)
 
@@ -287,6 +292,106 @@ def test_steinberg_canonical_image():
     folded into the independence flag."""
     rep = steinberg_check(build_family("sl", 3, 0, coefficient_algebra("Q")))
     assert rep.independence_of_k and rep.generation
+
+
+# -------------------------------------------------- report booleans that can fail
+
+H_ISO_FLAGS = ("is_morphism", "commutes_with_projections", "bijective")
+STEINBERG_FLAGS = ("independence_of_k", "linearity", "relations", "generation")
+
+
+def _rebuilt(ext, lie=None, u=None, kernel=None):
+    return UceAlgebra(ext.base, lie or ext.lie, ext.presentation, u or ext.u,
+                      ext.kernel if kernel is None else kernel, ext.free_pairs)
+
+
+def _doubled_bracket(ext):
+    """ext with its bracket doubled: still a Lie superalgebra, but not
+    the bracket its classes and u were built for."""
+    table = [[{k: 2 * x for k, x in cell.items()} for cell in row] for row in ext.lie.table]
+    return _rebuilt(ext, lie=LieSuperalgebra(ext.lie.basis, table, validate=False))
+
+
+def _doubled_u(ext):
+    cols = [{k: 2 * x for k, x in col.items()} for col in ext.u.columns]
+    return _rebuilt(ext, u=GradedLinearMap(ext.u.domain, ext.u.codomain, cols))
+
+
+def _with_central_summand(ext):
+    """ext (+) Qz with z central and killed by u: no bracket reaches z."""
+    old = ext.lie.basis
+    basis = GradedBasis(old.labels + ("z",), old.parities + (0,))
+    table = [list(row) + [{}] for row in ext.lie.table] + [[{}] * (ext.dim + 1)]
+    u = GradedLinearMap(basis, ext.u.codomain, list(ext.u.columns) + [{}])
+    return _rebuilt(ext, lie=LieSuperalgebra(basis, table, validate=False), u=u,
+                    kernel=ext.kernel + ({ext.dim: 1},))
+
+
+def _zero_tau(tau_cocycle):
+    """tau_cocycle with every value replaced by 0, on the same target."""
+    def zero(fam):
+        tau = tau_cocycle(fam)
+        d = tau.source.dim
+        return Cocycle2(tau.source, tau.target, [[{}] * d for _ in range(d)])
+    return zero
+
+
+def _flags(rep, names):
+    return {name: getattr(rep, name) for name in names}
+
+
+@pytest.mark.parametrize("flag", H_ISO_FLAGS)
+def test_each_h_iso_boolean_fails_on_its_broken_input(monkeypatch, flag):
+    """A doubled extension bracket breaks only the morphism check, a
+    doubled u only the projections, and the zero cocycle (K = sl (+) HC_1
+    with nothing mapping onto HC_1) only bijectivity."""
+    if flag == "bijective":
+        monkeypatch.setattr(matrices, "tau_cocycle", _zero_tau(matrices.tau_cocycle))
+    else:
+        corrupt = _doubled_bracket if flag == "is_morphism" else _doubled_u
+        inner = matrices.build_uce
+        monkeypatch.setattr(matrices, "build_uce", lambda L: corrupt(inner(L)))
+    rep = h_iso_check(build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)")))
+    assert rep.dim_h2 == rep.dim_hc1 == 1
+    assert _flags(rep, H_ISO_FLAGS) == {name: name != flag for name in H_ISO_FLAGS}
+    assert rep.ok is False
+
+
+def _cubed_entries(E):
+    """MatrixFamily.E made nonlinear: it agrees on entries 0 and +-1 only."""
+    return lambda fam, i, j, a: E(fam, i, j, {t: x ** 3 for t, x in a.items()})
+
+
+@pytest.mark.parametrize("flag", STEINBERG_FLAGS)
+def test_each_steinberg_boolean_fails_on_its_broken_input(monkeypatch, flag):
+    """A doubled u breaks only the canonical image, and so independence;
+    a nonlinear matrix entry only linearity; a doubled bracket only the
+    relations; a central summand that no bracket reaches only generation."""
+    fam = build_family("sl", 3, 0, coefficient_algebra("Q"))
+    if flag == "linearity":
+        monkeypatch.setattr(MatrixFamily, "E", _cubed_entries(MatrixFamily.E))
+    else:
+        corrupt = {"independence_of_k": _doubled_u, "relations": _doubled_bracket,
+                   "generation": _with_central_summand}[flag]
+        inner = matrices.build_uce
+        monkeypatch.setattr(matrices, "build_uce", lambda L: corrupt(inner(L)))
+    rep = steinberg_check(fam)
+    assert _flags(rep, STEINBERG_FLAGS) == {name: name != flag for name in STEINBERG_FLAGS}
+    assert rep.ok is False
+
+
+def test_a_failed_report_boolean_exits_1(monkeypatch, capsys):
+    """One failed boolean of each report: the command prints ok false and
+    exits 1."""
+    monkeypatch.setattr(matrices, "tau_cocycle", _zero_tau(matrices.tau_cocycle))
+    argv = ["h-iso-check", "--family", "sl", "--m", "3", "--n", "2", "--coeff", "Grassmann(1)"]
+    assert cli.main(argv) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["bijective"], results["ok"]) == (False, False)
+    monkeypatch.setattr(MatrixFamily, "E", _cubed_entries(MatrixFamily.E))
+    assert cli.main(["steinberg-check", "--family", "sl", "--m", "3"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["linearity"], results["ok"]) == (False, False)
 
 
 def _drop_embedding_column(fam, label):

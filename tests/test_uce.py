@@ -155,7 +155,9 @@ def test_a_lift_of_a_map_that_is_not_a_morphism_is_caught():
 
 def test_each_extension_element_records_its_basis_pair():
     """Basis element q of the extension is <b_a, b_b> for (a, b) =
-    free_pairs[q]: its label, parity, u-column and class all say so."""
+    free_pairs[q]: its label, parity, u-column and class all say so.
+    The bracket is [x, y] = <u x, u y> on basis elements, which is why the
+    colimit comparison phi has the identity as its inverse psi."""
     import test_acceptance as acceptance
 
     for name, L in acceptance.acceptance_test_matrix():
@@ -167,6 +169,10 @@ def test_each_extension_element_records_its_basis_pair():
             assert ext.lie.basis.labels[q] == f"<{labels[a]},{labels[b]}>", (name, q)
             assert ext.lie.basis.parities[q] == (par[a] + par[b]) & 1, (name, q)
             assert ext.class_of({a: 1}, {b: 1}) == {q: 1}, (name, q)
+        u = ext.u.columns
+        for p in range(ext.dim):
+            for q in range(ext.dim):
+                assert ext.lie.bracket({p: 1}, {q: 1}) == ext.class_of(u[p], u[q]), (name, p, q)
 
 
 def test_h2_warns_on_non_perfect():
