@@ -59,8 +59,8 @@ class ValidationReport:
 
     __slots__ = ("violations",)
 
-    def __init__(self, violations=None):
-        self.violations = list(violations or [])
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -363,11 +363,33 @@ def _cyclic_classes(itable, par, weights=None, skew=False):
                     )
 
 
-def _with_mirrors(failed: list) -> list:
-    """The failing classes (i, j, k), j <= k, of a skew-table walk with the
-    mirror (i, k, j) of each j != k added, sorted: the classes a walk over
-    both orientations finds failing (the mirror's sum is +-1 times the
-    class's), in the order it finds them."""
+def _cyclic_failures(itable, values, par, weights=None) -> list:
+    """The cyclic classes whose identity fails: the cyclic sum of
+    _cyclic_classes over the super skew-symmetric int table itable,
+
+        sum over its terms (s, outer, cell) of s * x * values[outer][t]
+                                              for each t -> x in cell,
+
+    is not zero.  values is a table of cells indexed like itable: itable
+    itself for the Jacobi identity, a cocycle's values for the cocycle
+    identity.  The walk visits one representative (i, j, k), j <= k, per
+    unordered triple; the sum of the mirror (i, k, j) is +-1 times it, so
+    each failing j != k class is returned with its mirror, and the list
+    is sorted: the classes a walk over both orientations finds failing,
+    in the order it finds them.  Given weights (see _cyclic_classes),
+    only the classes of total weight 0 are evaluated.
+    """
+    failed = []
+    for i, j, k, terms in _cyclic_classes(itable, par, weights, skew=True):
+        acc: dict = {}
+        for s, outer, cell in terms:
+            vo = values[outer]
+            for t, x in cell.items():
+                x *= s
+                for r, y in vo[t].items():
+                    acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            failed.append((i, j, k))
     return sorted(failed + [(i, k, j) for i, j, k in failed if j != k])
 
 
@@ -464,12 +486,11 @@ def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
-    The Jacobi expression is invariant under cyclic rotation of (i, j, k),
-    and once skew-symmetry holds the expression of (i, k, j) is +-1 times
-    that of (i, j, k); so it is evaluated once per unordered triple, and
-    each failing triple is reported with its mirror, in the order a walk
-    over every class i <= j, i <= k gives (see _with_mirrors).  It is
-    homogeneous of degree 2 in the structure constants, so it is
+    The Jacobi expression is the cyclic sum of _cyclic_failures with the
+    table itself as values: once skew-symmetry holds it is evaluated once
+    per unordered triple, and each failing triple is reported with its
+    mirror, in the order a walk over every class i <= j, i <= k gives.
+    It is homogeneous of degree 2 in the structure constants, so it is
     evaluated in ints on the table scaled by the LCM D of its
     denominators: each sum is D^2 times the rational one and vanishes
     exactly when that one does.
@@ -491,18 +512,7 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     if not report.ok:
         return report
     itable, _ = _integral_table(table)
-    failed = []
-    for i, j, k, terms in _cyclic_classes(itable, par, skew=True):
-        acc: dict = {}
-        for s, outer, cell in terms:
-            touter = itable[outer]
-            for t, x in cell.items():
-                x *= s
-                for r, y in touter[t].items():
-                    acc[r] = acc.get(r, 0) + x * y
-        if any(acc.values()):
-            failed.append((i, j, k))
-    for i, j, k in _with_mirrors(failed):
+    for i, j, k in _cyclic_failures(itable, itable, par):
         report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
     return report
 

@@ -7,7 +7,8 @@ default) or as flat text; apart from the timing block the JSON output
 is byte-identical across runs on the same input.
 
 Exit codes: 0 on success, 1 when a mathematical check or validation
-fails, 2 on usage or input errors.
+fails, 2 on usage or input errors.  A closed stdout does not change the
+exit code and writes nothing to stderr.
 
 Algebra file format (JSON)::
 
@@ -26,7 +27,10 @@ integer, never a float or boolean.
 
 Chain shorthand: ``sl:5..7:Q[t]/(t^2)`` (or ``sl:3,2..5,2:Q``) builds
 the corner-embedding chain of sl families from the start size to the
-end size, incrementing the even block first, then the odd block.
+end size, incrementing the even block first, then the odd block.  A
+bare span such as ``5..7`` takes its family from --family and its
+coefficients from --coeff (Q when absent); with a full chain or a
+system file those two flags are input errors.
 
 System file format (JSON)::
 
@@ -48,6 +52,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 import warnings
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit-check", help="verify the colimit comparison for a chain or system")
     p.add_argument("--chain", help="shorthand like sl:5..7:Q, or a bare span like 5..7 with --family/--coeff")
     p.add_argument("--family", choices=("gl", "sl"), help="family for a bare-span --chain")
-    p.add_argument("--coeff", default="Q", help="coefficient algebra name (default Q)")
+    p.add_argument("--coeff", help="coefficients for a bare-span --chain (default Q)")
     p.add_argument("--system", help="system file (JSON)")
     add_format(p)
 
@@ -368,12 +373,17 @@ def _int_pairs(value, key: str) -> list:
 def _resolve_system(args) -> Tuple[DirectedSystem, bytes]:
     if bool(args.chain) == bool(args.system):
         raise InputError("pass exactly one of --chain or --system")
-    if args.chain:
-        text = args.chain
-        if ":" not in text:
-            if not args.family:
-                raise InputError("a bare-span --chain needs --family (and usually --coeff)")
-            text = f"{args.family}:{text}:{args.coeff}"
+    text = args.chain
+    if text and ":" not in text:
+        if not args.family:
+            raise InputError("a bare-span --chain needs --family (and usually --coeff)")
+        if args.coeff is None:
+            args.coeff = "Q"  # so the argument echo names the coefficients used
+        text = f"{args.family}:{text}:{args.coeff}"
+    elif args.family or args.coeff is not None:
+        raise InputError("--family and --coeff apply to a bare-span --chain only; "
+                         "a full --chain or a --system names its own")
+    if text:
         kind, members, coeff = _parse_chain(text)
         return _family_system(kind, members, coeff), text.encode()
     data, raw = _load_json(args.system)
@@ -517,7 +527,8 @@ def _cmd_construct(args):
 
 
 def _family_args(args, minimum):
-    """The sl family named by --m/--n/--coeff, with m + n >= minimum."""
+    """(family, digest bytes) of the sl family named by --m/--n/--coeff,
+    with m + n >= minimum, as _resolve_algebra builds it."""
     if args.file:
         raise InputError("this command works on builtin sl families; pass --family sl")
     if args.family != "sl":
@@ -526,11 +537,12 @@ def _family_args(args, minimum):
         raise InputError("--family needs --m")
     if args.m + args.n < minimum:
         raise InputError(f"need m + n >= {minimum}")
-    return build_family("sl", args.m, args.n, coefficient_algebra(args.coeff))
+    _, fam, digest = _resolve_algebra(args)
+    return fam, digest
 
 
 def _cmd_cocycle_check(args):
-    fam = _family_args(args, minimum=2)
+    fam, digest = _family_args(args, minimum=2)
     tau = tau_cocycle(fam)
     report = validate_cocycle(tau)
     results = {
@@ -540,12 +552,11 @@ def _cmd_cocycle_check(args):
         "violations": [{"law": law, "where": where, "detail": detail}
                        for law, where, detail in report.violations],
     }
-    digest = f"sl:{args.m},{args.n}:{args.coeff}".encode()
     return results, (0 if report.ok else 1), digest
 
 
 def _cmd_steinberg(args):
-    fam = _family_args(args, minimum=3)
+    fam, digest = _family_args(args, minimum=3)
     rep = steinberg_check(fam, seed=args.seed)
     results = {
         "dim_uce": rep.dim_uce,
@@ -556,12 +567,11 @@ def _cmd_steinberg(args):
         "generation": rep.generation,
         "ok": rep.ok,
     }
-    digest = f"sl:{args.m},{args.n}:{args.coeff}:seed={args.seed}".encode()
-    return results, (0 if rep.ok else 1), digest
+    return results, (0 if rep.ok else 1), digest + f":seed={args.seed}".encode()
 
 
 def _cmd_h_iso(args):
-    fam = _family_args(args, minimum=5)
+    fam, digest = _family_args(args, minimum=5)
     rep = h_iso_check(fam)
     results = {
         "dim_sl": rep.dim_sl,
@@ -574,7 +584,6 @@ def _cmd_h_iso(args):
         "bijective": rep.bijective,
         "ok": rep.ok,
     }
-    digest = f"sl:{args.m},{args.n}:{args.coeff}".encode()
     return results, (0 if rep.ok else 1), digest
 
 
@@ -600,7 +609,7 @@ def _cmd_limit_check(args):
         "projection_kernel_dim": vrep.kernel_dim,
         "projection_kernel_central": vrep.kernel_central,
         "projection_surjective": vrep.surjective,
-        "ok": rep.ok and vrep.kernel_central,
+        "ok": rep.ok,
     }
     return results, (0 if results["ok"] else 1), digest
 
@@ -685,7 +694,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # coefficient names, non-perfect members) are argument errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_report(report, args.format, sys.stdout)
+    try:
+        emit_report(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the
+        # interpreter's final flush of the unwritten rest stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

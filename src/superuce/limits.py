@@ -273,27 +273,36 @@ class LimitUReport:
     """The canonical projection v: colim uce(L_i) -> colim L_i, with both
     colimits and the member extensions it was built from.
 
-    kernel is the kernel basis of the top member's extension u_t, which
-    v equals; kernel_central and surjective are read off that extension
-    (see limit_u).
+    factor_through certified that v equals the top member's extension
+    u_t column for column (see limit_u), so the rest is read off
+    ext_top = exts[colim.top]: kernel is ext_top.kernel itself, and v is
+    surjective exactly when L_t is perfect.  kernel_central is True
+    whenever a report exists: build_uce certifies the kernel central and
+    raises otherwise (site uce.py:build_uce#2).
     """
 
-    __slots__ = ("map", "colim_uce", "colim", "exts", "kernel", "kernel_central", "surjective")
+    __slots__ = ("map", "colim_uce", "colim", "exts")
+
+    kernel_central = True
 
     def __init__(self, map: GradedLinearMap, colim_uce: Colimit, colim: Colimit,
-                 exts: Dict[Hashable, UceAlgebra], kernel: tuple,
-                 kernel_central: bool, surjective: bool):
+                 exts: Dict[Hashable, UceAlgebra]):
         self.map = map
         self.colim_uce = colim_uce
         self.colim = colim
         self.exts = exts
-        self.kernel = kernel
-        self.kernel_central = kernel_central
-        self.surjective = surjective
+
+    @property
+    def kernel(self) -> tuple:
+        return self.exts[self.colim.top].kernel
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
+
+    @property
+    def surjective(self) -> bool:
+        return self.exts[self.colim.top].perfect
 
 
 def limit_u(system: DirectedSystem) -> LimitUReport:
@@ -301,82 +310,88 @@ def limit_u(system: DirectedSystem) -> LimitUReport:
 
     Builds both colimits and the member extensions once and keeps them
     in the report.  factor_through certifies that the map equals u_t
-    column for column, so its kernel and surjectivity are those of the
-    top member's extension: the kernel is the one build_uce computed,
-    and the map is surjective exactly when L_t is perfect.  The kernel
-    is central because build_uce certified it (it raises otherwise), so
-    kernel_central is True.
+    column for column, so the report reads its kernel, centrality and
+    surjectivity off the top member's extension (see LimitUReport).
     """
     colim = colimit(system)
     usys, exts = uce_system(system)
     uce_colim = colimit(usys)
     cones = {i: colim.injections[i].compose(exts[i].u) for i in system.poset.elements}
     v = factor_through(uce_colim, cones)
-    ext_top = exts[colim.top]
-    return LimitUReport(map=v, colim_uce=uce_colim, colim=colim, exts=exts,
-                        kernel=ext_top.kernel, kernel_central=True,
-                        surjective=ext_top.perfect)
+    return LimitUReport(v, uce_colim, colim, exts)
 
 
 class TheoremReport:
     """colim uce(L_i) ~ uce(colim L_i) on a system of perfect algebras.
 
-    The dimensions are those of L_t and of its extension, on both sides.
-    The booleans are True whenever a report exists: each is implied by
-    the certificate phi == id that theorem_verify runs (see there), and
-    ok is their conjunction.  projection is the limit_u report the
-    theorem was read from.
+    projection is the limit_u report the theorem was read from, and it
+    is all the report stores.  The dimensions are read off it: those of
+    L_t, of its extension uce(L_t) = exts[t] and of colim uce(L_i), and
+    the kernel dimensions of u_t and of v, which is u_t.
+
+    The booleans are True whenever a report exists, because
+    theorem_verify raises unless the comparison phi is the identity of
+    uce(L_t) (CertificateError, site limits.py:theorem_verify#1):
+
+    - phi_is_morphism and phi_bijective: phi = id;
+    - psi_after_phi_is_id and phi_after_psi_is_id: psi = phi^-1 = id
+      (see theorem_verify for why that psi is the inverse comparison);
+    - h2_restriction_bijective: ker v is ext_top.kernel itself, so phi
+      restricts to the identity between the two kernels;
+    - ok: their conjunction.
     """
 
-    __slots__ = ("dim_colim", "dim_uce_of_colim", "dim_colim_of_uce", "phi_is_morphism",
-                 "phi_bijective", "psi_after_phi_is_id", "phi_after_psi_is_id",
-                 "h2_of_colim_dim", "h2_colim_of_kernels_dim", "h2_restriction_bijective",
-                 "projection")
+    __slots__ = ("projection",)
 
-    def __init__(self, dim_colim: int, dim_uce_of_colim: int, dim_colim_of_uce: int,
-                 phi_is_morphism: bool, phi_bijective: bool, psi_after_phi_is_id: bool,
-                 phi_after_psi_is_id: bool, h2_of_colim_dim: int,
-                 h2_colim_of_kernels_dim: int, h2_restriction_bijective: bool,
-                 projection: LimitUReport):
-        self.dim_colim = dim_colim
-        self.dim_uce_of_colim = dim_uce_of_colim
-        self.dim_colim_of_uce = dim_colim_of_uce
-        self.phi_is_morphism = phi_is_morphism
-        self.phi_bijective = phi_bijective
-        self.psi_after_phi_is_id = psi_after_phi_is_id
-        self.phi_after_psi_is_id = phi_after_psi_is_id
-        self.h2_of_colim_dim = h2_of_colim_dim
-        self.h2_colim_of_kernels_dim = h2_colim_of_kernels_dim
-        self.h2_restriction_bijective = h2_restriction_bijective
+    phi_is_morphism = True
+    phi_bijective = True
+    psi_after_phi_is_id = True
+    phi_after_psi_is_id = True
+    h2_restriction_bijective = True
+    ok = True
+
+    def __init__(self, projection: LimitUReport):
         self.projection = projection
 
     @property
-    def ok(self) -> bool:
-        return (self.phi_is_morphism and self.phi_bijective
-                and self.psi_after_phi_is_id and self.phi_after_psi_is_id
-                and self.h2_restriction_bijective)
+    def dim_colim(self) -> int:
+        return self.projection.colim.algebra.dim
+
+    @property
+    def dim_uce_of_colim(self) -> int:
+        proj = self.projection
+        return proj.exts[proj.colim.top].dim
+
+    @property
+    def dim_colim_of_uce(self) -> int:
+        return self.projection.colim_uce.algebra.dim
+
+    @property
+    def h2_of_colim_dim(self) -> int:
+        proj = self.projection
+        return len(proj.exts[proj.colim.top].kernel)
+
+    @property
+    def h2_colim_of_kernels_dim(self) -> int:
+        return self.projection.kernel_dim
 
 
 def theorem_verify(system: DirectedSystem) -> TheoremReport:
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
     The colimits, member extensions, lifted transitions and canonical
-    projection v come from one limit_u call, whose report is kept as the
-    projection field.  The colimit is the top member L_t, and colim
-    uce(L_i) is the top member's extension uce(L_t), whose kernel is
-    ker v.  phi is the mediating map of the cone of the injections
-    uce(f_it) of colim uce(L_i); it is the lifted transition uce(f_tt),
-    and it is certified, once, to be the identity of uce(L_t)
-    (CertificateError, naming t, otherwise).  The booleans follow:
-
-    - phi is a morphism and bijective, since phi = id;
-    - psi = phi^-1 = id, so both composites are identities.  psi sends
-      the class e_q of the pair (a, b) (see UceAlgebra.free_pairs) to a
-      bracket of u-preimages of b_a and b_b, and the extension bracket
-      is [x, y] = class_of(u x, u y) by the construction of its table,
-      so that bracket is class_of(b_a, b_b) = e_q;
-    - ker v is ext_top.kernel itself, so phi restricts to the identity
-      between the two kernels.
+    projection v come from one limit_u call, and that report is the
+    only thing the TheoremReport stores.  The colimit is the top member
+    L_t, and colim uce(L_i) is the top member's extension uce(L_t),
+    whose kernel is ker v.  phi is the mediating map of the cone of the
+    injections uce(f_it) of colim uce(L_i); it is the lifted transition
+    uce(f_tt), and it is certified, once, to be the identity of uce(L_t)
+    (CertificateError, naming t, otherwise).  Every boolean of the
+    report follows from that certificate (see TheoremReport).  psi sends
+    the class e_q of the pair (a, b) (see UceAlgebra.free_pairs) to a
+    bracket of u-preimages of b_a and b_b, and the extension bracket is
+    [x, y] = class_of(u x, u y) by the construction of its table, so
+    that bracket is class_of(b_a, b_b) = e_q: psi = id = phi^-1.
 
     Raises ValueError, naming the first member in element order that is
     not perfect (see UceAlgebra.perfect), before phi is built.
@@ -385,28 +400,13 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
     for i in system.poset.elements:
         if not proj.exts[i].perfect:
             raise ValueError(f"member {i!r} is not perfect")
-    colim, uce_colim = proj.colim, proj.colim_uce
-    ext_top = proj.exts[colim.top]
-
+    uce_colim, top = proj.colim_uce, proj.colim.top
     phi = factor_through(uce_colim, uce_colim.injections)
-    if phi != GradedLinearMap.identity(ext_top.lie.basis):
+    if phi != GradedLinearMap.identity(proj.exts[top].lie.basis):
         raise CertificateError(
-            f"comparison map colim uce(L_i) -> uce(L_{colim.top!r}) is not the identity"
+            f"comparison map colim uce(L_i) -> uce(L_{top!r}) is not the identity"
         )
-
-    return TheoremReport(
-        dim_colim=colim.algebra.dim,
-        dim_uce_of_colim=ext_top.dim,
-        dim_colim_of_uce=uce_colim.algebra.dim,
-        phi_is_morphism=True,
-        phi_bijective=True,
-        psi_after_phi_is_id=True,
-        phi_after_psi_is_id=True,
-        h2_of_colim_dim=len(ext_top.kernel),
-        h2_colim_of_kernels_dim=len(proj.kernel),
-        h2_restriction_bijective=True,
-        projection=proj,
-    )
+    return TheoremReport(proj)
 
 
 def induced_colimit_map(src: Colimit, dst: Colimit,

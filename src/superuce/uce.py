@@ -75,12 +75,11 @@ from .algebra import (
     LieSuperalgebra,
     Subspace,
     ValidationReport,
-    _cyclic_classes,
+    _cyclic_failures,
     _integral_table,
     _pair_basis,
     _skew_mirror,
     _tensor_relations,
-    _with_mirrors,
     check_morphism,
 )
 from .linalg import (
@@ -410,13 +409,14 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     """Degree zero, super-alternating, and the cyclic cocycle identity on
     tau's source L.
 
-    The cyclic identity reads the structure constants scaled by the LCM
-    D of their denominators, as in validate_lie: each sum is D times the
-    rational one.  As there, it is evaluated once per unordered triple
-    and each failing triple is reported with its mirror.  L is trusted
-    to be a Lie superalgebra (it was validated where it entered the
-    package): the mirror needs its table skew, and the weight-0
-    restriction below needs the torus weights to grade it.
+    The cyclic identity is the sum validate_lie evaluates, with tau's
+    values in place of the bracket (algebra._cyclic_failures); it reads
+    the structure constants scaled by the LCM D of their denominators,
+    so each sum is D times the rational one.  As there, it is evaluated
+    once per unordered triple and each failing triple is reported with
+    its mirror.  L is trusted to be a Lie superalgebra (it was validated
+    where it entered the package): the mirror needs its table skew, and
+    the weight-0 restriction below needs the torus weights to grade it.
 
     When tau vanishes on every pair of nonzero total weight under the
     certified torus of L (see _torus), only the classes of total weight 0
@@ -452,19 +452,7 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     if any(vals[i][j] for i in range(d) for j in range(d) if weights[i] + weights[j]):
         weights = None
     itable, _ = _integral_table(L.table)
-    failed = []
-    for i, j, k, terms in _cyclic_classes(itable, par, weights, skew=True):
-        acc: Vector = {}
-        for s, outer, cell in terms:
-            vo = vals[outer]
-            for t, x in cell.items():
-                if vo[t]:
-                    x *= s
-                    for r, y in vo[t].items():
-                        acc[r] = acc.get(r, 0) + x * y
-        if any(acc.values()):
-            failed.append((i, j, k))
-    for i, j, k in _with_mirrors(failed):
+    for i, j, k in _cyclic_failures(itable, vals, par, weights):
         report.add("cocycle", (labels[i], labels[j], labels[k]), "cyclic cocycle sum != 0")
     return report
 

@@ -19,7 +19,6 @@ ALLOWED = {
     "cli.parse_algebra:validate",
     "Echelon.__init__:track",
     "Echelon.insert:tag",
-    "ValidationReport.__init__:violations",
     "steinberg_check:seed",
 }
 

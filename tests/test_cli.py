@@ -157,6 +157,37 @@ def test_limit_check_small_chain_and_system_file(tmp_path, capsys):
     assert r2["results"] == r1["results"]
 
 
+def test_limit_check_echoes_only_the_arguments_it_used(capsys):
+    """A full chain names its own family and coefficients, so none is
+    echoed; a bare span echoes the coefficients it was built over, Q
+    when --coeff is absent, and hashes the same chain text."""
+    code, full = run_json(["limit-check", "--chain", "sl:2..3:Q"], capsys)
+    assert code == 0 and full["arguments"] == {"chain": "sl:2..3:Q"}
+    code, bare = run_json(["limit-check", "--chain", "2..3", "--family", "sl"], capsys)
+    assert code == 0
+    assert bare["arguments"] == {"chain": "2..3", "coeff": "Q", "family": "sl"}
+    assert (bare["input_digest"], bare["results"]) == (full["input_digest"], full["results"])
+    code, grass = run_json(["limit-check", "--chain", "2,1..3,1", "--family", "sl",
+                            "--coeff", "Grassmann(1)"], capsys)
+    assert code == 0 and grass["arguments"]["coeff"] == "Grassmann(1)"
+    code, named = run_json(["limit-check", "--chain", "sl:2,1..3,1:Grassmann(1)"], capsys)
+    assert (grass["input_digest"], grass["results"]) == (named["input_digest"], named["results"])
+
+
+def test_limit_check_refuses_family_or_coeff_it_would_ignore(tmp_path, capsys):
+    path = write(tmp_path, "system.json",
+                 {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]]})
+    message = ("error: --family and --coeff apply to a bare-span --chain only; "
+               "a full --chain or a --system names its own\n")
+    for source in (["--chain", "sl:2..3:Q"], ["--system", path]):
+        for extra in (["--family", "gl"], ["--family", "sl"], ["--coeff", "Q"],
+                      ["--coeff", "Grassmann(1)"]):
+            argv = ["limit-check", *source, *extra]
+            assert main(argv) == 2, argv
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", message), argv
+
+
 # ------------------------------------------------------------------- verdicts
 
 def test_perfect_exit_codes(capsys):
@@ -489,3 +520,19 @@ def test_python_m_runs_the_cli(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: pass exactly one of --chain or --system\n"
+
+
+def test_a_closed_stdout_ends_quietly_with_the_exit_code():
+    """A reader that takes one byte and closes the pipe leaves no
+    traceback: the report is larger than a pipe buffer, so the write
+    fails, and the command still exits 0 with nothing on stderr."""
+    src = str(Path(superuce.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superuce.cli", "uce", "--family", "sl", "--m", "4",
+         "--coeff", "Q[t]/(t^2)", "--table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")

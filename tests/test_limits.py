@@ -16,6 +16,7 @@ from superuce import (
     GradedLinearMap,
     InvalidSystemError,
     build_family,
+    build_uce,
     centre,
     chain_system,
     check_morphism,
@@ -283,6 +284,38 @@ def test_limit_u_reads_kernel_and_surjectivity_off_the_top_extension(monkeypatch
     for rep in theorems:
         assert rep.ok
         assert rep.h2_of_colim_dim == rep.h2_colim_of_kernels_dim == rep.projection.kernel_dim
+
+
+@pytest.mark.parametrize("chain", ["sl:2..4:Q", "sl:1,2..3,2:Q"])
+def test_theorem_report_is_read_off_the_top_extension(chain):
+    """The reports store only what limit_u built: the kernel is the top
+    member's own kernel tuple, and every TheoremReport field equals the
+    value of a freshly built extension of the top member."""
+    kind, members, coeff = cli._parse_chain(chain)
+    system = cli._family_system(kind, members, coeff)
+    rep = theorem_verify(system)
+    proj = rep.projection
+    top = system.poset.top()
+    assert proj.kernel is proj.exts[top].kernel
+    assert proj.surjective is proj.exts[top].perfect
+    ext = build_uce(system.algebras[top])
+    want = {
+        "dim_colim": system.algebras[top].dim,
+        "dim_uce_of_colim": ext.dim,
+        "dim_colim_of_uce": ext.dim,
+        "phi_is_morphism": True,
+        "phi_bijective": True,
+        "psi_after_phi_is_id": True,
+        "phi_after_psi_is_id": True,
+        "h2_of_colim_dim": len(ext.kernel),
+        "h2_colim_of_kernels_dim": len(ext.kernel),
+        "h2_restriction_bijective": True,
+        "ok": True,
+    }
+    fields = {name for name in dir(rep) if not name.startswith("_")}
+    assert fields == set(want) | {"projection"}
+    assert {name: getattr(rep, name) for name in want} == want
+    assert (proj.kernel_dim, proj.kernel_central, proj.surjective) == (len(ext.kernel), True, True)
 
 
 # ---------------------------------------------------------------- the theorem

@@ -113,7 +113,6 @@ def test_no_lie_table_walk_sees_both_orientations(monkeypatch):
             yield i, j, k, terms
 
     monkeypatch.setattr(algebra, "_cyclic_classes", recording)
-    monkeypatch.setattr(uce, "_cyclic_classes", recording)
     tau = tau_cocycle(fam)  # the pairing space of Grassmann(1): both orientations
     assert validate_lie(L).ok
     build_uce(L)
@@ -125,6 +124,27 @@ def test_no_lie_table_walk_sees_both_orientations(monkeypatch):
     assoc_walks = [seen for dim, seen in walks if dim != L.dim]
     assert assoc_walks and all(any((i, k, j) in seen for i, j, k in seen if j != k)
                                for seen in assoc_walks)
+
+
+def test_both_validators_evaluate_through_one_cyclic_evaluator(monkeypatch):
+    """validate_lie and validate_cocycle each hand their cyclic identity to
+    algebra._cyclic_failures once: the bracket table and tau's values."""
+    fam = build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)"))
+    L = fam.algebra
+    tau = tau_cocycle(fam)
+    calls = []
+    failures = algebra._cyclic_failures
+
+    def recording(itable, values, par, weights=None):
+        calls.append(values)
+        return failures(itable, values, par, weights)
+
+    monkeypatch.setattr(algebra, "_cyclic_failures", recording)
+    monkeypatch.setattr(uce, "_cyclic_failures", recording)
+    assert validate_lie(L).ok
+    assert len(calls) == 1 and calls[0] is L.table
+    assert validate_cocycle(tau).ok
+    assert len(calls) == 2 and calls[1] is tau.values
 
 
 # ------------------------------------------------------------ validate_cocycle
@@ -226,13 +246,13 @@ def test_only_a_weight_zero_cocycle_reads_only_weight_zero_classes(monkeypatch):
     L = fam.algebra
     tau = tau_cocycle(fam)
     walked = []
-    classes = uce._cyclic_classes
+    classes = algebra._cyclic_classes
 
     def recording(itable, par, weights=None, skew=False):
         walked.append(weights)
         return classes(itable, par, weights, skew)
 
-    monkeypatch.setattr(uce, "_cyclic_classes", recording)
+    monkeypatch.setattr(algebra, "_cyclic_classes", recording)
     assert validate_cocycle(tau).ok
     _, weights = uce._torus(L)
     assert walked == [weights]

@@ -234,7 +234,8 @@ def test_oracle_shares_no_code_with_the_builder(monkeypatch, name):
         raise RuntimeError("the oracle must not call this")
 
     for module, attr in [(uce, "build_uce"), (uce, "_torus"), (uce, "_weight_presentation"),
-                         (uce, "_cyclic_classes"), (uce, "_tensor_relations"),
-                         (algebra, "_cyclic_classes"), (algebra, "_tensor_relations")]:
+                         (uce, "_cyclic_failures"), (uce, "_tensor_relations"),
+                         (algebra, "_cyclic_classes"), (algebra, "_cyclic_failures"),
+                         (algebra, "_tensor_relations")]:
         monkeypatch.setattr(module, attr, broken)
     assert uce.h2_cohomology_oracle(L) == want
