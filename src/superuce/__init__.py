@@ -61,7 +61,6 @@ from .uce import (
 )
 from .matrices import (
     MatrixFamily,
-    bracket_Eij,
     build_family,
     coefficient_algebra,
     corner_embedding,
@@ -108,7 +107,6 @@ __all__ = [
     "Subspace",
     "UceAlgebra",
     "ValidationReport",
-    "bracket_Eij",
     "build_family",
     "build_uce",
     "centre",

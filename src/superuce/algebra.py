@@ -117,9 +117,6 @@ class GradedBasis:
     def index(self, label: str) -> int:
         return self._index[label]
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedBasis)

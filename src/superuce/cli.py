@@ -21,9 +21,11 @@ Algebra file format (JSON)::
     }
 
 Pairs absent from "products" are zero; nothing is symmetrized or
-completed behind the caller's back.  Rational numbers are written as
-{"num": "...", "den": "..."}; each part is a decimal string or a JSON
-integer, never a float or boolean.
+completed behind the caller's back, and a (left, right) pair listed
+twice is an input error.  Terms of a "result" or of the "unit" that
+name the same basis element are summed.  Rational numbers are written
+as {"num": "...", "den": "..."}; each part is a decimal string or a
+JSON integer, never a float or boolean.
 
 Chain shorthand: ``sl:5..7:Q[t]/(t^2)`` (or ``sl:3,2..5,2:Q``) builds
 the corner-embedding chain of sl families from the start size to the
@@ -119,6 +121,20 @@ def vector_to_json(v, labels) -> list:
 
 # -------------------------------------------------------------- algebra files
 
+def _terms(raw: list, index: dict, what: str) -> dict:
+    """The vector of a list of terms; repeated basis names are summed."""
+    vec = {}
+    for term in raw:
+        try:
+            k = index[term["basis"]]
+        except (KeyError, TypeError):
+            raise InputError(f"bad {what} term {term!r}") from None
+        x = rational_from_json(term)
+        if x:
+            vec[k] = vec.get(k, 0) + x
+    return {k: x for k, x in vec.items() if x}
+
+
 def parse_algebra(data: dict, validate: bool = True):
     """Build a Lie or associative superalgebra from the file format."""
     if not isinstance(data, dict):
@@ -146,25 +162,20 @@ def parse_algebra(data: dict, validate: bool = True):
     products = data.get("products", [])
     if not isinstance(products, list):
         raise InputError("\"products\" must be a list")
+    seen = set()
     for entry in products:
         try:
             i = index[entry["left"]]
             j = index[entry["right"]]
         except (KeyError, TypeError):
             raise InputError(f"bad product entry {entry!r}") from None
+        if (i, j) in seen:
+            raise InputError(f"product ({labels[i]}, {labels[j]}) is listed twice")
+        seen.add((i, j))
         result = entry.get("result", [])
         if not isinstance(result, list):
             raise InputError(f"bad product entry {entry!r}: \"result\" must be a list")
-        cell = {}
-        for term in result:
-            try:
-                k = index[term["basis"]]
-            except (KeyError, TypeError):
-                raise InputError(f"bad product term {term!r}") from None
-            x = rational_from_json(term)
-            if x:
-                cell[k] = cell.get(k, 0) + x
-        table[i][j] = {k: x for k, x in cell.items() if x}
+        table[i][j] = _terms(result, index, "product")
 
     basis = GradedBasis(labels, parities)
     if kind == "lie":
@@ -172,15 +183,7 @@ def parse_algebra(data: dict, validate: bool = True):
     raw_unit = data.get("unit")
     if not isinstance(raw_unit, list):
         raise InputError("associative algebra file needs a \"unit\" list")
-    unit = {}
-    for term in raw_unit:
-        try:
-            k = index[term["basis"]]
-        except (KeyError, TypeError):
-            raise InputError(f"bad unit term {term!r}") from None
-        x = rational_from_json(term)
-        if x:
-            unit[k] = x
+    unit = _terms(raw_unit, index, "unit")
     return AssocSuperalgebra(basis, table, unit, validate=validate)
 
 

@@ -104,25 +104,6 @@ class SparseMatrix:
             for c, x in row.items():
                 yield r, c, x
 
-    def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector."""
-        out: Vector = {}
-        for r, row in enumerate(self.rows):
-            s = 0
-            if len(row) <= len(v):
-                for c, x in row.items():
-                    y = v.get(c)
-                    if y:
-                        s += x * y
-            else:
-                for c, y in v.items():
-                    x = row.get(c)
-                    if x:
-                        s += x * y
-            if s:
-                out[r] = s
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)

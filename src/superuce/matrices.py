@@ -62,7 +62,6 @@ from .algebra import (
     check_morphism,
     lie_from_assoc,
     subalgebra_from_vectors,
-    vector_parity,
 )
 from .cyclic import cyclic_pairs
 from .linalg import (
@@ -181,41 +180,42 @@ def matrix_superalgebra(m: int, n: int, A: AssocSuperalgebra) -> AssocSuperalgeb
     alabels = A.basis.labels
     d = size * size * dA
 
-    def coord(i: int, j: int, t: int) -> int:
-        return (i * size + j) * dA + t
-
+    # the layout: E_ij(a_t) sits at coordinate (i * size + j) * dA + t,
+    # the order the basis is written in below
+    ppar = [0] * m + [1] * n
     labels = []
     parities = []
     for i in range(size):
-        pi = 0 if i < m else 1
         for j in range(size):
-            pj = 0 if j < m else 1
             for t in range(dA):
                 labels.append(f"E{i + 1},{j + 1}({alabels[t]})")
-                parities.append((pi + pj + apar[t]) & 1)
+                parities.append((ppar[i] + ppar[j] + apar[t]) & 1)
     table = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(size):
         for j in range(size):
-            pj = 0 if j < m else 1
-            for t in range(dA):
-                left = coord(i, j, t)
-                for q in range(size):
-                    pq = 0 if q < m else 1
-                    sign = -1 if apar[t] and ((pj + pq) & 1) else 1
-                    for s in range(dA):
-                        right = coord(j, q, s)
-                        prod = A.table[t][s]
+            for q in range(size):
+                out = (i * size + q) * dA
+                right = (j * size + q) * dA
+                odd = (ppar[j] + ppar[q]) & 1
+                for t in range(dA):
+                    left = (i * size + j) * dA + t
+                    sign = -1 if apar[t] and odd else 1
+                    for s, prod in enumerate(A.table[t]):
                         if prod:
-                            table[left][right] = {coord(i, q, k): sign * x for k, x in prod.items()}
-    unit = {}
-    for i in range(size):
-        for t, x in A.unit.items():
-            unit[coord(i, i, t)] = x
+                            table[left][right + s] = {out + k: sign * x for k, x in prod.items()}
+    unit = {(i * size + i) * dA + t: x for i in range(size) for t, x in A.unit.items()}
     return AssocSuperalgebra._derived(GradedBasis(labels, parities), table, unit)
 
 
 class MatrixFamily:
-    """A matrix family member together with its gl environment."""
+    """A matrix family member together with its gl environment.
+
+    The one reader of the gl(m,n;A) layout that matrix_superalgebra
+    writes: coord and position encode and decode the basis element
+    E_ij(a_t) at 0-based positions i, j, and index_parity and sigma give
+    the parity and the sign (+1 on the first m positions, -1 on the
+    rest) of a position.  E, entry and supertrace read only these.
+    """
 
     __slots__ = ("kind", "m", "n", "coeff", "gl", "algebra", "embedding")
 
@@ -236,20 +236,30 @@ class MatrixFamily:
         """Parity of position i (0-based)."""
         return 0 if i < self.m else 1
 
+    def sigma(self, i: int) -> int:
+        """Sign (-1)^{|i|} of position i (0-based)."""
+        return -1 if self.index_parity(i) else 1
+
     def coord(self, i: int, j: int, t: int) -> int:
+        """gl coordinate of E_ij(a_t)."""
         return (i * self.size + j) * self.coeff.dim + t
+
+    def position(self, c: int) -> tuple:
+        """(i, j, t) of the gl coordinate c; the inverse of coord."""
+        pos, t = divmod(c, self.coeff.dim)
+        i, j = divmod(pos, self.size)
+        return i, j, t
 
     def E(self, i: int, j: int, a: Vector) -> Vector:
         """gl vector of the matrix with entry a at position (i, j), 0-based."""
-        base = (i * self.size + j) * self.coeff.dim
+        base = self.coord(i, j, 0)
         return {base + t: x for t, x in a.items() if x}
 
     def entry(self, v: Vector, i: int, j: int) -> Vector:
         """The (i, j) entry of a gl vector, as a coefficient vector."""
-        dA = self.coeff.dim
-        base = (i * self.size + j) * dA
+        base = self.coord(i, j, 0)
         out = {}
-        for t in range(dA):
+        for t in range(self.coeff.dim):
             x = v.get(base + t)
             if x:
                 out[t] = x
@@ -261,20 +271,9 @@ class MatrixFamily:
 
 def supertrace(fam: MatrixFamily, v: Vector) -> Vector:
     """str(x) = sum over even diagonal entries minus sum over odd ones."""
-    dA = fam.coeff.dim
-    size = fam.size
     out: Vector = {}
-    for i in range(size):
-        sign = 1 if i < fam.m else -1
-        base = (i * size + i) * dA
-        for t in range(dA):
-            x = v.get(base + t)
-            if x:
-                y = out.get(t, 0) + sign * x
-                if y:
-                    out[t] = y
-                else:
-                    del out[t]
+    for i in range(fam.size):
+        vec_add_scaled(out, fam.entry(v, i, i), fam.sigma(i))
     return out
 
 
@@ -284,34 +283,27 @@ def _supercommutator_span(A: AssocSuperalgebra) -> list:
     return [ech[p] for p in sorted(ech)]
 
 
-def _sl_vectors(fam_m: int, fam_n: int, A: AssocSuperalgebra):
-    size = fam_m + fam_n
-    dA = A.dim
+def _sl_vectors(fam: MatrixFamily):
+    """Basis vectors and labels of sl inside the gl member fam: the
+    off-diagonal E_ij(a) with gl's labels, the H_i(a), then E_11(s_1 c)
+    for c in an echelon basis of [A,A]."""
+    A = fam.coeff
     alabels = A.basis.labels
-
-    def coord(i, j, t):
-        return (i * size + j) * dA + t
-
-    def sigma(i):
-        return 1 if i < fam_m else -1
-
     vectors = []
     labels = []
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            for t in range(dA):
-                vectors.append({coord(i, j, t): 1})
-                labels.append(f"E{i + 1},{j + 1}({alabels[t]})")
-    for i in range(size - 1):
-        ss = sigma(i) * sigma(i + 1)
-        for t in range(dA):
-            vectors.append({coord(i, i, t): 1, coord(i + 1, i + 1, t): -ss})
+    for c, label in enumerate(fam.gl.basis.labels):
+        i, j, _ = fam.position(c)
+        if i != j:
+            vectors.append({c: 1})
+            labels.append(label)
+    for i in range(fam.size - 1):
+        ss = fam.sigma(i) * fam.sigma(i + 1)
+        for t in range(A.dim):
+            vectors.append({fam.coord(i, i, t): 1, fam.coord(i + 1, i + 1, t): -ss})
             labels.append(f"H{i + 1}({alabels[t]})")
+    s1 = fam.sigma(0)
     for idx, c in enumerate(_supercommutator_span(A)):
-        s1 = sigma(0)
-        vectors.append({coord(0, 0, t): s1 * x for t, x in c.items()})
+        vectors.append(fam.E(0, 0, {t: s1 * x for t, x in c.items()}))
         labels.append(f"C{idx}")
     return vectors, labels
 
@@ -337,9 +329,10 @@ def _gram_p(m: int):
     return G
 
 
-def _stabilizer_vectors(m: int, n: int, A: AssocSuperalgebra, G,
-                        trace_row: bool = False) -> list:
-    """Kernel of the form-invariance condition, per homogeneous sector.
+def _stabilizer_vectors(fam: MatrixFamily, G, trace_row: bool) -> list:
+    """Kernel of the form-invariance condition inside the gl member fam,
+    per homogeneous sector; with trace_row the even sector also has
+    supertrace zero.
 
     The module is the free right A-module on the position basis, and the
     action carries the graded tensor product sign,
@@ -349,97 +342,74 @@ def _stabilizer_vectors(m: int, n: int, A: AssocSuperalgebra, G,
 
       [j == r] (-1)^{|c||j| + (|c|+|a|)|s|} G_is (ca)_k
         + [j == s] (-1)^{|c||j| + P(|r|+|a|) + |a|(|i|+|c|)} G_ri (ca)_k  =  0.
+
+    The unknowns of sector P are the gl coordinates of parity P.
     """
-    size = m + n
-    dA = A.dim
+    A = fam.coeff
     apar = A.basis.parities
-
-    def pos_par(i):
-        return 0 if i < m else 1
-
-    def coord(i, j, t):
-        return (i * size + j) * dA + t
-
+    par = fam.index_parity
     out = []
     for P in (0, 1):
-        unknowns = []
-        for i in range(size):
-            for j in range(size):
-                for t in range(dA):
-                    if (pos_par(i) + pos_par(j) + apar[t]) & 1 == P:
-                        unknowns.append((i, j, t))
-        col_of = {u: c for c, u in enumerate(unknowns)}
+        unknowns = [c for c, p in enumerate(fam.gl.basis.parities) if p == P]
         rows: dict = {}
-        for (i, j, t) in unknowns:
-            cu = col_of[(i, j, t)]
-            for ta in range(dA):
+        for cu, c in enumerate(unknowns):
+            i, j, t = fam.position(c)
+            for ta in range(A.dim):
                 prod = A.table[t][ta]
                 if not prod:
                     continue
-                for s in range(size):
+                for s in range(fam.size):
                     g = G[i][s]
                     if g:
-                        e1 = ((apar[t] + apar[ta]) & 1) * pos_par(s) + apar[t] * pos_par(j)
+                        e1 = ((apar[t] + apar[ta]) & 1) * par(s) + apar[t] * par(j)
                         s1 = -1 if e1 & 1 else 1
                         for k, x in prod.items():
-                            key = (j, s, ta, k)
-                            row = rows.setdefault(key, {})
-                            y = row.get(cu, 0) + s1 * g * x
-                            if y:
-                                row[cu] = y
-                            else:
-                                row.pop(cu, None)
-                for r in range(size):
+                            vec_add_scaled(rows.setdefault((j, s, ta, k), {}), {cu: x}, s1 * g)
+                for r in range(fam.size):
                     g = G[r][i]
                     if g:
-                        e = (P * ((pos_par(r) + apar[ta]) & 1)
-                             + apar[ta] * ((pos_par(i) + apar[t]) & 1)
-                             + apar[t] * pos_par(j))
+                        e = (P * ((par(r) + apar[ta]) & 1)
+                             + apar[ta] * ((par(i) + apar[t]) & 1)
+                             + apar[t] * par(j))
                         s2 = -1 if e & 1 else 1
                         for k, x in prod.items():
-                            key = (r, j, ta, k)
-                            row = rows.setdefault(key, {})
-                            y = row.get(cu, 0) + s2 * g * x
-                            if y:
-                                row[cu] = y
-                            else:
-                                row.pop(cu, None)
+                            vec_add_scaled(rows.setdefault((r, j, ta, k), {}), {cu: x}, s2 * g)
         row_list = [rows[key] for key in sorted(rows) if rows[key]]
         if trace_row and P == 0:
             tr: Vector = {}
-            for c, (i, j, t) in enumerate(unknowns):
+            for cu, c in enumerate(unknowns):
+                i, j, _ = fam.position(c)
                 if i == j:
-                    tr[c] = 1 if pos_par(i) == 0 else -1
+                    tr[cu] = fam.sigma(i)
             if tr:
                 row_list.append(tr)
         mat = SparseMatrix(row_list, len(unknowns))
         for vec in kernel_basis(mat):
-            out.append({coord(*unknowns[c]): x for c, x in vec.items()})
+            out.append({unknowns[cu]: x for cu, x in vec.items()})
     return out
 
 
-def _sq_vectors(m: int) -> list:
-    size = 2 * m
-
-    def coord(i, j):
-        return i * size + j
-
+def _sq_vectors(fam: MatrixFamily) -> list:
+    """Kernel of the sq conditions inside the gl(m,m;Q) member fam: equal
+    diagonal blocks, equal off-diagonal blocks, and tr b = 0."""
+    m = fam.m
     rows = []
     for i in range(m):
         for j in range(m):
-            rows.append({coord(i, j): 1, coord(m + i, m + j): -1})
-            rows.append({coord(i, m + j): 1, coord(m + i, j): -1})
-    rows.append({coord(i, m + i): 1 for i in range(m)})
-    mat = SparseMatrix(rows, size * size)
-    return kernel_basis(mat)
+            rows.append({fam.coord(i, j, 0): 1, fam.coord(m + i, m + j, 0): -1})
+            rows.append({fam.coord(i, m + j, 0): 1, fam.coord(m + i, j, 0): -1})
+    rows.append({fam.coord(i, m + i, 0): 1 for i in range(m)})
+    return kernel_basis(SparseMatrix(rows, fam.gl.dim))
 
 
 def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixFamily:
     """Construct gl, sl, osp, p, or sq inside gl(m,n;coeff).
 
-    Nothing is re-validated: Mat and gl inherit their laws from coeff,
-    and the family member is a subalgebra whose closure under the
-    bracket is certified by subalgebra_from_vectors.
+    The gl member is built first; the vectors of any other member are
+    read off it, in gl coordinates.  Nothing is re-validated: Mat and gl
+    inherit their laws from coeff, and the family member is a subalgebra
+    whose closure under the bracket is certified by
+    subalgebra_from_vectors.
     """
     if kind not in ("gl", "sl", "osp", "p", "sq"):
         raise ValueError(f"unknown family kind {kind!r}")
@@ -456,51 +426,20 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
         raise ValueError("osp needs a supercommutative coefficient algebra")
 
     gl = lie_from_assoc(matrix_superalgebra(m, n, coeff))
+    fam = MatrixFamily("gl", m, n, coeff, gl, gl, GradedLinearMap.identity(gl.basis))
     if kind == "gl":
-        fam_alg = gl
-        embedding = GradedLinearMap.identity(gl.basis)
+        return fam
+    if kind == "sl":
+        vectors, labels = _sl_vectors(fam)
     else:
-        if kind == "sl":
-            vectors, labels = _sl_vectors(m, n, coeff)
-        elif kind == "osp":
-            vectors = _stabilizer_vectors(m, n, coeff, _gram_osp(m, n))
-            labels = [f"osp{i}" for i in range(len(vectors))]
-        elif kind == "p":
-            vectors = _stabilizer_vectors(m, n, coeff, _gram_p(m), trace_row=True)
-            labels = [f"p{i}" for i in range(len(vectors))]
+        if kind == "sq":
+            vectors = _sq_vectors(fam)
         else:
-            vectors = _sq_vectors(m)
-            labels = [f"sq{i}" for i in range(len(vectors))]
-        fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
+            G = _gram_osp(m, n) if kind == "osp" else _gram_p(m)
+            vectors = _stabilizer_vectors(fam, G, trace_row=kind == "p")
+        labels = [f"{kind}{i}" for i in range(len(vectors))]
+    fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
     return MatrixFamily(kind, m, n, coeff, gl, fam_alg, embedding)
-
-
-def bracket_Eij(fam: MatrixFamily, i: int, j: int, a: Vector,
-                p: int, q: int, b: Vector) -> Vector:
-    """[E_ij(a), E_pq(b)] among matrix units, as a gl vector.
-
-    [E_ij(a), E_pq(b)] = [j == p] (-1)^{|a|(|p|+|q|)} E_iq(ab)
-      - (-1)^{|E_ij(a)||E_pq(b)|} [i == q] (-1)^{|b|(|i|+|j|)} E_pj(ba).
-
-    Positions are 0-based; a and b must be homogeneous coefficient
-    vectors.  Agrees with the supercommutator bracket of gl; the graded
-    tensor product signs vanish for even entries, where this is the
-    familiar matrix-unit bracket.
-    """
-    A = fam.coeff
-    pa = vector_parity(a, A.basis) or 0
-    pb = vector_parity(b, A.basis) or 0
-    out: Vector = {}
-    if j == p:
-        s1 = -1 if pa and ((fam.index_parity(p) + fam.index_parity(q)) & 1) else 1
-        vec_add_scaled(out, fam.E(i, q, A.product(a, b)), s1)
-    if i == q:
-        px = (fam.index_parity(i) + fam.index_parity(j) + pa) & 1
-        py = (fam.index_parity(p) + fam.index_parity(q) + pb) & 1
-        sign = -1 if px and py else 1
-        s2 = -1 if pb and ((fam.index_parity(i) + fam.index_parity(j)) & 1) else 1
-        vec_add_scaled(out, fam.E(p, j, A.product(b, a)), -sign * s2)
-    return out
 
 
 # ------------------------------------------------------------------ the cocycle
@@ -518,24 +457,22 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
     values in the pairing space of A (all of which is HC_1(A) since the
     commutator map vanishes), built here with cyclic_pairs(A).  The
     entry parity factor matches the graded tensor product sign of Mat
-    and is +1 for even entries.
+    and is +1 for even entries.  The entries x_ij are read off the
+    embedding columns with fam.position, the signs with fam.sigma.
     """
     _require_sl(fam)
-    m, n, A = fam.m, fam.n, fam.coeff
+    A = fam.coeff
     if not A.is_supercommutative():
         raise ValueError("the supertrace cocycle needs a supercommutative coefficient algebra")
     pairs = cyclic_pairs(A)
     sl = fam.algebra
     d = sl.dim
-    size = m + n
-    dA = A.dim
 
     entries = []
     for col in fam.embedding.columns:
         by_pos: dict = {}
-        for cgl, x in col.items():
-            pos, t = divmod(cgl, dA)
-            i, j = divmod(pos, size)
+        for c, x in col.items():
+            i, j, t = fam.position(c)
             by_pos.setdefault((i, j), {})[t] = x
         entries.append(by_pos)
 
@@ -560,8 +497,8 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
                 bv = exj.get((j, i))
                 if not bv:
                     continue
-                sign = 1 if i < m else -1
-                odd_pos = ((0 if i < m else 1) + (0 if j < m else 1)) & 1
+                sign = fam.sigma(i)
+                odd_pos = sign != fam.sigma(j)
                 for t, x in av.items():
                     tsign = -sign if (apar[t] and odd_pos) else sign
                     for s, y in bv.items():
@@ -654,6 +591,8 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     """Steinberg presentation checks inside the extension of the family sl(m,n;A).
 
     Builds the extension once; seed drives the random linearity samples.
+    Every matrix unit is made with fam.E, and the expected bracket of two
+    generators is read off gl's own table at fam.coord of each.
     """
     _require_sl(fam)
     m, n = fam.m, fam.n
@@ -737,8 +676,9 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
             if j == p and i == q:
                 continue  # not a presentation relation
             lhs = uce_lie.bracket(ehat[(i, j, t)], ehat[(p, q, s)])
-            # the generator bracket, lifted coefficient-for-coefficient
-            expected = bracket_Eij(fam, i, j, {t: 1}, p, q, {s: 1})
+            # the generator bracket, read off gl and lifted
+            # coefficient-for-coefficient
+            expected = fam.gl.table[fam.coord(i, j, t)][fam.coord(p, q, s)]
             rhs: Vector = {}
             if j == p:
                 rhs = ehat_lin(i, q, fam.entry(expected, i, q))
@@ -779,7 +719,9 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
     """Corner inclusion sl(m,n;A) -> sl(m',n';A) (or gl into gl).
 
     Even positions map to the first even block, odd positions to the
-    first odd block; entries are preserved.
+    first odd block, so each odd position moves by dst.m - src.m;
+    entries are preserved.  Positions are decoded with src.position and
+    encoded with dst.coord.
     """
     if src.kind != dst.kind or src.kind not in ("sl", "gl"):
         raise ValueError("corner embeddings are provided for sl and gl families")
@@ -787,19 +729,15 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
         raise ValueError("coefficient algebras must be the same object")
     if src.m > dst.m or src.n > dst.n:
         raise ValueError("target must be at least as large in both blocks")
-    dA = src.coeff.dim
-    ssize, dsize = src.size, dst.size
-
-    def posmap(i: int) -> int:
-        return i if i < src.m else dst.m + (i - src.m)
-
+    shift = dst.m - src.m
     cols = []
     for col in src.embedding.columns:
         big: Vector = {}
-        for cgl, x in col.items():
-            pos, t = divmod(cgl, dA)
-            i, j = divmod(pos, ssize)
-            big[(posmap(i) * dsize + posmap(j)) * dA + t] = x
+        for c, x in col.items():
+            i, j, t = src.position(c)
+            i += shift * src.index_parity(i)
+            j += shift * src.index_parity(j)
+            big[dst.coord(i, j, t)] = x
         coords = dst.embedding.preimage(big)
         if coords is None:
             raise ValueError("corner image does not land in the target family")

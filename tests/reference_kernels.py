@@ -19,7 +19,9 @@ validators here walk every cyclic class i <= j, i <= k in both
 orientations and validate_cocycle every class of every weight; the
 package's walk one orientation per unordered triple, and validate_cocycle
 only weight 0 when it can, and must report the same violations in the
-same order.
+same order.  bracket_Eij is the graded matrix-unit bracket written out
+from its formula, against which the gl table of a matrix family, the
+bracket the Steinberg check reads, is checked.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from superuce.algebra import (
     vector_parity,
 )
 from superuce.linalg import Vector, _tensor, quotient_space, rank_of_rows, vec_add_scaled
+from superuce.matrices import MatrixFamily
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -523,3 +526,31 @@ def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -
             if f.apply(L.table[i][j]) != M.bracket(fi, cols[j]):
                 return False
     return True
+
+
+def bracket_Eij(fam: MatrixFamily, i: int, j: int, a: Vector,
+                p: int, q: int, b: Vector) -> Vector:
+    """[E_ij(a), E_pq(b)] among matrix units, as a gl vector.
+
+    [E_ij(a), E_pq(b)] = [j == p] (-1)^{|a|(|p|+|q|)} E_iq(ab)
+      - (-1)^{|E_ij(a)||E_pq(b)|} [i == q] (-1)^{|b|(|i|+|j|)} E_pj(ba).
+
+    Positions are 0-based; a and b must be homogeneous coefficient
+    vectors.  Agrees with the supercommutator bracket of gl; the graded
+    tensor product signs vanish for even entries, where this is the
+    familiar matrix-unit bracket.
+    """
+    A = fam.coeff
+    pa = vector_parity(a, A.basis) or 0
+    pb = vector_parity(b, A.basis) or 0
+    out: Vector = {}
+    if j == p:
+        s1 = -1 if pa and ((fam.index_parity(p) + fam.index_parity(q)) & 1) else 1
+        vec_add_scaled(out, fam.E(i, q, A.product(a, b)), s1)
+    if i == q:
+        px = (fam.index_parity(i) + fam.index_parity(j) + pa) & 1
+        py = (fam.index_parity(p) + fam.index_parity(q) + pb) & 1
+        sign = -1 if px and py else 1
+        s2 = -1 if pb and ((fam.index_parity(i) + fam.index_parity(j)) & 1) else 1
+        vec_add_scaled(out, fam.E(p, j, A.product(b, a)), -sign * s2)
+    return out

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process through main() and, for the
 declared console script, in a child interpreter."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superuce
+from superuce import cli
 from superuce.cli import (
     algebra_to_json,
     main,
@@ -88,6 +90,27 @@ def test_duplicate_basis_names_rejected(tmp_path, capsys):
     path = write(tmp_path, "dup.json", data)
     assert main(["validate", "--file", path]) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_a_product_pair_listed_twice_is_an_input_error(tmp_path, capsys):
+    """A second entry for (h, e) is refused, not written over the first."""
+    once = {"left": "h", "right": "e", "result": [{"basis": "e", "num": "1", "den": "1"}]}
+    path = write(tmp_path, "twice.json", dict(SL2_FILE, products=[once, *SL2_FILE["products"]]))
+    assert main(["validate", "--file", path]) == 2
+    assert capsys.readouterr().err == "error: product (h, e) is listed twice\n"
+
+
+def test_unit_terms_are_summed_like_product_terms(tmp_path, capsys):
+    """Two halves of 1 read as 1 in the unit, as they already did in a
+    product result."""
+    half = {"basis": "1", "num": "1", "den": "2"}
+    data = dict(QT2_FILE, unit=[half, half])
+    products = json.loads(json.dumps(QT2_FILE["products"]))
+    products[0]["result"] = [half, half]
+    data["products"] = products
+    alg = parse_algebra(data)
+    assert alg.unit == {0: 1} and alg.table[0][0] == {0: 1}
+    assert main(["validate", "--file", write(tmp_path, "halves.json", data)]) == 0
 
 
 def test_broken_jacobi_reported(tmp_path, capsys):
@@ -536,3 +559,17 @@ def test_a_closed_stdout_ends_quietly_with_the_exit_code():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_every_same_output_invocation_parses():
+    """tools/same_output.py compares a fixed list of invocations on two
+    trees; each must still be a valid command line, and each file it
+    names must exist, so the list cannot rot."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(tool.INVOCATIONS) == len({tuple(argv) for argv in tool.INVOCATIONS})
+    for argv in tool.INVOCATIONS:
+        args = cli._parser().parse_args(argv)
+        assert getattr(args, "file", None) in (None, "{broken}") or Path(args.file).is_file(), argv

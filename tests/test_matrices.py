@@ -1,13 +1,16 @@
 """Matrix families, the supertrace cocycle, and the presentation checks."""
 
+import ast
 import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superuce
 from superuce import cli, linalg, matrices
 from superuce import (
     CertificateError,
@@ -15,7 +18,6 @@ from superuce import (
     GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
-    bracket_Eij,
     build_family,
     check_morphism,
     coefficient_algebra,
@@ -35,6 +37,8 @@ from superuce import (
 from superuce.linalg import echelon_rows
 from superuce.matrices import MatrixFamily, grassmann, matrix_superalgebra
 from superuce.uce import UceAlgebra
+
+from reference_kernels import bracket_Eij
 
 ONE = Fraction(1)
 
@@ -68,7 +72,7 @@ def test_grassmann_signs():
 
 # ------------------------------------------------------------------ dimensions
 
-@pytest.mark.parametrize("kind,m,n,coeff,dim", [
+FAMILY_CASES = [
     ("gl", 3, 2, "Q", 25),
     ("sl", 3, 2, "Q", 24),
     ("sl", 3, 2, "Grassmann(1)", 48),
@@ -77,10 +81,28 @@ def test_grassmann_signs():
     ("p", 2, 2, "Q", 7),
     ("sl", 5, 0, "Q[t]/(t^2)", 48),
     ("sl", 3, 2, "Q[x,y]/(x,y)^2", 72),
-])
+]
+
+
+@pytest.mark.parametrize("kind,m,n,coeff,dim", FAMILY_CASES)
 def test_family_dimensions(kind, m, n, coeff, dim):
     fam = build_family(kind, m, n, coefficient_algebra(coeff))
     assert fam.algebra.dim == dim
+
+
+@pytest.mark.parametrize("kind,m,n,coeff,dim", FAMILY_CASES)
+def test_position_inverts_coord_on_the_layout_of_mat(kind, m, n, coeff, dim):
+    """MatrixFamily reads the gl layout that matrix_superalgebra writes:
+    position inverts coord, and coord(i, j, t) carries the label
+    E{i+1},{j+1}(a_t) of the basis matrix_superalgebra built."""
+    A = coefficient_algebra(coeff)
+    fam = build_family(kind, m, n, A)
+    labels = fam.gl.basis.labels
+    for i in range(m + n):
+        for j in range(m + n):
+            for t, a in enumerate(A.basis.labels):
+                assert fam.position(fam.coord(i, j, t)) == (i, j, t)
+                assert labels[fam.coord(i, j, t)] == f"E{i + 1},{j + 1}({a})"
 
 
 def test_osp12_parity_split():
@@ -175,19 +197,19 @@ def test_supertrace_of_brackets_in_commutator_span():
 
 def test_bracket_matrix_units_even():
     fam = build_family("gl", 3, 2, coefficient_algebra("Q"))
-    got = bracket_Eij(fam, 0, 1, {0: ONE}, 1, 0, {0: ONE})
+    got = fam.gl.bracket(fam.E(0, 1, {0: ONE}), fam.E(1, 0, {0: ONE}))
     want = dict(fam.E(0, 0, {0: ONE}))
     for c, x in fam.E(1, 1, {0: ONE}).items():
         want[c] = want.get(c, Fraction(0)) - x
     assert got == want
-    assert bracket_Eij(fam, 0, 1, {0: ONE}, 2, 3, {0: ONE}) == {}
+    assert fam.gl.bracket(fam.E(0, 1, {0: ONE}), fam.E(2, 3, {0: ONE})) == {}
 
 
 def test_bracket_even_odd_position_sign():
     """i even, j odd, even entries: [E_ij, E_ji] = E_ii + E_jj, the plus
     sign coming from the odd-odd pair of generators."""
     fam = build_family("gl", 2, 1, coefficient_algebra("Q"))
-    got = bracket_Eij(fam, 0, 2, {0: ONE}, 2, 0, {0: ONE})
+    got = fam.gl.bracket(fam.E(0, 2, {0: ONE}), fam.E(2, 0, {0: ONE}))
     want = dict(fam.E(0, 0, {0: ONE}))
     for c, x in fam.E(2, 2, {0: ONE}).items():
         want[c] = want.get(c, Fraction(0)) + x
@@ -211,6 +233,20 @@ def test_bracket_Eij_matches_gl_table(m, n, coeff):
                                                        {fam.coord(p, q, s): ONE})
                             via_formula = bracket_Eij(fam, i, j, {t: ONE}, p, q, {s: ONE})
                             assert via_table == via_formula
+
+
+def test_gl_coordinates_and_the_matrix_unit_bracket_have_one_owner():
+    """No function of matrices decodes positions in a closure of its own
+    (MatrixFamily does), and the matrix-unit bracket is gl's table: the
+    formula bracket_Eij is a test reference, not package API."""
+    tree = ast.parse(Path(matrices.__file__).read_text(encoding="utf-8"))
+    nested = {inner.name
+              for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+              for inner in ast.walk(outer)
+              if isinstance(inner, ast.FunctionDef) and inner is not outer}
+    assert not nested & {"coord", "pos_par", "sigma", "posmap"}
+    assert "bracket_Eij" not in superuce.__all__
+    assert not hasattr(superuce, "bracket_Eij") and not hasattr(matrices, "bracket_Eij")
 
 
 # --------------------------------------------------------------------- cocycle

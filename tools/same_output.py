@@ -1,0 +1,111 @@
+"""Run a fixed list of command-line invocations on two source trees and
+report every one whose output differs.
+
+    python tools/same_output.py PARENT_TREE [CHANGE_TREE]
+
+CHANGE_TREE defaults to this checkout.  Each invocation runs as
+`python -m superuce.cli ...` with PYTHONPATH=<tree>/src.  Stdout (JSON
+without its "timing" block, text without its "elapsed:" line), stderr
+and the exit code must agree.  The script exits 1 on any difference.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "perfbench" / "inputs"
+BROKEN_JACOBI = {
+    "kind": "lie",
+    "basis": [{"name": x, "parity": "even"} for x in "xyz"],
+    "products": [{"left": left, "right": right, "result": [{"basis": b, "num": num, "den": den}]}
+                 for left, right, b, num, den in [("x", "y", "z", "1", "1"), ("y", "x", "z", "-1", "1"),
+                                                  ("x", "z", "x", "1", "2"), ("z", "x", "x", "-1", "2")]],
+}
+SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
+CHAINS = [["--chain", "sl:2..4:Q"], ["--chain", "sl:4..7:Q"], ["--chain", "sl:2,1..3,2:Grassmann(1)"],
+          ["--chain", "sl:1,2..3,2:Q"], ["--chain", "sl:3..2:Q"],
+          ["--chain", "sl:2..3:Q", "--family", "gl"]]
+DOCS = ("osp3_4_Q", "osp3_2_G1", "p4", "p5", "sq4c", "sq5c")
+
+# "{broken}" stands for the path of a file holding BROKEN_JACOBI
+INVOCATIONS = [
+    # the golden reports of tests/test_cli_golden.py
+    ["validate", *SL21_G1],
+    ["validate", "--file", "{broken}"],
+    ["uce", "--family", "sl", "--m", "3", "--coeff", "Q[t]/(t^2)"],
+    ["uce", *SL21_G1, "--table"],
+    ["h2", *SL21_G1],
+    ["hc1", "--coeff", "Grassmann(2)"],
+    ["centre", "--family", "gl", "--m", "2", "--n", "1"],
+    ["perfect", "--family", "osp", "--m", "1", "--n", "2"],
+    ["construct", "--family", "sq", "--m", "2", "--n", "2"],
+    ["cocycle-check", *SL21_G1],
+    ["steinberg-check", "--family", "sl", "--m", "3", "--coeff", "Q[t]/(t^2)", "--seed", "3"],
+    ["h-iso-check", "--family", "sl", "--m", "4", "--n", "1"],
+    ["limit-check", "--chain", "sl:2..4:Q"],
+    # the command-line jobs of perfbench/workloads.py
+    ["h2", "--family", "sl", "--m", "7", "--coeff", "Q[t]/(t^2)"],
+    ["h-iso-check", "--family", "sl", "--m", "3", "--n", "2", "--coeff", "Grassmann(1)"],
+    ["steinberg-check", "--family", "sl", "--m", "5", "--coeff", "Q[x,y]/(x,y)^2", "--seed", "7"],
+    ["limit-check", "--chain", "sl:2,1..3,2:Grassmann(1)"],
+    ["limit-check", "--chain", "sl:4..7:Q"],
+    # every family kind
+    ["construct", "--family", "gl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"],
+    ["construct", "--family", "sl", "--m", "3", "--n", "2", "--coeff", "Grassmann(2)"],
+    ["construct", "--family", "sl", "--m", "2", "--n", "1", "--coeff", "Mat(2,0;Q)"],
+    ["construct", "--family", "osp", "--m", "3", "--n", "2", "--coeff", "Grassmann(1)"],
+    ["construct", "--family", "osp", "--m", "1", "--n", "4", "--coeff", "Q[t]/(t^2)"],
+    ["construct", "--family", "p", "--m", "3", "--n", "3"],
+    ["construct", "--family", "sq", "--m", "3", "--n", "3"],
+    # the documents of the file_oracle workload, the sl checks in text, exit 1
+    *[[cmd, "--file", str(INPUTS / f"{doc}.json")] for cmd in ("validate", "h2") for doc in DOCS],
+    ["cocycle-check", "--family", "sl", "--m", "4", "--n", "2", "--coeff", "Grassmann(2)"],
+    ["steinberg-check", "--family", "sl", "--m", "3", "--n", "1", "--format", "text"],
+    ["h-iso-check", "--family", "sl", "--m", "4", "--n", "1", "--format", "text"],
+    ["perfect", "--family", "gl", "--m", "2"],
+    # limit-check chains with exit codes 0 and 2: every chain in text, the
+    # ones not listed above in JSON
+    *[["limit-check", *chain, "--format", "text"] for chain in CHAINS],
+    *[["limit-check", *chain] for chain in CHAINS[3:]],
+]
+
+
+def comparable(stdout: str) -> str:
+    if stdout.startswith("{"):
+        report = json.loads(stdout)
+        report.pop("timing", None)
+        return json.dumps(report, indent=2)
+    return "".join(line for line in stdout.splitlines(True) if not line.startswith("elapsed:"))
+
+
+def outcome(tree: Path, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "superuce.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tree)
+    return comparable(proc.stdout), proc.stderr, proc.returncode
+
+
+def main(argv) -> int:
+    if not 1 <= len(argv) <= 2:
+        sys.exit(__doc__)
+    parent, change = Path(argv[0]).resolve(), Path(argv[1] if len(argv) > 1 else ROOT).resolve()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp) / "broken.json"
+        broken.write_text(json.dumps(BROKEN_JACOBI))
+        for args in INVOCATIONS:
+            args = [str(broken) if tok == "{broken}" else tok for tok in args]
+            before, after = outcome(parent, args), outcome(change, args)
+            same = before == after
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS'} (exit {after[2]}): {' '.join(args)}")
+    print(f"{len(INVOCATIONS) - differ} of {len(INVOCATIONS)} invocations agree")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
