@@ -11,6 +11,13 @@ sparse vector of the product of basis elements i and j.  The laws are:
 * associative: associativity on all basis triples and a two-sided
   even unit.
 
+Each law has one implementation, shared by every table it governs:
+_bilinear evaluates a table (bracket, product), _grading_failures walks
+the grading of a product table and the degree of a cocycle's values,
+_symmetry_failures walks super skew-symmetry (of a Lie table and of a
+cocycle) and supercommutativity (of an associative table), and
+_cyclic_failures sums the cyclic identity (Jacobi and cocycle).
+
 They are checked where data enters the package: an algebra a caller
 builds with validate=True (the default), and every algebra file.  A
 table is cleaned (zeros dropped, entries put under the scalar rule,
@@ -199,15 +206,7 @@ class LieSuperalgebra:
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         """Bilinear extension of the structure constants."""
-        out: Vector = {}
-        table = self.table
-        for i, x in u.items():
-            row = table[i]
-            for j, y in v.items():
-                cell = row[j]
-                if cell:
-                    vec_add_scaled(out, cell, x * y)
-        return out
+        return _bilinear(self.table, u, v)
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra(dim={self.dim})"
@@ -248,43 +247,63 @@ class AssocSuperalgebra:
         return len(self.basis)
 
     def product(self, u: Vector, v: Vector) -> Vector:
-        out: Vector = {}
-        table = self.table
-        for i, x in u.items():
-            row = table[i]
-            for j, y in v.items():
-                cell = row[j]
-                if cell:
-                    vec_add_scaled(out, cell, x * y)
-        return out
+        return _bilinear(self.table, u, v)
 
     def is_supercommutative(self) -> bool:
         """ab == (-1)^{|a||b|} ba on all basis pairs."""
-        par = self.basis.parities
-        t = self.table
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                sign = -1 if par[i] and par[j] else 1
-                if t[i][j] != {k: sign * x for k, x in t[j][i].items()}:
-                    return False
-        return True
+        return not any(_symmetry_failures(self.table, self.basis.parities, 1))
 
     def __repr__(self) -> str:
         return f"AssocSuperalgebra(dim={self.dim})"
 
 
-def _check_grading(report: ValidationReport, basis: GradedBasis, table) -> None:
-    par = basis.parities
-    for i in range(len(basis)):
-        for j in range(len(basis)):
+def _bilinear(table, u: Vector, v: Vector) -> Vector:
+    """The bilinear extension of a table of cells: the sum of
+    u_i v_j table[i][j] over the support of u and v."""
+    out: Vector = {}
+    for i, x in u.items():
+        row = table[i]
+        for j, y in v.items():
+            cell = row[j]
+            if cell:
+                vec_add_scaled(out, cell, x * y)
+    return out
+
+
+def _grading_failures(table, par, target_par):
+    """(i, j, k, want) for each component k of a cell table[i][j] whose
+    parity target_par[k] is not want = |i| + |j|, in row order: the
+    grading of a product table (target_par is par) or the degree of a
+    cocycle's values (target_par is its target's)."""
+    d = len(par)
+    for i in range(d):
+        row = table[i]
+        for j in range(d):
             want = (par[i] + par[j]) & 1
-            for k in table[i][j]:
-                if par[k] != want:
-                    report.add(
-                        "grading",
-                        (basis.labels[i], basis.labels[j]),
-                        f"component {basis.labels[k]} has parity {par[k]}, expected {want}",
-                    )
+            for k in row[j]:
+                if target_par[k] != want:
+                    yield i, j, k, want
+
+
+def _symmetry_failures(table, par, sign):
+    """The pairs i <= j, in order, where cell (j, i) is not
+    sign * (-1)^{|i||j|} times cell (i, j).  sign -1 is super
+    skew-symmetry, which also fails at a nonzero cell (i, i) of even i;
+    sign +1 is supercommutativity, which fails there for odd i."""
+    d = len(par)
+    for i in range(d):
+        row = table[i]
+        for j in range(i, d):
+            s = -sign if par[i] and par[j] else sign
+            if table[j][i] != {k: s * x for k, x in row[j].items()}:
+                yield i, j
+
+
+def _check_grading(report: ValidationReport, basis: GradedBasis, table) -> None:
+    labels, par = basis.labels, basis.parities
+    for i, j, k, want in _grading_failures(table, par, par):
+        report.add("grading", (labels[i], labels[j]),
+                   f"component {labels[k]} has parity {par[k]}, expected {want}")
 
 
 def _integral_table(table) -> tuple:
@@ -483,10 +502,13 @@ def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
-    The Jacobi expression is the cyclic sum of _cyclic_failures with the
-    table itself as values: once skew-symmetry holds it is evaluated once
-    per unordered triple, and each failing triple is reported with its
-    mirror, in the order a walk over every class i <= j, i <= k gives.
+    Grading and skew-symmetry are the walks _grading_failures and
+    _symmetry_failures (sign -1), one violation per failing cell
+    component and per failing pair i <= j.  The Jacobi expression is the
+    cyclic sum of _cyclic_failures with the table itself as values: once
+    skew-symmetry holds it is evaluated once per unordered triple, and
+    each failing triple is reported with its mirror, in the order a walk
+    over every class i <= j, i <= k gives.
     It is homogeneous of degree 2 in the structure constants, so it is
     evaluated in ints on the table scaled by the LCM D of its
     denominators: each sum is D^2 times the rational one and vanishes
@@ -494,18 +516,11 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """
     report = ValidationReport()
     basis, table = L.basis, L.table
-    d = len(basis)
-    par = basis.parities
-    labels = basis.labels
+    labels, par = basis.labels, basis.parities
     _check_grading(report, basis, table)
-    for i in range(d):
-        for j in range(i, d):
-            sign = -1 if par[i] and par[j] else 1
-            expected = {k: -sign * x for k, x in table[i][j].items()}
-            if table[j][i] != expected:
-                report.add("skew", (labels[i], labels[j]), "[y,x] != -(-1)^{|x||y|}[x,y]")
-        if par[i] == EVEN and table[i][i]:
-            report.add("skew", (labels[i], labels[i]), "[x,x] != 0 for even x")
+    for i, j in _symmetry_failures(table, par, -1):
+        report.add("skew", (labels[i], labels[j]),
+                   "[x,x] != 0 for even x" if i == j else "[y,x] != -(-1)^{|x||y|}[x,y]")
     if not report.ok:
         return report
     itable, _ = _integral_table(table)
@@ -523,8 +538,7 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     """
     report = ValidationReport()
     basis, table = A.basis, A.table
-    d = len(basis)
-    labels = basis.labels
+    d, labels = len(basis), basis.labels
     _check_grading(report, basis, table)
     try:
         upar = vector_parity(A.unit, basis)

@@ -155,7 +155,7 @@ def validate_system(system: DirectedSystem) -> ValidationReport:
             continue
         if not f.is_parity_preserving():
             report.add("grading", f"{i!r} <= {j!r}", "transition is not parity preserving")
-        if not check_morphism(f, system.algebras[i], system.algebras[j]):
+        elif not check_morphism(f, system.algebras[i], system.algebras[j]):
             report.add("morphism", f"{i!r} <= {j!r}", "transition does not respect brackets")
     if not report.ok:
         return report

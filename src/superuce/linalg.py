@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 Vector = dict  # {int: rational}; rationals are int when integral, Fraction otherwise
 
@@ -98,11 +98,6 @@ class SparseMatrix:
         self.rows = tuple(clean)
         self.nrows = len(clean)
         self.ncols = ncols
-
-    def entries(self) -> Iterator[tuple]:
-        for r, row in enumerate(self.rows):
-            for c, x in row.items():
-                yield r, c, x
 
     def __eq__(self, other) -> bool:
         return (

@@ -513,14 +513,12 @@ def tau_cocycle(fam: MatrixFamily) -> Cocycle2:
 # ------------------------------------------------------------------ big checks
 
 class HIsoReport:
-    __slots__ = ("m", "n", "dim_sl", "dim_uce", "dim_extension", "dim_h2", "dim_hc1",
+    __slots__ = ("dim_sl", "dim_uce", "dim_extension", "dim_h2", "dim_hc1",
                  "is_morphism", "commutes_with_projections", "bijective")
 
-    def __init__(self, m: int, n: int, dim_sl: int, dim_uce: int, dim_extension: int,
+    def __init__(self, dim_sl: int, dim_uce: int, dim_extension: int,
                  dim_h2: int, dim_hc1: int, is_morphism: bool,
                  commutes_with_projections: bool, bijective: bool):
-        self.m = m
-        self.n = n
         self.dim_sl = dim_sl
         self.dim_uce = dim_uce
         self.dim_extension = dim_extension
@@ -546,8 +544,7 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     space, the target of tau.
     """
     _require_sl(fam)
-    m, n = fam.m, fam.n
-    if m + n < 5:
+    if fam.m + fam.n < 5:
         raise ValueError("the comparison map is an isomorphism claim for m + n >= 5 only")
     sl = fam.algebra
     tau = tau_cocycle(fam)
@@ -559,7 +556,7 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
     commutes = central.projection.compose(hmap) == ext.u
     bijective = hmap.is_bijective()
     return HIsoReport(
-        m=m, n=n, dim_sl=sl.dim, dim_uce=ext.dim, dim_extension=K.dim,
+        dim_sl=sl.dim, dim_uce=ext.dim, dim_extension=K.dim,
         dim_h2=len(ext.kernel), dim_hc1=len(tau.target),
         is_morphism=is_morphism, commutes_with_projections=commutes,
         bijective=bijective,
@@ -567,14 +564,11 @@ def h_iso_check(fam: MatrixFamily) -> HIsoReport:
 
 
 class SteinbergReport:
-    __slots__ = ("m", "n", "dim_uce", "generators", "independence_of_k", "linearity",
+    __slots__ = ("dim_uce", "generators", "independence_of_k", "linearity",
                  "relations", "generation")
 
-    def __init__(self, m: int, n: int, dim_uce: int, generators: int,
-                 independence_of_k: bool, linearity: bool, relations: bool,
-                 generation: bool):
-        self.m = m
-        self.n = n
+    def __init__(self, dim_uce: int, generators: int, independence_of_k: bool,
+                 linearity: bool, relations: bool, generation: bool):
         self.dim_uce = dim_uce
         self.generators = generators
         self.independence_of_k = independence_of_k
@@ -592,7 +586,12 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
 
     Builds the extension once; seed drives the random linearity samples.
     Every matrix unit is made with fam.E, and the expected bracket of two
-    generators is read off gl's own table at fam.coord of each.
+    generators is read off gl's own table at fam.coord of each.  The
+    relations are checked once per unordered pair of generators, the
+    diagonal included: for the mirror pair both sides are
+    -(-1)^{|a||b|} times these, as ext.lie and gl are Lie tables and
+    ehat_lin and fam.entry are linear, and the j == p branch of a pair is
+    the i == q branch of its mirror.
     """
     _require_sl(fam)
     m, n = fam.m, fam.n
@@ -671,11 +670,12 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
 
     relations = True
     uce_lie = ext.lie
-    for (i, j, t) in ehat:
-        for (p, q, s) in ehat:
+    gens = list(ehat.items())
+    for pos, ((i, j, t), g) in enumerate(gens):
+        for (p, q, s), g2 in gens[pos:]:
             if j == p and i == q:
                 continue  # not a presentation relation
-            lhs = uce_lie.bracket(ehat[(i, j, t)], ehat[(p, q, s)])
+            lhs = uce_lie.bracket(g, g2)
             # the generator bracket, read off gl and lifted
             # coefficient-for-coefficient
             expected = fam.gl.table[fam.coord(i, j, t)][fam.coord(p, q, s)]
@@ -707,7 +707,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     generation = gen.rank == ext.dim
 
     return SteinbergReport(
-        m=m, n=n, dim_uce=ext.dim, generators=len(ehat),
+        dim_uce=ext.dim, generators=len(ehat),
         independence_of_k=independence, linearity=linearity,
         relations=relations, generation=generation,
     )

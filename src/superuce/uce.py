@@ -54,6 +54,12 @@ presentation is the one a full elimination of B gives.  h is a regular
 element of the torus of all such elements (see _torus); with no such
 element there is one block and B is eliminated whole.
 
+A 2-cocycle (Cocycle2) is a table of values indexed like a bracket
+table.  validate_cocycle checks it with the table-law walkers of
+algebra (degree, super-alternation, the cyclic identity), and it is
+evaluated only as part of the bracket of the total algebra
+extension_from_cocycle builds; it has no evaluator of its own.
+
 The cohomological cross-check h2_cohomology_oracle counts degree-zero
 super-alternating 2-cocycles with values in Q modulo coboundaries.  It
 reads only the structure constants.  It shares the Hochschild-Serre
@@ -76,9 +82,11 @@ from .algebra import (
     Subspace,
     ValidationReport,
     _cyclic_failures,
+    _grading_failures,
     _integral_table,
     _pair_basis,
     _skew_mirror,
+    _symmetry_failures,
     _tensor_relations,
     check_morphism,
 )
@@ -391,16 +399,6 @@ class Cocycle2:
             vals.append(tuple(row))
         self.values = tuple(vals)
 
-    def apply(self, x: Vector, y: Vector) -> Vector:
-        out: Vector = {}
-        for i, xi in x.items():
-            row = self.values[i]
-            for j, yj in y.items():
-                cell = row[j]
-                if cell:
-                    vec_add_scaled(out, cell, xi * yj)
-        return out
-
     def __repr__(self) -> str:
         return f"Cocycle2({self.source!r} -> dim {len(self.target)})"
 
@@ -409,6 +407,9 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     """Degree zero, super-alternating, and the cyclic cocycle identity on
     tau's source L.
 
+    Degree and super-alternation are the walks validate_lie reads for
+    grading and skew-symmetry (algebra._grading_failures into tau's
+    target, algebra._symmetry_failures with sign -1), over tau's values.
     The cyclic identity is the sum validate_lie evaluates, with tau's
     values in place of the bracket (algebra._cyclic_failures); it reads
     the structure constants scaled by the LCM D of their denominators,
@@ -431,21 +432,12 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     tpar = tau.target.parities
     labels = L.basis.labels
     vals = tau.values
-    for i in range(d):
-        for j in range(d):
-            want = (par[i] + par[j]) & 1
-            for k in vals[i][j]:
-                if tpar[k] != want:
-                    report.add("degree", (labels[i], labels[j]),
-                               f"value component has parity {tpar[k]}, expected {want}")
-    for i in range(d):
-        for j in range(i, d):
-            sign = -1 if par[i] and par[j] else 1
-            if vals[j][i] != {k: -sign * x for k, x in vals[i][j].items()}:
-                report.add("alternating", (labels[i], labels[j]),
-                           "tau(y,x) != -(-1)^{|x||y|} tau(x,y)")
-        if par[i] == 0 and vals[i][i]:
-            report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
+    for i, j, k, want in _grading_failures(vals, par, tpar):
+        report.add("degree", (labels[i], labels[j]),
+                   f"value component has parity {tpar[k]}, expected {want}")
+    for i, j in _symmetry_failures(vals, par, -1):
+        report.add("alternating", (labels[i], labels[j]),
+                   "tau(x,x) != 0 for even x" if i == j else "tau(y,x) != -(-1)^{|x||y|} tau(x,y)")
     if not report.ok:
         return report
     _, weights = _torus(L)

@@ -14,11 +14,12 @@ supercommutator algebra, the subalgebra table, the extension table and
 the morphism check here compute every ordered pair (i, j); the
 package's compute the pairs i <= j and mirror the rest by super
 skew-symmetry, and must give the same cells and the same verdicts.  The
-Lie
-validators here walk every cyclic class i <= j, i <= k in both
-orientations and validate_cocycle every class of every weight; the
-package's walk one orientation per unordered triple, and validate_cocycle
-only weight 0 when it can, and must report the same violations in the
+validators here write out their own grading and skew loops, where the
+package's read its shared table-law walkers.  The Lie validators here
+walk every cyclic class i <= j, i <= k in both orientations and
+validate_cocycle every class of every weight; the package's walk one
+orientation per unordered triple, and validate_cocycle only weight 0
+when it can, and must report the same violations in the
 same order.  bracket_Eij is the graded matrix-unit bracket written out
 from its formula, against which the gl table of a matrix family, the
 bracket the Steinberg check reads, is checked.
@@ -38,7 +39,6 @@ from superuce.algebra import (
     GradedLinearMap,
     LieSuperalgebra,
     ValidationReport,
-    _check_grading,
     _tensor_relations,
     vector_parity,
 )
@@ -49,11 +49,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _check_grading(report: ValidationReport, basis: GradedBasis, table) -> None:
+    par = basis.parities
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            want = (par[i] + par[j]) & 1
+            for k in table[i][j]:
+                if par[k] != want:
+                    report.add(
+                        "grading",
+                        (basis.labels[i], basis.labels[j]),
+                        f"component {basis.labels[k]} has parity {par[k]}, expected {want}",
+                    )
+
+
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
-    The Jacobi expression is invariant under cyclic rotation of (i, j, k),
-    so triples are checked once per cyclic class.
+    Skew-symmetry gives one violation per failing pair i <= j: at an even
+    diagonal [x,x] != 0, elsewhere the mirror cell.  The Jacobi expression
+    is invariant under cyclic rotation of (i, j, k), so triples are
+    checked once per cyclic class.
     """
     report = ValidationReport()
     basis, table = L.basis, L.table
@@ -62,13 +78,13 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     labels = basis.labels
     _check_grading(report, basis, table)
     for i in range(d):
-        for j in range(i, d):
+        if par[i] == EVEN and table[i][i]:
+            report.add("skew", (labels[i], labels[i]), "[x,x] != 0 for even x")
+        for j in range(i + 1, d):
             sign = -ONE if par[i] and par[j] else ONE
             expected = {k: -sign * x for k, x in table[i][j].items()}
             if table[j][i] != expected:
                 report.add("skew", (labels[i], labels[j]), "[y,x] != -(-1)^{|x||y|}[x,y]")
-        if par[i] == EVEN and table[i][i]:
-            report.add("skew", (labels[i], labels[i]), "[x,x] != 0 for even x")
     if not report.ok:
         return report
     for i in range(d):
@@ -99,8 +115,9 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
 
 
 def validate_cocycle(tau) -> ValidationReport:
-    """Degree zero, super-alternating, and the cyclic cocycle identity on
-    tau's source, on every class i <= j, i <= k of every weight."""
+    """Degree zero, super-alternating (one violation per failing pair
+    i <= j, as in validate_lie), and the cyclic cocycle identity on tau's
+    source, on every class i <= j, i <= k of every weight."""
     L = tau.source
     report = ValidationReport()
     d = L.dim
@@ -117,13 +134,13 @@ def validate_cocycle(tau) -> ValidationReport:
                     report.add("degree", (labels[i], labels[j]),
                                f"value component has parity {tpar[k]}, expected {want}")
     for i in range(d):
-        for j in range(i, d):
+        if par[i] == EVEN and vals[i][i]:
+            report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
+        for j in range(i + 1, d):
             sign = -ONE if par[i] and par[j] else ONE
             if vals[j][i] != {k: -sign * x for k, x in vals[i][j].items()}:
                 report.add("alternating", (labels[i], labels[j]),
                            "tau(y,x) != -(-1)^{|x||y|} tau(x,y)")
-        if par[i] == EVEN and vals[i][i]:
-            report.add("alternating", (labels[i], labels[i]), "tau(x,x) != 0 for even x")
     if not report.ok:
         return report
     for i in range(d):

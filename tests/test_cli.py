@@ -129,6 +129,17 @@ def test_broken_jacobi_reported(tmp_path, capsys):
     assert "invalid algebra" in capsys.readouterr().err
 
 
+def test_a_nonzero_even_diagonal_is_reported_once(tmp_path, capsys):
+    """[h,h] = e for even h breaks skew-symmetry at one pair, (h, h), and
+    is one violation worded for the diagonal."""
+    data = {"kind": "lie", "basis": [{"name": "h", "parity": "even"}, {"name": "e", "parity": "even"}],
+            "products": [{"left": "h", "right": "h", "result": [{"basis": "e", "num": "1", "den": "1"}]}]}
+    code, report = run_json(["validate", "--file", write(tmp_path, "hh.json", data)], capsys)
+    assert code == 1
+    assert report["results"]["violations"] == [
+        {"law": "skew", "where": ["h", "h"], "detail": "[x,x] != 0 for even x"}]
+
+
 def test_lie_file_through_uce(tmp_path, capsys):
     path = write(tmp_path, "sl2.json", SL2_FILE)
     code, report = run_json(["uce", "--file", path, "--table"], capsys)
@@ -572,4 +583,4 @@ def test_every_same_output_invocation_parses():
     assert len(tool.INVOCATIONS) == len({tuple(argv) for argv in tool.INVOCATIONS})
     for argv in tool.INVOCATIONS:
         args = cli._parser().parse_args(argv)
-        assert getattr(args, "file", None) in (None, "{broken}") or Path(args.file).is_file(), argv
+        assert getattr(args, "file", None) in (None, *tool.BROKEN) or Path(args.file).is_file(), argv

@@ -89,6 +89,23 @@ def test_corrupted_composite_reported():
     assert any(law == "compatibility" for law, _, _ in report.violations)
 
 
+def test_a_transition_is_checked_on_brackets_only_when_it_keeps_parity():
+    """A transition that swaps an even and an odd basis element of sl(2,1)
+    is one grading violation, not also a morphism one; twice the identity
+    keeps parity and is one morphism violation."""
+    L = build_family("sl", 2, 1, coefficient_algebra("Q")).algebra
+    par = L.basis.parities
+    even, odd = par.index(0), par.index(1)
+    swapped = [{c: 1} for c in range(L.dim)]
+    swapped[even], swapped[odd] = swapped[odd], swapped[even]
+    poset = DirectedPoset([0, 1], [(0, 1)])
+    for cols, law in ((swapped, "grading"), ([{c: 2} for c in range(L.dim)], "morphism")):
+        f = GradedLinearMap(L.basis, L.basis, cols)
+        with pytest.raises(InvalidSystemError) as err:
+            DirectedSystem(poset, {0: L, 1: L}, {(0, 1): f})
+        assert [(v[0], v[1]) for v in err.value.report.violations] == [(law, "0 <= 1")]
+
+
 def test_single_element_system_valid():
     L = sl2()
     poset = DirectedPoset(["only"], [])

@@ -23,8 +23,9 @@ def section(pres, w):
 
 def to_sympy(mat: SparseMatrix) -> sympy.Matrix:
     M = sympy.zeros(mat.nrows, mat.ncols)
-    for r, c, x in mat.entries():
-        M[r, c] = sympy.Rational(x.numerator, x.denominator)
+    for r, row in enumerate(mat.rows):
+        for c, x in row.items():
+            M[r, c] = sympy.Rational(x.numerator, x.denominator)
     return M
 
 

@@ -416,6 +416,42 @@ def test_each_steinberg_boolean_fails_on_its_broken_input(monkeypatch, flag):
     assert rep.ok is False
 
 
+def _with_odd_squares(fam):
+    """ext (+) Qz with each bracket [x, y] moved by phi(u x, u y) z, where
+    phi(X, Y) sums X_c Y_c over the odd positions c of gl(m,n;Q).  phi is
+    symmetric on odd elements and 0 on even ones, so the table stays super
+    skew-symmetric; on the Steinberg generators it is 1 on the square of
+    an odd one and 0 on every pair of distinct ones."""
+    gl_par = fam.gl.basis.parities
+
+    def corrupt(ext):
+        d = ext.dim
+        image = [fam.embedding.apply(col) for col in ext.u.columns]
+        table = []
+        for p, row in enumerate(ext.lie.table):
+            cells = []
+            for q, cell in enumerate(row):
+                phi = sum(x * image[q].get(c, 0) for c, x in image[p].items() if gl_par[c])
+                cells.append({**cell, d: phi} if phi else cell)
+            table.append(cells + [{}])
+        basis = GradedBasis(ext.lie.basis.labels + ("z",), ext.lie.basis.parities + (0,))
+        u = GradedLinearMap(basis, ext.u.codomain, list(ext.u.columns) + [{}])
+        return _rebuilt(ext, lie=LieSuperalgebra(basis, table + [[{}] * (d + 1)], validate=False),
+                        u=u, kernel=ext.kernel + ({d: 1},))
+    return corrupt
+
+
+def test_steinberg_relations_include_each_generator_with_itself(monkeypatch):
+    """The relations are checked once per unordered pair of generators, the
+    diagonal included: a bracket moved only on the squares of the odd
+    generators of sl(2,1) breaks only the relations."""
+    fam = build_family("sl", 2, 1, coefficient_algebra("Q"))
+    inner = matrices.build_uce
+    monkeypatch.setattr(matrices, "build_uce", lambda L: _with_odd_squares(fam)(inner(L)))
+    rep = steinberg_check(fam)
+    assert _flags(rep, STEINBERG_FLAGS) == {name: name != "relations" for name in STEINBERG_FLAGS}
+
+
 def test_a_failed_report_boolean_exits_1(monkeypatch, capsys):
     """One failed boolean of each report: the command prints ok false and
     exits 1."""

@@ -25,13 +25,26 @@ BROKEN_JACOBI = {
                  for left, right, b, num, den in [("x", "y", "z", "1", "1"), ("y", "x", "z", "-1", "1"),
                                                   ("x", "z", "x", "1", "2"), ("z", "x", "x", "-1", "2")]],
 }
+# one mis-graded cell: [y,y] = y for odd y, skew-symmetric as an odd diagonal must be
+MISGRADED = {
+    "kind": "lie",
+    "basis": [{"name": "x", "parity": "even"}, {"name": "y", "parity": "odd"}],
+    "products": [{"left": "y", "right": "y", "result": [{"basis": "y", "num": "1", "den": "1"}]}],
+}
+# one off-diagonal pair that is not skew: [h,e] = e with [e,h] = 0
+NOT_SKEW = {
+    "kind": "lie",
+    "basis": [{"name": "h", "parity": "even"}, {"name": "e", "parity": "even"}],
+    "products": [{"left": "h", "right": "e", "result": [{"basis": "e", "num": "1", "den": "1"}]}],
+}
+# each placeholder in an invocation stands for the path of a file holding its document
+BROKEN = {"{broken}": BROKEN_JACOBI, "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
 CHAINS = [["--chain", "sl:2..4:Q"], ["--chain", "sl:4..7:Q"], ["--chain", "sl:2,1..3,2:Grassmann(1)"],
           ["--chain", "sl:1,2..3,2:Q"], ["--chain", "sl:3..2:Q"],
           ["--chain", "sl:2..3:Q", "--family", "gl"]]
 DOCS = ("osp3_4_Q", "osp3_2_G1", "p4", "p5", "sq4c", "sq5c")
 
-# "{broken}" stands for the path of a file holding BROKEN_JACOBI
 INVOCATIONS = [
     # the golden reports of tests/test_cli_golden.py
     ["validate", *SL21_G1],
@@ -71,6 +84,9 @@ INVOCATIONS = [
     # ones not listed above in JSON
     *[["limit-check", *chain, "--format", "text"] for chain in CHAINS],
     *[["limit-check", *chain] for chain in CHAINS[3:]],
+    # broken documents that fail grading or skew-symmetry, in JSON and text
+    *[["validate", "--file", doc, *fmt] for doc in ("{misgraded}", "{not-skew}")
+      for fmt in ([], ["--format", "text"])],
 ]
 
 
@@ -95,10 +111,12 @@ def main(argv) -> int:
     parent, change = Path(argv[0]).resolve(), Path(argv[1] if len(argv) > 1 else ROOT).resolve()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        broken = Path(tmp) / "broken.json"
-        broken.write_text(json.dumps(BROKEN_JACOBI))
+        paths = {}
+        for name, doc in BROKEN.items():
+            paths[name] = Path(tmp) / f"{name.strip('{}')}.json"
+            paths[name].write_text(json.dumps(doc))
         for args in INVOCATIONS:
-            args = [str(broken) if tok == "{broken}" else tok for tok in args]
+            args = [str(paths.get(tok, tok)) for tok in args]
             before, after = outcome(parent, args), outcome(change, args)
             same = before == after
             differ += not same
