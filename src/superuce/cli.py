@@ -40,12 +40,15 @@ System file format (JSON)::
       "kind": "sl",
       "coeff": "Q",
       "members": [[5, 0], [6, 0], [7, 0]],
-      "relation": [[0, 1], [1, 2]]
+      "relation": [[0, 1], [1, 2], [0, 2]]
     }
 
 Members are indexed by position, and members and relation pairs are
 lists of two integers; every related pair gets the corner embedding as
-its transition map.
+its transition map.  A given "relation" is used as it is, even an
+empty one: it must be transitive (its reflexive pairs are implied), and
+two members with "relation": [] are not directed.  Without a "relation"
+key the members form a chain in file order, each below every later one.
 """
 
 from __future__ import annotations
@@ -398,8 +401,9 @@ def _resolve_system(args) -> Tuple[DirectedSystem, bytes]:
     if not isinstance(coeff, str):
         raise InputError("bad system file: \"coeff\" must be a coefficient algebra name")
     members = _int_pairs(data.get("members"), "members")
-    relation = _int_pairs(data.get("relation", []), "relation")
-    return _family_system(kind, members, coeff, relation or None), raw
+    # an absent relation is the chain over all pairs in file order; a given one is used as is
+    relation = _int_pairs(data["relation"], "relation") if "relation" in data else None
+    return _family_system(kind, members, coeff, relation), raw
 
 
 # -------------------------------------------------------------------- commands
@@ -593,28 +597,30 @@ def _cmd_h_iso(args):
 def _cmd_limit_check(args):
     system, digest = _resolve_system(args)
     rep = theorem_verify(system)
-    vrep = rep.projection
+    ext_top = rep.exts[rep.colim.top]
     # theorem_verify has checked that every member is perfect
-    h2_dims = [len(vrep.exts[i].kernel) for i in system.poset.elements]
+    h2_dims = [len(rep.exts[i].kernel) for i in system.poset.elements]
+    # the True fields hold whenever theorem_verify returns: phi = id = psi^-1
+    # (limits.py:theorem_verify#1) and ker v is central (uce.py:build_uce#2)
     results = {
         "members": len(system.poset.elements),
-        "dim_colim": rep.dim_colim,
-        "dim_uce_of_colim": rep.dim_uce_of_colim,
-        "dim_colim_of_uce": rep.dim_colim_of_uce,
-        "phi_is_morphism": rep.phi_is_morphism,
-        "phi_bijective": rep.phi_bijective,
-        "psi_after_phi_is_id": rep.psi_after_phi_is_id,
-        "phi_after_psi_is_id": rep.phi_after_psi_is_id,
+        "dim_colim": rep.colim.algebra.dim,
+        "dim_uce_of_colim": ext_top.dim,
+        "dim_colim_of_uce": rep.colim_uce.algebra.dim,
+        "phi_is_morphism": True,
+        "phi_bijective": True,
+        "psi_after_phi_is_id": True,
+        "phi_after_psi_is_id": True,
         "h2_dims": h2_dims,
-        "h2_of_colim_dim": rep.h2_of_colim_dim,
-        "h2_colim_of_kernels_dim": rep.h2_colim_of_kernels_dim,
-        "h2_restriction_bijective": rep.h2_restriction_bijective,
-        "projection_kernel_dim": vrep.kernel_dim,
-        "projection_kernel_central": vrep.kernel_central,
-        "projection_surjective": vrep.surjective,
-        "ok": rep.ok,
+        "h2_of_colim_dim": len(ext_top.kernel),
+        "h2_colim_of_kernels_dim": len(rep.kernel),
+        "h2_restriction_bijective": True,
+        "projection_kernel_dim": len(rep.kernel),
+        "projection_kernel_central": True,
+        "projection_surjective": rep.surjective,
+        "ok": True,
     }
-    return results, (0 if results["ok"] else 1), digest
+    return results, 0, digest
 
 
 _COMMANDS = {

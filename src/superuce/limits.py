@@ -9,12 +9,13 @@ here it is checked exactly on finite systems.
 
 limit_u builds the extension of every member once, the lifted
 transitions uce(f_ij) once, both colimits, colim L_i and colim uce(L_i),
-and the canonical projection v between them.  theorem_verify takes all
-of these from one limit_u call.  On a finite system both sides of the
-theorem are the extension of the top member, and the comparison phi,
-the mediating map of the injections of colim uce(L_i), is certified to
-be its identity; every other fact of the theorem is a certificate that
-build_uce or factor_through has already run.
+and the canonical projection v between them, and keeps them in one
+LimitUReport.  theorem_verify returns that report from one limit_u call.
+On a finite system both sides of the theorem are the extension of the
+top member, and the comparison phi, the mediating map of the injections
+of colim uce(L_i), is certified to be its identity; every other fact of
+the theorem is a certificate that build_uce or factor_through has
+already run, so the report carries no boolean of its own.
 """
 
 from __future__ import annotations
@@ -202,9 +203,6 @@ class Colimit:
         self.algebra = algebra
         self.injections = injections
 
-    def injection(self, i) -> GradedLinearMap:
-        return self.injections[i]
-
 
 def colimit(system: DirectedSystem) -> Colimit:
     """The colimit of a finite directed system: its top member L_t.
@@ -275,15 +273,14 @@ class LimitUReport:
 
     factor_through certified that v equals the top member's extension
     u_t column for column (see limit_u), so the rest is read off
-    ext_top = exts[colim.top]: kernel is ext_top.kernel itself, and v is
-    surjective exactly when L_t is perfect.  kernel_central is True
-    whenever a report exists: build_uce certifies the kernel central and
-    raises otherwise (site uce.py:build_uce#2).
+    ext_top = exts[colim.top]: kernel is ext_top.kernel itself, central
+    because build_uce certifies it so (site uce.py:build_uce#2), and v
+    is surjective exactly when L_t is perfect.  The dimensions of the
+    theorem are read off the same fields: colim.algebra is L_t,
+    ext_top and colim_uce.algebra are uce(L_t).
     """
 
     __slots__ = ("map", "colim_uce", "colim", "exts")
-
-    kernel_central = True
 
     def __init__(self, map: GradedLinearMap, colim_uce: Colimit, colim: Colimit,
                  exts: Dict[Hashable, UceAlgebra]):
@@ -295,10 +292,6 @@ class LimitUReport:
     @property
     def kernel(self) -> tuple:
         return self.exts[self.colim.top].kernel
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel)
 
     @property
     def surjective(self) -> bool:
@@ -321,77 +314,23 @@ def limit_u(system: DirectedSystem) -> LimitUReport:
     return LimitUReport(v, uce_colim, colim, exts)
 
 
-class TheoremReport:
-    """colim uce(L_i) ~ uce(colim L_i) on a system of perfect algebras.
-
-    projection is the limit_u report the theorem was read from, and it
-    is all the report stores.  The dimensions are read off it: those of
-    L_t, of its extension uce(L_t) = exts[t] and of colim uce(L_i), and
-    the kernel dimensions of u_t and of v, which is u_t.
-
-    The booleans are True whenever a report exists, because
-    theorem_verify raises unless the comparison phi is the identity of
-    uce(L_t) (CertificateError, site limits.py:theorem_verify#1):
-
-    - phi_is_morphism and phi_bijective: phi = id;
-    - psi_after_phi_is_id and phi_after_psi_is_id: psi = phi^-1 = id
-      (see theorem_verify for why that psi is the inverse comparison);
-    - h2_restriction_bijective: ker v is ext_top.kernel itself, so phi
-      restricts to the identity between the two kernels;
-    - ok: their conjunction.
-    """
-
-    __slots__ = ("projection",)
-
-    phi_is_morphism = True
-    phi_bijective = True
-    psi_after_phi_is_id = True
-    phi_after_psi_is_id = True
-    h2_restriction_bijective = True
-    ok = True
-
-    def __init__(self, projection: LimitUReport):
-        self.projection = projection
-
-    @property
-    def dim_colim(self) -> int:
-        return self.projection.colim.algebra.dim
-
-    @property
-    def dim_uce_of_colim(self) -> int:
-        proj = self.projection
-        return proj.exts[proj.colim.top].dim
-
-    @property
-    def dim_colim_of_uce(self) -> int:
-        return self.projection.colim_uce.algebra.dim
-
-    @property
-    def h2_of_colim_dim(self) -> int:
-        proj = self.projection
-        return len(proj.exts[proj.colim.top].kernel)
-
-    @property
-    def h2_colim_of_kernels_dim(self) -> int:
-        return self.projection.kernel_dim
-
-
-def theorem_verify(system: DirectedSystem) -> TheoremReport:
+def theorem_verify(system: DirectedSystem) -> LimitUReport:
     """Certify colim uce(L_i) ~ uce(colim L_i) for a system of perfect algebras.
 
-    The colimits, member extensions, lifted transitions and canonical
-    projection v come from one limit_u call, and that report is the
-    only thing the TheoremReport stores.  The colimit is the top member
-    L_t, and colim uce(L_i) is the top member's extension uce(L_t),
-    whose kernel is ker v.  phi is the mediating map of the cone of the
-    injections uce(f_it) of colim uce(L_i); it is the lifted transition
-    uce(f_tt), and it is certified, once, to be the identity of uce(L_t)
-    (CertificateError, naming t, otherwise).  Every boolean of the
-    report follows from that certificate (see TheoremReport).  psi sends
-    the class e_q of the pair (a, b) (see UceAlgebra.free_pairs) to a
-    bracket of u-preimages of b_a and b_b, and the extension bracket is
-    [x, y] = class_of(u x, u y) by the construction of its table, so
-    that bracket is class_of(b_a, b_b) = e_q: psi = id = phi^-1.
+    Returns the report of its one limit_u call: the colimits, member
+    extensions, lifted transitions and canonical projection v.  The
+    colimit is the top member L_t, and colim uce(L_i) is the top
+    member's extension uce(L_t), whose kernel is ker v.  phi is the
+    mediating map of the cone of the injections uce(f_it) of
+    colim uce(L_i); it is the lifted transition uce(f_tt), and it is
+    certified, once, to be the identity of uce(L_t) (CertificateError,
+    naming t, otherwise).  So a returned report means phi is a bijective
+    morphism that restricts to the identity between ker v and the
+    kernel of uce(L_t).  psi sends the class e_q of the pair (a, b)
+    (see UceAlgebra.free_pairs) to a bracket of u-preimages of b_a and
+    b_b, and the extension bracket is [x, y] = class_of(u x, u y) by
+    the construction of its table, so that bracket is
+    class_of(b_a, b_b) = e_q: psi = id = phi^-1.
 
     Raises ValueError, naming the first member in element order that is
     not perfect (see UceAlgebra.perfect), before phi is built.
@@ -406,7 +345,7 @@ def theorem_verify(system: DirectedSystem) -> TheoremReport:
         raise CertificateError(
             f"comparison map colim uce(L_i) -> uce(L_{top!r}) is not the identity"
         )
-    return TheoremReport(proj)
+    return proj
 
 
 def induced_colimit_map(src: Colimit, dst: Colimit,

@@ -591,7 +591,9 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     diagonal included: for the mirror pair both sides are
     -(-1)^{|a||b|} times these, as ext.lie and gl are Lie tables and
     ehat_lin and fam.entry are linear, and the j == p branch of a pair is
-    the i == q branch of its mirror.
+    the i == q branch of its mirror.  For the same reason the generation
+    loop brackets each new element once against the elements already
+    processed and against the new ones up to and including itself.
     """
     _require_sl(fam)
     m, n = fam.m, fam.n
@@ -688,21 +690,15 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
                 relations = False
 
     gen = Echelon()
-    frontier = []
-    for v in ehat.values():
-        if gen.insert(dict(v)) is not None:
-            frontier.append(v)
-    basis_now = list(ehat.values())
-    while True:
+    done, frontier = [], [v for v in ehat.values() if gen.insert(dict(v)) is not None]
+    while frontier:
         added = []
-        for v in basis_now:
-            for w in frontier:
+        for k, w in enumerate(frontier):
+            for v in done + frontier[:k + 1]:
                 z = uce_lie.bracket(v, w)
                 if z and gen.insert(dict(z)) is not None:
                     added.append(z)
-        if not added:
-            break
-        basis_now.extend(frontier)
+        done += frontier
         frontier = added
     generation = gen.rank == ext.dim
 

@@ -168,6 +168,6 @@ def check_against_reference(colim) -> ReferenceColimit:
     if not (m.is_bijective() and check_morphism(m, colim.algebra, ref.algebra)):
         raise AssertionError("mediating map to the reference is not an isomorphism")
     for i in colim.system.poset.elements:
-        if m.compose(colim.injection(i)) != ref.injection(i):
+        if m.compose(colim.injections[i]) != ref.injection(i):
             raise AssertionError(f"mediating map does not commute with the injection at {i!r}")
     return ref

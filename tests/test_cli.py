@@ -191,6 +191,21 @@ def test_limit_check_small_chain_and_system_file(tmp_path, capsys):
     assert r2["results"] == r1["results"]
 
 
+def test_only_an_absent_relation_makes_a_chain(tmp_path, capsys):
+    """Without "relation" the members form a chain in file order; an
+    empty relation is used as given, and two unrelated members are not
+    directed."""
+    data = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
+    code, chain = run_json(["limit-check", "--chain", "sl:2..3:Q"], capsys)
+    code, absent = run_json(["limit-check", "--system", write(tmp_path, "absent.json", data)],
+                            capsys)
+    assert code == 0 and absent["results"] == chain["results"]
+    path = write(tmp_path, "empty.json", {**data, "relation": []})
+    assert main(["limit-check", "--system", path]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: no upper bound for 0, 1: poset is not directed\n")
+
+
 def test_limit_check_echoes_only_the_arguments_it_used(capsys):
     """A full chain names its own family and coefficients, so none is
     echoed; a bare span echoes the coefficients it was built over, Q
@@ -583,4 +598,5 @@ def test_every_same_output_invocation_parses():
     assert len(tool.INVOCATIONS) == len({tuple(argv) for argv in tool.INVOCATIONS})
     for argv in tool.INVOCATIONS:
         args = cli._parser().parse_args(argv)
-        assert getattr(args, "file", None) in (None, *tool.BROKEN) or Path(args.file).is_file(), argv
+        for path in (getattr(args, "file", None), getattr(args, "system", None)):
+            assert path in (None, *tool.DOCUMENTS) or Path(path).is_file(), argv

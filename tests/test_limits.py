@@ -113,7 +113,7 @@ def test_single_element_system_valid():
     assert validate_system(system).ok
     colim = colimit(system)
     assert colim.algebra.dim == 3
-    assert colim.injection("only").is_bijective()
+    assert colim.injections["only"].is_bijective()
 
 
 def test_non_morphism_transition_rejected():
@@ -132,13 +132,13 @@ def test_colimit_with_top_is_isomorphic_to_top():
     system, fams = sl_chain([3, 4, 5])
     colim = colimit(system)
     assert colim.algebra.dim == fams[-1].algebra.dim
-    assert colim.injection(2).is_bijective()
+    assert colim.injections[2].is_bijective()
     check_against_reference(colim)
     # injection compatibility: phi_i = phi_j . f_ji
     for (i, j) in system.poset.pairs():
         if i == j:
             continue
-        assert colim.injection(j).compose(system.transition(i, j)) == colim.injection(i)
+        assert colim.injections[j].compose(system.transition(i, j)) == colim.injections[i]
 
 
 def test_colimit_kills_vectors_dropped_by_transitions():
@@ -147,7 +147,7 @@ def test_colimit_kills_vectors_dropped_by_transitions():
     colim = colimit(system)
     assert colim.algebra.dim == 3
     # the heisenberg slot dies in the colimit
-    assert colim.injection(0).apply({0: ONE}) == {}
+    assert colim.injections[0].apply({0: ONE}) == {}
     ref = check_against_reference(colim)
     assert ref.injection(0).apply({0: ONE}) == {}
 
@@ -163,7 +163,7 @@ def test_antichain_plus_top_matches_top():
     system = DirectedSystem(poset, {k: fams[k].algebra for k in range(3)}, morphisms)
     colim = colimit(system)
     assert colim.algebra.dim == fams[2].algebra.dim
-    assert colim.injection(2).is_bijective()
+    assert colim.injections[2].is_bijective()
     check_against_reference(colim)
 
 
@@ -172,7 +172,7 @@ def test_antichain_plus_top_matches_top():
 def test_factor_through_canonical_cone_gives_identity():
     system, _ = sl_chain([3, 4])
     colim = colimit(system)
-    cone = {i: colim.injection(i) for i in system.poset.elements}
+    cone = {i: colim.injections[i] for i in system.poset.elements}
     phi = factor_through(colim, cone)
     assert phi == GradedLinearMap.identity(colim.algebra.basis)
 
@@ -198,7 +198,7 @@ def test_factor_through_inclusion_cone_gives_corner_embedding():
     phi = factor_through(colim, cone)
     # colimit has top = sl(6); phi composed with the top injection is the
     # corner embedding sl(6) -> sl(8)
-    assert phi.compose(colim.injection(1)) == cone[1]
+    assert phi.compose(colim.injections[1]) == cone[1]
     assert check_morphism(phi, colim.algebra, big.algebra)
 
 
@@ -233,15 +233,16 @@ def test_uce_system_naturality():
 def test_limit_u_centrally_closed_chain_has_zero_kernel():
     system, _ = sl_chain([3, 4, 5])
     rep = limit_u(system)
-    assert rep.kernel_dim == 0
-    assert rep.kernel_central and rep.surjective
+    assert len(rep.kernel) == 0
+    assert rep.surjective
 
 
 def test_limit_u_kernel_dim_one_for_plane_coefficients():
     system, _ = sl_chain([5, 6], coeff="Q[x,y]/(x,y)^2")
     rep = limit_u(system)
-    assert rep.kernel_dim == 1
-    assert rep.kernel_central and rep.surjective
+    assert len(rep.kernel) == 1
+    assert all(centre(rep.colim_uce.algebra).contains(z) for z in rep.kernel)
+    assert rep.surjective
 
 
 def test_limit_u_abelian_system():
@@ -251,7 +252,6 @@ def test_limit_u_abelian_system():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = limit_u(system)
-    assert rep.kernel_central
     # uce of an abelian algebra is 0, so the induced map cannot be onto
     assert not rep.surjective
 
@@ -294,29 +294,28 @@ def test_limit_u_reads_kernel_and_surjectivity_off_the_top_extension(monkeypatch
     for rep in reports:
         assert list(rep.kernel) == kernel_basis(rep.map.matrix())
         assert rep.surjective == rep.map.is_surjective()
-        assert rep.kernel_central
         assert all(centre(rep.colim_uce.algebra).contains(z) for z in rep.kernel)
     assert {rep.surjective for rep in reports} == {True, False}
     assert len(perfect) >= 2
     for rep in theorems:
-        assert rep.ok
-        assert rep.h2_of_colim_dim == rep.h2_colim_of_kernels_dim == rep.projection.kernel_dim
+        assert rep.kernel is rep.exts[rep.colim.top].kernel
 
 
 @pytest.mark.parametrize("chain", ["sl:2..4:Q", "sl:1,2..3,2:Q"])
 def test_theorem_report_is_read_off_the_top_extension(chain):
-    """The reports store only what limit_u built: the kernel is the top
-    member's own kernel tuple, and every TheoremReport field equals the
-    value of a freshly built extension of the top member."""
+    """theorem_verify returns the report limit_u built: its kernel is the
+    top member's own kernel tuple, and every limit-check result field
+    equals the value of a freshly built extension of the top member."""
     kind, members, coeff = cli._parse_chain(chain)
     system = cli._family_system(kind, members, coeff)
     rep = theorem_verify(system)
-    proj = rep.projection
+    assert type(rep) is limits.LimitUReport
     top = system.poset.top()
-    assert proj.kernel is proj.exts[top].kernel
-    assert proj.surjective is proj.exts[top].perfect
-    ext = build_uce(system.algebras[top])
+    assert rep.kernel is rep.exts[top].kernel
+    exts = [build_uce(system.algebras[i]) for i in system.poset.elements]
+    ext = exts[top]
     want = {
+        "members": len(exts),
         "dim_colim": system.algebras[top].dim,
         "dim_uce_of_colim": ext.dim,
         "dim_colim_of_uce": ext.dim,
@@ -324,15 +323,19 @@ def test_theorem_report_is_read_off_the_top_extension(chain):
         "phi_bijective": True,
         "psi_after_phi_is_id": True,
         "phi_after_psi_is_id": True,
+        "h2_dims": [len(e.kernel) for e in exts],
         "h2_of_colim_dim": len(ext.kernel),
         "h2_colim_of_kernels_dim": len(ext.kernel),
         "h2_restriction_bijective": True,
+        "projection_kernel_dim": len(ext.kernel),
+        "projection_kernel_central": True,
+        "projection_surjective": ext.perfect,
         "ok": True,
     }
-    fields = {name for name in dir(rep) if not name.startswith("_")}
-    assert fields == set(want) | {"projection"}
-    assert {name: getattr(rep, name) for name in want} == want
-    assert (proj.kernel_dim, proj.kernel_central, proj.surjective) == (len(ext.kernel), True, True)
+    report, code = cli.run(["limit-check", "--chain", chain])
+    assert code == 0
+    assert list(report["results"]) == list(want)
+    assert report["results"] == want
 
 
 # ---------------------------------------------------------------- the theorem
@@ -340,7 +343,7 @@ def test_theorem_report_is_read_off_the_top_extension(chain):
 def test_theorem_verify_small_chain():
     system, _ = sl_chain([3, 4])
     rep = theorem_verify(system)
-    assert rep.ok
+    assert rep.surjective and len(rep.kernel) == 0
 
 
 def test_theorem_verify_rejects_non_perfect():
@@ -359,7 +362,7 @@ def test_theorem_verify_reads_perfectness_off_the_member_extensions(monkeypatch)
 
     for module in (algebra, limits):
         monkeypatch.setattr(module, "is_perfect", refuse, raising=False)
-    assert theorem_verify(sl_chain([3, 4])[0]).ok
+    assert theorem_verify(sl_chain([3, 4])[0]).surjective
     H = heisenberg()
     with pytest.raises(ValueError, match="member 0 is not perfect"):
         theorem_verify(chain_system([H, H], [GradedLinearMap.identity(H.basis)]))

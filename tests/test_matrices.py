@@ -416,13 +416,9 @@ def test_each_steinberg_boolean_fails_on_its_broken_input(monkeypatch, flag):
     assert rep.ok is False
 
 
-def _with_odd_squares(fam):
-    """ext (+) Qz with each bracket [x, y] moved by phi(u x, u y) z, where
-    phi(X, Y) sums X_c Y_c over the odd positions c of gl(m,n;Q).  phi is
-    symmetric on odd elements and 0 on even ones, so the table stays super
-    skew-symmetric; on the Steinberg generators it is 1 on the square of
-    an odd one and 0 on every pair of distinct ones."""
-    gl_par = fam.gl.basis.parities
+def _moved_by(fam, phi):
+    """ext (+) Qz with each bracket [x, y] moved by phi(u x, u y) z, for a
+    bilinear phi on the gl coordinates of fam."""
 
     def corrupt(ext):
         d = ext.dim
@@ -431,14 +427,23 @@ def _with_odd_squares(fam):
         for p, row in enumerate(ext.lie.table):
             cells = []
             for q, cell in enumerate(row):
-                phi = sum(x * image[q].get(c, 0) for c, x in image[p].items() if gl_par[c])
-                cells.append({**cell, d: phi} if phi else cell)
+                moved = phi(image[p], image[q])
+                cells.append({**cell, d: moved} if moved else cell)
             table.append(cells + [{}])
         basis = GradedBasis(ext.lie.basis.labels + ("z",), ext.lie.basis.parities + (0,))
         u = GradedLinearMap(basis, ext.u.codomain, list(ext.u.columns) + [{}])
         return _rebuilt(ext, lie=LieSuperalgebra(basis, table + [[{}] * (d + 1)], validate=False),
                         u=u, kernel=ext.kernel + ({d: 1},))
     return corrupt
+
+
+def _with_odd_squares(fam):
+    """_moved_by with phi(X, Y) the sum of X_c Y_c over the odd positions c
+    of gl(m,n;Q).  phi is symmetric on odd elements and 0 on even ones, so
+    the table stays super skew-symmetric; on the Steinberg generators it
+    is 1 on the square of an odd one and 0 on every pair of distinct ones."""
+    gl_par = fam.gl.basis.parities
+    return _moved_by(fam, lambda X, Y: sum(x * Y.get(c, 0) for c, x in X.items() if gl_par[c]))
 
 
 def test_steinberg_relations_include_each_generator_with_itself(monkeypatch):
@@ -450,6 +455,20 @@ def test_steinberg_relations_include_each_generator_with_itself(monkeypatch):
     monkeypatch.setattr(matrices, "build_uce", lambda L: _with_odd_squares(fam)(inner(L)))
     rep = steinberg_check(fam)
     assert _flags(rep, STEINBERG_FLAGS) == {name: name != "relations" for name in STEINBERG_FLAGS}
+
+
+def test_steinberg_generation_brackets_new_elements_with_the_generators(monkeypatch):
+    """z is reached only by [h, E_01] with h a bracket of two generators
+    that has an E_00 entry, so generation holds only if the second round
+    brackets the new elements against the generators too."""
+    fam = build_family("sl", 3, 0, coefficient_algebra("Q"))
+    c1, c2 = fam.coord(0, 0, 0), fam.coord(0, 1, 0)
+    corrupt = _moved_by(fam, lambda X, Y: X.get(c1, 0) * Y.get(c2, 0) - X.get(c2, 0) * Y.get(c1, 0))
+    inner = matrices.build_uce
+    monkeypatch.setattr(matrices, "build_uce", lambda L: corrupt(inner(L)))
+    rep = steinberg_check(fam)
+    assert rep.dim_uce == 9
+    assert _flags(rep, STEINBERG_FLAGS) == {name: True for name in STEINBERG_FLAGS}
 
 
 def test_a_failed_report_boolean_exits_1(monkeypatch, capsys):

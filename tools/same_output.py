@@ -37,8 +37,18 @@ NOT_SKEW = {
     "basis": [{"name": "h", "parity": "even"}, {"name": "e", "parity": "even"}],
     "products": [{"left": "h", "right": "e", "result": [{"basis": "e", "num": "1", "den": "1"}]}],
 }
+# --system documents: a three-member chain whose middle kernel dies, a vee
+# 0, 1 <= 2, a chain from an absent relation, and gl members that are not perfect
+CHAIN3 = {"kind": "sl", "coeff": "Q", "members": [[1, 2], [2, 2], [3, 2]],
+          "relation": [[0, 1], [1, 2], [0, 2]]}
+VEE = {"kind": "sl", "coeff": "Q[t]/(t^2)", "members": [[2, 0], [2, 1], [3, 1]],
+       "relation": [[0, 2], [1, 2]]}
+NO_RELATION = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
+GL_SYSTEM = {"kind": "gl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
 # each placeholder in an invocation stands for the path of a file holding its document
-BROKEN = {"{broken}": BROKEN_JACOBI, "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW}
+DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
+             "{chain3}": CHAIN3, "{vee}": VEE, "{no-relation}": NO_RELATION,
+             "{gl-system}": GL_SYSTEM}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
 CHAINS = [["--chain", "sl:2..4:Q"], ["--chain", "sl:4..7:Q"], ["--chain", "sl:2,1..3,2:Grassmann(1)"],
           ["--chain", "sl:1,2..3,2:Q"], ["--chain", "sl:3..2:Q"],
@@ -87,6 +97,10 @@ INVOCATIONS = [
     # broken documents that fail grading or skew-symmetry, in JSON and text
     *[["validate", "--file", doc, *fmt] for doc in ("{misgraded}", "{not-skew}")
       for fmt in ([], ["--format", "text"])],
+    # system files with exit codes 0 and 2, in JSON and text
+    *[["limit-check", "--system", doc, *fmt]
+      for doc in ("{chain3}", "{vee}", "{no-relation}", "{gl-system}")
+      for fmt in ([], ["--format", "text"])],
 ]
 
 
@@ -112,7 +126,7 @@ def main(argv) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, doc in BROKEN.items():
+        for name, doc in DOCUMENTS.items():
             paths[name] = Path(tmp) / f"{name.strip('{}')}.json"
             paths[name].write_text(json.dumps(doc))
         for args in INVOCATIONS:
