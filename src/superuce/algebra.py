@@ -18,6 +18,17 @@ _symmetry_failures walks super skew-symmetry (of a Lie table and of a
 cocycle) and supercommutativity (of an associative table), and
 _cyclic_failures sums the cyclic identity (Jacobi and cocycle).
 
+This module owns the torus and the weight rule.  _torus finds, once per
+Lie algebra, an even h whose ad is diagonal in the basis, with int
+weights w; validate_lie finds it after the skew check and keeps it on
+the algebra for uce.build_uce.  Under w a cyclic class (i, j, k) can be
+nonzero only when its total weight w_i + w_j + w_k is the weight of a
+nonzero cell of the table it reads, so every walk of the cyclic
+identity is told the admissible total weights (_cyclic_classes): the
+weights of the cells, once they are certified homogeneous, for Jacobi;
+the pair sums of a cocycle's support for the cocycle identity; {0} for
+the weight-0 relations of the tensor square.
+
 They are checked where data enters the package: an algebra a caller
 builds with validate=True (the default), and every algebra file.  A
 table is cleaned (zeros dropped, entries put under the scalar rule,
@@ -174,8 +185,8 @@ def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
 
 class LieSuperalgebra:
     """Lie superalgebra from structure constants; validated at construction
-    unless validate=False.  Its certified torus (see uce._torus) is found
-    on first use and kept."""
+    unless validate=False.  Its certified torus (see _torus) is found
+    on first use, by validation or by uce.build_uce, and kept."""
 
     __slots__ = ("basis", "table", "_torus")
 
@@ -321,7 +332,7 @@ def _integral_table(table) -> tuple:
     return int_table, den
 
 
-def _cyclic_classes(itable, par, weights=None, skew=False):
+def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
     """The cyclic identity of a product table, one cyclic class at a time.
 
     For each basis triple (i, j, k) with i <= j and i <= k whose cells
@@ -342,17 +353,25 @@ def _cyclic_classes(itable, par, weights=None, skew=False):
     Lie-table callers pass it; the associative relations of cyclic.py do
     not, as a product table is not skew.
 
-    With int weights of the basis elements (a grading of the table:
-    [i,j] has weight weights[i] + weights[j]), only the classes of total
-    weight 0 are visited; k then ranges over the basis elements of weight
-    -(weights[i] + weights[j]) only.
+    Given int weights of the basis elements, only the classes whose total
+    weight weights[i] + weights[j] + weights[k] is in totals are visited
+    (the weight rule; totals None visits every class).  The admissible k
+    of each pair sum s are listed once, ascending, from the groups of
+    basis elements by weight, and each pair bisects its list; with
+    totals {0} the list of s is the group of weight -s itself.
     """
     d = len(itable)
-    by_weight: Optional[dict] = None
-    if weights is not None:
-        by_weight = {}
+    admissible: Optional[dict] = None
+    if weights is not None and totals is not None:
+        by_weight: dict = {}
         for k, wk in enumerate(weights):
             by_weight.setdefault(wk, []).append(k)
+        groups: dict = {}  # pair sum s -> the groups of weight t - s, t in totals
+        for t in totals:
+            for wk, group in by_weight.items():
+                groups.setdefault(t - wk, []).append(group)
+        admissible = {s: gs[0] if len(gs) == 1 else sorted(k for g in gs for k in g)
+                      for s, gs in groups.items()}
     for i in range(d):
         ti = itable[i]
         pi = par[i]
@@ -362,10 +381,10 @@ def _cyclic_classes(itable, par, weights=None, skew=False):
             pj = par[j]
             sji = -1 if pj and pi else 1
             low = j if skew else i
-            if by_weight is None:
+            if admissible is None:
                 ks = range(low, d)
             else:
-                group = by_weight.get(-weights[i] - weights[j], ())
+                group = admissible.get(weights[i] + weights[j], ())
                 ks = group[bisect_left(group, low):]
             for k in ks:
                 cjk = tj[k]
@@ -379,7 +398,7 @@ def _cyclic_classes(itable, par, weights=None, skew=False):
                     )
 
 
-def _cyclic_failures(itable, values, par, weights=None) -> list:
+def _cyclic_failures(itable, values, par, weights, totals) -> list:
     """The cyclic classes whose identity fails: the cyclic sum of
     _cyclic_classes over the super skew-symmetric int table itable,
 
@@ -392,11 +411,11 @@ def _cyclic_failures(itable, values, par, weights=None) -> list:
     unordered triple; the sum of the mirror (i, k, j) is +-1 times it, so
     each failing j != k class is returned with its mirror, and the list
     is sorted: the classes a walk over both orientations finds failing,
-    in the order it finds them.  Given weights (see _cyclic_classes),
-    only the classes of total weight 0 are evaluated.
+    in the order it finds them.  Given weights, only the classes whose
+    total weight is in totals are evaluated (see _cyclic_classes).
     """
     failed = []
-    for i, j, k, terms in _cyclic_classes(itable, par, weights, skew=True):
+    for i, j, k, terms in _cyclic_classes(itable, par, weights, True, totals):
         acc: dict = {}
         for s, outer, cell in terms:
             vo = values[outer]
@@ -499,6 +518,95 @@ def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
                               [(par[a] + par[b]) & 1 for a, b in pairs])
 
 
+def _torus(L: LieSuperalgebra) -> tuple:
+    """(h, weights): an even h with ad h diagonal in the basis and the int
+    weights with [h, b_j] = weights[j] * b_j, certified: h is re-checked
+    to be diagonal with these weights, and CertificateError names the
+    basis element where it is not.
+
+    The torus T, all even elements with ad h diagonal, is the kernel of
+    one exact system in the coefficients of h over the even basis
+    elements: every off-diagonal coefficient of [h, b_j] vanishes.  Most
+    rows have one entry, which forces that coefficient to 0; such
+    unknowns are dropped, repeatedly, until no row has one entry, and
+    kernel_basis solves the rest.  Every kernel vector is 0 at a dropped
+    unknown, so the free columns, in their order, and the canonical
+    kernel basis are those of the whole system.  Each kernel basis
+    vector h_t is scaled so that its weights alpha_j(h_t) are ints.  With
+    M the largest |alpha_j(h_t)| and B = 6M + 1, the regular element is
+    h = sum_t B^t h_t, whose weight w_j = sum_t B^t alpha_j(h_t) encodes
+    the tuple (alpha_j(h_t))_t in balanced base B.  A sum of up to three
+    such weights is 0 only when the tuples sum to 0, and two sums of two
+    are equal only when their tuples are, so h splits L (x) L into the
+    weight blocks of the whole torus.  A trivial torus gives all weights
+    0.  The blocks are correct for any base, since the weights are h's
+    own eigenvalues; the base only makes them as fine as the torus
+    allows.
+
+    The certified pair is kept on L and returned by every later call, so
+    validate_lie, build_uce and validate_cocycle find it once per
+    algebra; callers only read it.
+    """
+    if L._torus is not None:
+        return L._torus
+    d = L.dim
+    table = L.table
+    even = [s for s in range(d) if not L.basis.parities[s]]
+    off_diagonal: dict = {}  # (j, k) -> {n: coefficient of b_k in [b_even[n], b_j]}
+    for n, s in enumerate(even):
+        for j, cell in enumerate(table[s]):
+            for k, x in cell.items():
+                if k != j:
+                    off_diagonal.setdefault((j, k), {})[n] = x
+    rows = list(off_diagonal.values())
+    dropped: set = set()
+    while forced := {n for row in rows if len(row) == 1 for n in row}:
+        dropped |= forced
+        rows = [r for row in rows if (r := {n: x for n, x in row.items() if n not in forced})]
+    hs, alphas = [], []
+    for v in kernel_basis(SparseMatrix(rows, len(even))):
+        if not dropped.isdisjoint(v):
+            continue  # a dropped unknown is in no row: its vector is its own unit vector
+        alpha = [sum(x * table[even[n]][j].get(j, 0) for n, x in v.items()) for j in range(d)]
+        den = _denominator_lcm(alpha)
+        hs.append({even[n]: x * den for n, x in v.items()})
+        alphas.append([int(a * den) for a in alpha])
+    base = 6 * max((abs(a) for alpha in alphas for a in alpha), default=0) + 1
+    h: Vector = {}
+    weights = [0] * d
+    for t, (ht, alpha) in enumerate(zip(hs, alphas)):
+        scale = base ** t
+        vec_add_scaled(h, ht, scale)
+        for j, a in enumerate(alpha):
+            weights[j] += scale * a
+    for j, w in enumerate(weights):
+        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
+            raise CertificateError(
+                f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
+            )
+    L._torus = (h, weights)
+    return L._torus
+
+
+def _cell_weights(values, weights, target=None) -> Optional[set]:
+    """The weights w_i + w_j of the nonzero cells (i, j) of a table of
+    values, under int weights of the basis: a cyclic class reads a
+    nonzero value only if its total weight is one of them (the weight
+    rule of _cyclic_failures).  Given the weights of the values' own
+    basis as target (a bracket table), every cell is certified to be
+    homogeneous, each component k of cell (i, j) of weight w_i + w_j,
+    and None is returned when one is not."""
+    reached = set()
+    for wi, row in zip(weights, values):
+        for wj, cell in zip(weights, row):
+            if cell:
+                w = wi + wj
+                if target is not None and any(target[k] != w for k in cell):
+                    return None
+                reached.add(w)
+    return reached
+
+
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     """Grading, super skew-symmetry, and the cyclic super Jacobi identity.
 
@@ -513,6 +621,15 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
     evaluated in ints on the table scaled by the LCM D of its
     denominators: each sum is D^2 times the rational one and vanishes
     exactly when that one does.
+
+    Only the classes that can fail are summed.  The certified torus of
+    L (_torus, kept on L for build_uce) grades the basis by int weights,
+    and _cell_weights certifies that every cell is homogeneous.  A term
+    s * x * [b_outer, b_t] of the class (i, j, k) then has
+    w_t = w_j + w_k, so it is nonzero only when the total weight
+    w_i + w_j + w_k is the weight of a nonzero cell; the other classes
+    vanish term by term.  When a cell is not homogeneous every class is
+    summed, so the violations are always those of the full walk.
     """
     report = ValidationReport()
     basis, table = L.basis, L.table
@@ -523,8 +640,9 @@ def validate_lie(L: LieSuperalgebra) -> ValidationReport:
                    "[x,x] != 0 for even x" if i == j else "[y,x] != -(-1)^{|x||y|}[x,y]")
     if not report.ok:
         return report
+    _, weights = _torus(L)
     itable, _ = _integral_table(table)
-    for i, j, k in _cyclic_failures(itable, itable, par):
+    for i, j, k in _cyclic_failures(itable, itable, par, weights, _cell_weights(table, weights, weights)):
         report.add("jacobi", (labels[i], labels[j], labels[k]), "cyclic sum != 0")
     return report
 

@@ -51,14 +51,17 @@ a < b: its image is -s times that of (b, a), s = (-1)^{|a||b|}, and
 the pair relation: e_(a,b) + s e_(b,a) when (b, a) is free, and
 e_(a,b) - s (row of (b, a) without its pivot) otherwise.  The
 presentation is the one a full elimination of B gives.  h is a regular
-element of the torus of all such elements (see _torus); with no such
-element there is one block and B is eliminated whole.
+element of the torus of all such elements (algebra._torus, which also
+grades validation and is kept on L, so an algebra validated where it
+entered the package brings its torus along); with no such element
+there is one block and B is eliminated whole.
 
 A 2-cocycle (Cocycle2) is a table of values indexed like a bracket
 table.  validate_cocycle checks it with the table-law walkers of
-algebra (degree, super-alternation, the cyclic identity), and it is
-evaluated only as part of the bracket of the total algebra
-extension_from_cocycle builds; it has no evaluator of its own.
+algebra (degree, super-alternation, the cyclic identity under the
+weight rule of the torus), and it is evaluated only as part of the
+bracket of the total algebra extension_from_cocycle builds; it has no
+evaluator of its own.
 
 The cohomological cross-check h2_cohomology_oracle counts degree-zero
 super-alternating 2-cocycles with values in Q modulo coboundaries.  It
@@ -81,6 +84,7 @@ from .algebra import (
     LieSuperalgebra,
     Subspace,
     ValidationReport,
+    _cell_weights,
     _cyclic_failures,
     _grading_failures,
     _integral_table,
@@ -88,20 +92,18 @@ from .algebra import (
     _skew_mirror,
     _symmetry_failures,
     _tensor_relations,
+    _torus,
     check_morphism,
 )
 from .linalg import (
     Echelon,
     QuotientPresentation,
-    SparseMatrix,
     Vector,
-    _denominator_lcm,
     _rational,
     _tensor,
     echelon_rows,
     kernel_basis,
     rank_of_rows,
-    vec_add_scaled,
 )
 
 
@@ -149,64 +151,6 @@ class UceAlgebra:
 
     def __repr__(self) -> str:
         return f"UceAlgebra(dim={self.dim} over dim={self.base.dim})"
-
-
-def _torus(L: LieSuperalgebra) -> tuple:
-    """(h, weights): an even h with ad h diagonal in the basis and the int
-    weights with [h, b_j] = weights[j] * b_j, certified: h is re-checked
-    to be diagonal with these weights, and CertificateError names the
-    basis element where it is not.
-
-    The torus T, all even elements with ad h diagonal, is the kernel of
-    one exact system in the coefficients of h over the even basis
-    elements: every off-diagonal coefficient of [h, b_j] vanishes.  Each
-    kernel basis vector h_t is scaled so that its weights alpha_j(h_t) are
-    ints.  With M the largest |alpha_j(h_t)| and B = 6M + 1, the regular
-    element is h = sum_t B^t h_t, whose weight w_j = sum_t B^t alpha_j(h_t)
-    encodes the tuple (alpha_j(h_t))_t in balanced base B.  A sum of up to
-    three such weights is 0 only when the tuples sum to 0, and two sums of
-    two are equal only when their tuples are, so h splits L (x) L into the
-    weight blocks of the whole torus.  A trivial torus gives all weights 0.
-    The blocks are correct for any base, since the weights are h's own
-    eigenvalues; the base only makes them as fine as the torus allows.
-
-    The certified pair is kept on L and returned by every later call,
-    so build_uce and validate_cocycle find it once per algebra; callers
-    only read it.
-    """
-    if L._torus is not None:
-        return L._torus
-    d = L.dim
-    table = L.table
-    even = [s for s in range(d) if not L.basis.parities[s]]
-    off_diagonal: dict = {}  # (j, k) -> {n: coefficient of b_k in [b_even[n], b_j]}
-    for n, s in enumerate(even):
-        for j, cell in enumerate(table[s]):
-            for k, x in cell.items():
-                if k != j:
-                    off_diagonal.setdefault((j, k), {})[n] = x
-    hs = []
-    alphas = []
-    for v in kernel_basis(SparseMatrix(list(off_diagonal.values()), len(even))):
-        alpha = [sum(x * table[even[n]][j].get(j, 0) for n, x in v.items()) for j in range(d)]
-        den = _denominator_lcm(alpha)
-        hs.append({even[n]: x * den for n, x in v.items()})
-        alphas.append([int(a * den) for a in alpha])
-    base = 6 * max((abs(a) for alpha in alphas for a in alpha), default=0) + 1
-    h: Vector = {}
-    weights = [0] * d
-    for t, (ht, alpha) in enumerate(zip(hs, alphas)):
-        scale = base ** t
-        vec_add_scaled(h, ht, scale)
-        for j, a in enumerate(alpha):
-            weights[j] += scale * a
-    for j, w in enumerate(weights):
-        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
-            raise CertificateError(
-                f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
-            )
-    L._torus = (h, weights)
-    return L._torus
 
 
 def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentation:
@@ -417,17 +361,17 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     once per unordered triple and each failing triple is reported with
     its mirror.  L is trusted to be a Lie superalgebra (it was validated
     where it entered the package): the mirror needs its table skew, and
-    the weight-0 restriction below needs the torus weights to grade it.
+    the weight rule below needs the torus weights to grade it.
 
-    When tau vanishes on every pair of nonzero total weight under the
-    certified torus of L (see _torus), only the classes of total weight 0
-    are evaluated: every term tau(b_i, [b_j, b_k]) of a class of weight
-    l != 0 is tau at a pair of weight l, so only weight-0 classes can
-    fail.  A tau with support off weight 0 is checked on every class.
+    Only the classes whose total weight is a pair sum w_a + w_b of tau's
+    own support are evaluated, under the certified torus of L (see
+    algebra._torus): a term tau(b_i, b_t) of the class (i, j, k), with b_t
+    a component of [b_j, b_k], has w_t = w_j + w_k, so it is nonzero only
+    when w_i + w_j + w_k is such a sum.  A tau supported on weight 0 reads
+    only the classes of total weight 0.
     """
     L = tau.source
     report = ValidationReport()
-    d = L.dim
     par = L.basis.parities
     tpar = tau.target.parities
     labels = L.basis.labels
@@ -441,10 +385,8 @@ def validate_cocycle(tau: Cocycle2) -> ValidationReport:
     if not report.ok:
         return report
     _, weights = _torus(L)
-    if any(vals[i][j] for i in range(d) for j in range(d) if weights[i] + weights[j]):
-        weights = None
     itable, _ = _integral_table(L.table)
-    for i, j, k in _cyclic_failures(itable, vals, par, weights):
+    for i, j, k in _cyclic_failures(itable, vals, par, weights, _cell_weights(vals, weights)):
         report.add("cocycle", (labels[i], labels[j], labels[k]), "cyclic cocycle sum != 0")
     return report
 

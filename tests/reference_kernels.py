@@ -20,7 +20,10 @@ walk every cyclic class i <= j, i <= k in both orientations and
 validate_cocycle every class of every weight; the package's walk one
 orientation per unordered triple, and validate_cocycle only weight 0
 when it can, and must report the same violations in the
-same order.  bracket_Eij is the graded matrix-unit bracket written out
+same order.  torus solves the whole off-diagonal system of the torus,
+which the package's _torus prunes of the unknowns its one-entry rows
+force to 0 first, and must give the same h and weights.  bracket_Eij
+is the graded matrix-unit bracket written out
 from its formula, against which the gl table of a matrix family, the
 bracket the Steinberg check reads, is checked.
 """
@@ -35,6 +38,7 @@ from superuce.algebra import (
     EVEN,
     ODD,
     AssocSuperalgebra,
+    CertificateError,
     GradedBasis,
     GradedLinearMap,
     LieSuperalgebra,
@@ -42,7 +46,16 @@ from superuce.algebra import (
     _tensor_relations,
     vector_parity,
 )
-from superuce.linalg import Vector, _tensor, quotient_space, rank_of_rows, vec_add_scaled
+from superuce.linalg import (
+    SparseMatrix,
+    Vector,
+    _denominator_lcm,
+    _tensor,
+    kernel_basis,
+    quotient_space,
+    rank_of_rows,
+    vec_add_scaled,
+)
 from superuce.matrices import MatrixFamily
 
 ZERO = Fraction(0)
@@ -194,6 +207,42 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
                 if lhs != rhs:
                     report.add("associativity", (labels[i], labels[j], labels[k]), "(xy)z != x(yz)")
     return report
+
+
+def torus(L: LieSuperalgebra) -> tuple:
+    """(h, weights) of the certified torus as algebra._torus finds it, from
+    one kernel_basis of the whole off-diagonal system, and found afresh
+    on every call."""
+    d = L.dim
+    table = L.table
+    even = [s for s in range(d) if not L.basis.parities[s]]
+    off_diagonal: dict = {}  # (j, k) -> {n: coefficient of b_k in [b_even[n], b_j]}
+    for n, s in enumerate(even):
+        for j, cell in enumerate(table[s]):
+            for k, x in cell.items():
+                if k != j:
+                    off_diagonal.setdefault((j, k), {})[n] = x
+    hs = []
+    alphas = []
+    for v in kernel_basis(SparseMatrix(list(off_diagonal.values()), len(even))):
+        alpha = [sum(x * table[even[n]][j].get(j, 0) for n, x in v.items()) for j in range(d)]
+        den = _denominator_lcm(alpha)
+        hs.append({even[n]: x * den for n, x in v.items()})
+        alphas.append([int(a * den) for a in alpha])
+    base = 6 * max((abs(a) for alpha in alphas for a in alpha), default=0) + 1
+    h: Vector = {}
+    weights = [0] * d
+    for t, (ht, alpha) in enumerate(zip(hs, alphas)):
+        scale = base ** t
+        vec_add_scaled(h, ht, scale)
+        for j, a in enumerate(alpha):
+            weights[j] += scale * a
+    for j, w in enumerate(weights):
+        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
+            raise CertificateError(
+                f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
+            )
+    return h, weights
 
 
 def b_relations(L: LieSuperalgebra) -> list:

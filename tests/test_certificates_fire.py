@@ -39,6 +39,7 @@ PACKAGE = Path(superuce.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 SITES = {
+    "algebra.py:_torus#1": "test_weight_blocks.py::test_corrupted_weight_is_caught",
     "cyclic.py:cyclic_pairs#1":
         "test_certificates_fire.py::test_pairing_space_certificate_fires_on_a_broken_product",
     "limits.py:factor_through#1":
@@ -49,7 +50,6 @@ SITES = {
         "test_limits.py::test_theorem_verify_certifies_phi_is_the_identity",
     "matrices.py:steinberg_check.sl_coords#1":
         "test_matrices.py::test_steinberg_check_certifies_its_sl_coordinates",
-    "uce.py:_torus#1": "test_weight_blocks.py::test_corrupted_weight_is_caught",
     "uce.py:_weight_presentation#1":
         "test_weight_blocks.py::test_block_that_drops_a_free_column_is_caught",
     "uce.py:build_uce#1": "test_cli.py::test_certificate_failure_exits_1",

@@ -5,10 +5,11 @@ Over a super skew-symmetric table the cyclic sum of (i, k, j) is
 the relation generator of build_uce and validate_cocycle visit one
 representative per unordered triple i <= j <= k.  Against the walks of
 tests/reference_kernels.py over both orientations they must give the
-same violations in the same order and the same relation span, and
-validate_cocycle, which evaluates only the weight-0 classes when tau is
-supported on pairs of weight 0, must still reject a tau broken only off
-weight 0 through its fallback to every class.
+same violations in the same order and the same relation span.
+validate_cocycle evaluates only the classes whose total weight is a pair
+sum of tau's own support under the torus: it must match the reference,
+which walks every class of every weight, on tau supported on weight 0,
+on tau supported off it, and on a tau broken only off weight 0.
 """
 
 from fractions import Fraction
@@ -105,10 +106,10 @@ def test_no_lie_table_walk_sees_both_orientations(monkeypatch):
     walks = []
     classes = algebra._cyclic_classes
 
-    def recording(itable, par, weights=None, skew=False):
+    def recording(itable, par, weights=None, skew=False, totals=(0,)):
         seen = set()
         walks.append((len(itable), seen))
-        for i, j, k, terms in classes(itable, par, weights, skew):
+        for i, j, k, terms in classes(itable, par, weights, skew, totals):
             seen.add((i, j, k))
             yield i, j, k, terms
 
@@ -135,9 +136,9 @@ def test_both_validators_evaluate_through_one_cyclic_evaluator(monkeypatch):
     calls = []
     failures = algebra._cyclic_failures
 
-    def recording(itable, values, par, weights=None):
+    def recording(itable, values, par, weights, totals):
         calls.append(values)
-        return failures(itable, values, par, weights)
+        return failures(itable, values, par, weights, totals)
 
     monkeypatch.setattr(algebra, "_cyclic_failures", recording)
     monkeypatch.setattr(uce, "_cyclic_failures", recording)
@@ -163,7 +164,7 @@ def cocycles(draw, on_weight_zero=st.booleans()):
     """(L, weights, values): a coboundary tau = g([., .]) of an even random
     g: L -> TARGET, supported on pairs of weight 0 when g lives on weight 0."""
     L = TORAL[draw(st.sampled_from(sorted(TORAL)))]()
-    _, weights = uce._torus(L)
+    _, weights = algebra._torus(L)
     par = L.basis.parities
     on_weight_zero = draw(on_weight_zero)
     g = [{par[t]: draw(nonzero)} if (weights[t] == 0 or not on_weight_zero)
@@ -229,7 +230,8 @@ def test_broken_only_off_weight_zero_is_still_rejected(data, draw):
     """A tau moved at one pair (a, b) of nonzero weight with [b_a, b_b] = 0
     is no cocycle: a cocycle of nonzero weight is a coboundary g([., .]),
     which vanishes at that pair.  Every class of weight 0 still holds, so
-    only the walk over every class finds the failure."""
+    only the classes of the moved pair's weight, which its support now
+    reaches, find the failure."""
     L, weights, values = data
     pairs = [(a, b) for a, b in _pairs(L, weights, zero_weight=False) if not L.table[a][b]]
     assume(pairs)  # sl(2) has none
@@ -241,27 +243,46 @@ def test_broken_only_off_weight_zero_is_still_rejected(data, draw):
         assert weights[i] + weights[j] + weights[k] != 0
 
 
+@seed(31)
+@settings(max_examples=40, deadline=None)
+@given(cocycles(on_weight_zero=st.just(False)), st.data())
+def test_broken_off_weight_zero_support_matches_the_reference(data, draw):
+    """tau is a coboundary with support off weight 0, moved at any pair:
+    the classes of every pair sum of its support are walked."""
+    L, weights, values = data
+    assume(any(values[a][b] for a in range(L.dim) for b in range(L.dim)
+               if weights[a] + weights[b]))
+    a, b = draw.draw(st.sampled_from(_pairs(L, weights, zero_weight=True)
+                                     + _pairs(L, weights, zero_weight=False)))
+    _same_as_reference(L, _perturb(L, values, a, b, draw.draw(nonzero)))
+
+
 def test_only_a_weight_zero_cocycle_reads_only_weight_zero_classes(monkeypatch):
+    """validate_cocycle walks the classes whose total weight is a pair sum
+    of tau's support: {0} for the tau of the pairing space, and {0, l}
+    once tau is moved at a pair of weight l."""
     fam = build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)"))
     L = fam.algebra
     tau = tau_cocycle(fam)
     walked = []
     classes = algebra._cyclic_classes
 
-    def recording(itable, par, weights=None, skew=False):
-        walked.append(weights)
-        return classes(itable, par, weights, skew)
+    def recording(itable, par, weights=None, skew=False, totals=(0,)):
+        walked.append((weights, totals))
+        return classes(itable, par, weights, skew, totals)
 
     monkeypatch.setattr(algebra, "_cyclic_classes", recording)
     assert validate_cocycle(tau).ok
-    _, weights = uce._torus(L)
-    assert walked == [weights]
-    # moved at a pair of nonzero weight: every class is walked, and it fails
+    _, weights = algebra._torus(L)
+    assert walked == [(weights, {0})]
+    # moved at a pair of weight l != 0: the classes of weight 0 and l are walked, and it fails
     par = L.basis.parities
     a, b = next((a, b) for a, b in _pairs(L, weights, zero_weight=False)
                 if not L.table[a][b] and (par[a] + par[b]) & 1 == tau.target.parities[0])
     values = [[dict(cell) for cell in row] for row in tau.values]
     values[a][b][0] = values[a][b].get(0, 0) + 1
     values[b][a][0] = values[b][a].get(0, 0) - (-1 if par[a] and par[b] else 1)
-    assert not validate_cocycle(Cocycle2(L, tau.target, values)).ok
-    assert walked[-1] is None
+    moved = Cocycle2(L, tau.target, values)
+    got = validate_cocycle(moved).violations
+    assert got and got == ref.validate_cocycle(moved).violations
+    assert walked[-1] == (weights, {0, weights[a] + weights[b]})

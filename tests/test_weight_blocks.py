@@ -14,12 +14,15 @@ benchmark's documents, and the extension is checked to store every
 integral value as an int (tests/scalar_rule.py).  Three certificates
 are checked to fire: on a corrupted torus weight, on a block that loses
 its free columns, and on a corrupted oracle weight.  The torus is found
-once per algebra.  The oracle is checked to answer with the
+once per algebra, by validation when the algebra is validated, and it
+equals the torus of one solve of its whole system, which the reference
+keeps.  The oracle is checked to answer with the
 extension builder, its torus and the shared cyclic-identity generator
 all broken.
 """
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +48,7 @@ from superuce.algebra import _integral_table
 from superuce.cli import parse_algebra
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
+from test_acceptance import acceptance_test_matrix
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -139,7 +143,7 @@ def test_dense_basis_has_trivial_torus_and_one_block():
     L = sl2()
     P = [[1, 2, 1], [1, 1, 3], [2, 1, 1]]
     M = change_of_basis(L, P)
-    h, weights = uce._torus(M)
+    h, weights = algebra._torus(M)
     assert weights == [0, 0, 0]
     assert not h
     assert oracle_weights(M) == [(), (), ()]
@@ -148,7 +152,7 @@ def test_dense_basis_has_trivial_torus_and_one_block():
 
 def test_torus_grades_sl_family():
     L = ALGEBRAS["sl21"]()
-    _, weights = uce._torus(L)
+    _, weights = algebra._torus(L)
     # sl(2,1;Q) has a rank-2 torus: 6 root spaces and a weight-0 Cartan
     assert weights.count(0) == 2
     assert len(set(weights)) == 7
@@ -170,34 +174,66 @@ def test_corrupted_weight_is_caught(monkeypatch):
     def rescaled():
         return change_of_basis(sl2(), [[1, 0, 0], [0, Fraction(1, 4), 0], [0, 0, 1]])
 
-    assert uce._torus(rescaled())[1] == [1, 0, -1]
-    # a fresh algebra, since each one keeps the torus found on first use
     L = rescaled()
-    monkeypatch.setattr(uce, "_denominator_lcm", lambda values: 1)
+    assert algebra._torus(L)[1] == [1, 0, -1]
+    monkeypatch.setattr(algebra, "_denominator_lcm", lambda values: 1)
     message = f"not diagonal with weight 0 at basis element {L.basis.labels[0]}$"
+    # validation finds the torus, so construction fires
     with pytest.raises(CertificateError, match=message):
-        uce._torus(L)
-    with pytest.raises(CertificateError, match=message):
-        build_uce(L)
+        rescaled()
+    # an unvalidated copy keeps no torus, so each route finds it afresh
+    for route in (algebra._torus, build_uce):
+        with pytest.raises(CertificateError, match=message):
+            route(LieSuperalgebra(L.basis, L.table, validate=False))
+
+
+def _count_torus_systems(monkeypatch) -> list:
+    """The number of unknowns of each torus system set up from now on."""
+    systems = []
+
+    class Counted(algebra.SparseMatrix):
+        def __init__(self, rows, ncols):
+            if sys._getframe(1).f_code.co_name == "_torus":
+                systems.append(ncols)
+            super().__init__(rows, ncols)
+
+    monkeypatch.setattr(algebra, "SparseMatrix", Counted)
+    return systems
 
 
 def test_the_torus_is_found_once_per_algebra(monkeypatch):
     """build_uce and validate_cocycle (through extension_from_cocycle)
     both grade the family by its torus; the algebra keeps the certified
     pair, so h_iso_check sets up the torus system once."""
-    systems = []
-
-    class Counted(uce.SparseMatrix):
-        def __init__(self, rows, ncols):
-            systems.append(ncols)
-            super().__init__(rows, ncols)
-
-    monkeypatch.setattr(uce, "SparseMatrix", Counted)
+    systems = _count_torus_systems(monkeypatch)
     fam = build_family("sl", 3, 2, coefficient_algebra("Grassmann(1)"))
     assert h_iso_check(fam).ok
     assert len(systems) == 1
-    assert uce._torus(fam.algebra) is uce._torus(fam.algebra)
+    assert algebra._torus(fam.algebra) is algebra._torus(fam.algebra)
     assert len(systems) == 1
+
+
+def test_build_uce_reuses_the_torus_validation_found(monkeypatch):
+    systems = _count_torus_systems(monkeypatch)
+    L = ALGEBRAS["osp12"]()
+    assert systems == []  # a derived family algebra is not validated
+    M = LieSuperalgebra(L.basis, L.table)
+    assert len(systems) == 1
+    build_uce(M)
+    assert len(systems) == 1
+
+
+@pytest.mark.parametrize("name", ["acceptance", "documents"])
+def test_torus_equals_the_unpruned_reference(name):
+    if name == "acceptance":
+        algebras = [L for _, L in acceptance_test_matrix()]
+    else:
+        algebras = [parse_algebra(json.loads(path.read_text(encoding="utf-8")))
+                    for path in sorted(INPUTS.glob("*.json"))]
+    assert len(algebras) >= 6
+    for L in algebras:
+        fresh = LieSuperalgebra(L.basis, L.table, validate=False)
+        assert algebra._torus(fresh) == ref.torus(L)
 
 
 def test_block_that_drops_a_free_column_is_caught(monkeypatch):
@@ -233,7 +269,8 @@ def test_oracle_shares_no_code_with_the_builder(monkeypatch, name):
     def broken(*args, **kwargs):
         raise RuntimeError("the oracle must not call this")
 
-    for module, attr in [(uce, "build_uce"), (uce, "_torus"), (uce, "_weight_presentation"),
+    for module, attr in [(uce, "build_uce"), (uce, "_torus"), (algebra, "_torus"),
+                         (uce, "_weight_presentation"),
                          (uce, "_cyclic_failures"), (uce, "_tensor_relations"),
                          (algebra, "_cyclic_classes"), (algebra, "_cyclic_failures"),
                          (algebra, "_tensor_relations")]:

@@ -25,6 +25,18 @@ BROKEN_JACOBI = {
                  for left, right, b, num, den in [("x", "y", "z", "1", "1"), ("y", "x", "z", "-1", "1"),
                                                   ("x", "z", "x", "1", "2"), ("z", "x", "x", "-1", "2")]],
 }
+# graded by h with weights a, b: 1, c: 2, e: 3, f: 4, so validation sums only the
+# classes of a weight a cell reaches; only Jacobi fails, at (a,b,c) of weight 4:
+# [a,[b,c]] = [a,e] = f
+GRADED_JACOBI = {
+    "kind": "lie",
+    "basis": [{"name": x, "parity": "even"} for x in "habcef"],
+    "products": [{"left": left, "right": right, "result": [{"basis": b, "num": num, "den": "1"}]}
+                 for x, y, z, n in [("h", "a", "a", 1), ("h", "b", "b", 1), ("h", "c", "c", 2),
+                                    ("h", "e", "e", 3), ("h", "f", "f", 4), ("a", "b", "c", 1),
+                                    ("b", "c", "e", 1), ("a", "e", "f", 1)]
+                 for left, right, b, num in [(x, y, z, str(n)), (y, x, z, str(-n))]],
+}
 # one mis-graded cell: [y,y] = y for odd y, skew-symmetric as an odd diagonal must be
 MISGRADED = {
     "kind": "lie",
@@ -46,7 +58,8 @@ VEE = {"kind": "sl", "coeff": "Q[t]/(t^2)", "members": [[2, 0], [2, 1], [3, 1]],
 NO_RELATION = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
 GL_SYSTEM = {"kind": "gl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
 # each placeholder in an invocation stands for the path of a file holding its document
-DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
+DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{graded-jacobi}": GRADED_JACOBI,
+             "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
              "{chain3}": CHAIN3, "{vee}": VEE, "{no-relation}": NO_RELATION,
              "{gl-system}": GL_SYSTEM}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
@@ -94,8 +107,9 @@ INVOCATIONS = [
     # ones not listed above in JSON
     *[["limit-check", *chain, "--format", "text"] for chain in CHAINS],
     *[["limit-check", *chain] for chain in CHAINS[3:]],
-    # broken documents that fail grading or skew-symmetry, in JSON and text
-    *[["validate", "--file", doc, *fmt] for doc in ("{misgraded}", "{not-skew}")
+    # broken documents that fail grading or skew-symmetry, or only Jacobi on the
+    # weight-filtered walk, in JSON and text
+    *[["validate", "--file", doc, *fmt] for doc in ("{graded-jacobi}", "{misgraded}", "{not-skew}")
       for fmt in ([], ["--format", "text"])],
     # system files with exit codes 0 and 2, in JSON and text
     *[["limit-check", "--system", doc, *fmt]
