@@ -29,17 +29,19 @@ weights of the cells, once they are certified homogeneous, for Jacobi;
 the pair sums of a cocycle's support for the cocycle identity; {0} for
 the weight-0 relations of the tensor square.
 
-They are checked where data enters the package: an algebra a caller
-builds with validate=True (the default), and every algebra file.  A
-table is cleaned (zeros dropped, entries put under the scalar rule,
-indices range-checked) only there too, by the public constructors,
-also with validate=False.  An algebra the package derives from a
-validated one (supercommutator algebra, matrix algebra, subalgebra,
-central quotient, extension) satisfies the laws by construction, and
-the package builds each of its cells under the scalar rule; it is
-built by LieSuperalgebra._derived or AssocSuperalgebra._derived, with
-neither check.  The certificates of each construction (closure,
-centrality, morphism and bijectivity checks) always run.
+They are checked where data enters the package: the public
+constructors LieSuperalgebra and AssocSuperalgebra, which every algebra
+a caller builds and every algebra file goes through, clean the table
+and the unit (zeros dropped, entries put under the scalar rule, indices
+range-checked by _clean_table and _clean_unit) and validate the result,
+raising InvalidAlgebraError with the validator's report.  An algebra
+the package derives from a validated one (supercommutator algebra,
+matrix algebra, subalgebra, central quotient, extension) satisfies the
+laws by construction, and the package builds each of its cells under
+the scalar rule; it is built by LieSuperalgebra._derived or
+AssocSuperalgebra._derived, the one path with neither step.  The
+certificates of each construction (closure, centrality, morphism and
+bijectivity checks) always run.
 
 A Lie table is super skew-symmetric, [y,x] = -(-1)^{|x||y|}[x,y], so
 every pair loop over a trusted one computes only the cells i <= j of a
@@ -171,6 +173,22 @@ def _clean_table(basis: GradedBasis, table) -> tuple:
     return tuple(out)
 
 
+def _clean_unit(basis: GradedBasis, unit) -> dict:
+    """The unit vector, zeros dropped and every entry put under the scalar
+    rule by linalg._rational; ValueError names a bad entry."""
+    out = {}
+    for k, x in unit.items():
+        try:
+            x = _rational(x)
+        except TypeError as exc:
+            raise ValueError(f"unit entry {k}: {exc}") from None
+        if x:
+            if not 0 <= k < len(basis):
+                raise ValueError(f"unit entry {k}: index out of range")
+            out[k] = x
+    return out
+
+
 def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
     """Parity of a homogeneous vector, None for 0, ValueError if mixed."""
     par = None
@@ -184,20 +202,21 @@ def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
 
 
 class LieSuperalgebra:
-    """Lie superalgebra from structure constants; validated at construction
-    unless validate=False.  Its certified torus (see _torus) is found
-    on first use, by validation or by uce.build_uce, and kept."""
+    """Lie superalgebra from structure constants, cleaned and validated at
+    construction: InvalidAlgebraError carries validate_lie's report of a
+    table that breaks a law.  Its certified torus (see _torus) is found
+    by that validation, or by uce.build_uce for a derived algebra, and
+    kept."""
 
     __slots__ = ("basis", "table", "_torus")
 
-    def __init__(self, basis: GradedBasis, table, validate: bool = True):
+    def __init__(self, basis: GradedBasis, table):
         self.basis = basis
         self.table = _clean_table(basis, table)
         self._torus = None
-        if validate:
-            report = validate_lie(self)
-            if not report.ok:
-                raise InvalidAlgebraError(report)
+        report = validate_lie(self)
+        if not report.ok:
+            raise InvalidAlgebraError(report)
 
     @classmethod
     def _derived(cls, basis: GradedBasis, table) -> "LieSuperalgebra":
@@ -224,25 +243,19 @@ class LieSuperalgebra:
 
 
 class AssocSuperalgebra:
-    """Unital associative superalgebra from structure constants."""
+    """Unital associative superalgebra from structure constants, cleaned
+    and validated at construction as LieSuperalgebra is, by
+    validate_assoc."""
 
     __slots__ = ("basis", "table", "unit")
 
-    def __init__(self, basis: GradedBasis, table, unit: Vector, validate: bool = True):
+    def __init__(self, basis: GradedBasis, table, unit: Vector):
         self.basis = basis
         self.table = _clean_table(basis, table)
-        self.unit = {}
-        for k, x in unit.items():
-            try:
-                x = _rational(x)
-            except TypeError as exc:
-                raise ValueError(f"unit entry {k}: {exc}") from None
-            if x:
-                self.unit[k] = x
-        if validate:
-            report = validate_assoc(self)
-            if not report.ok:
-                raise InvalidAlgebraError(report)
+        self.unit = _clean_unit(basis, unit)
+        report = validate_assoc(self)
+        if not report.ok:
+            raise InvalidAlgebraError(report)
 
     @classmethod
     def _derived(cls, basis: GradedBasis, table, unit: Vector) -> "AssocSuperalgebra":
@@ -831,6 +844,8 @@ class Subspace:
             v = {k: x for k, x in v.items() if x}
             if not v:
                 raise ValueError("zero vector in subspace basis")
+            if not all(0 <= k < len(basis) for k in v):
+                raise ValueError("subspace vector entry out of ambient range")
             vector_parity(v, basis)  # raises if not homogeneous
             vecs.append(v)
         ech = Echelon()

@@ -70,9 +70,9 @@ from .algebra import (
     GradedBasis,
     InvalidAlgebraError,
     LieSuperalgebra,
+    ValidationReport,
     centre,
     derived_subalgebra,
-    validate_assoc,
     validate_lie,
 )
 from .cyclic import hc1
@@ -138,8 +138,9 @@ def _terms(raw: list, index: dict, what: str) -> dict:
     return {k: x for k, x in vec.items() if x}
 
 
-def parse_algebra(data: dict, validate: bool = True):
-    """Build a Lie or associative superalgebra from the file format."""
+def parse_algebra(data: dict):
+    """Build a Lie or associative superalgebra from the file format; the
+    constructor validates it (InvalidAlgebraError)."""
     if not isinstance(data, dict):
         raise InputError("algebra file must be a JSON object")
     kind = data.get("kind")
@@ -182,12 +183,12 @@ def parse_algebra(data: dict, validate: bool = True):
 
     basis = GradedBasis(labels, parities)
     if kind == "lie":
-        return LieSuperalgebra(basis, table, validate=validate)
+        return LieSuperalgebra(basis, table)
     raw_unit = data.get("unit")
     if not isinstance(raw_unit, list):
         raise InputError("associative algebra file needs a \"unit\" list")
     unit = _terms(raw_unit, index, "unit")
-    return AssocSuperalgebra(basis, table, unit, validate=validate)
+    return AssocSuperalgebra(basis, table, unit)
 
 
 def algebra_to_json(alg) -> dict:
@@ -304,24 +305,30 @@ def _load_json(path: str) -> Tuple[dict, bytes]:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _resolve_algebra(args):
-    """(algebra or None, family or None, digest bytes). Exactly one input source.
-
-    A file is validated as it is parsed; a builtin family is derived from
-    validated coefficient algebras and is not re-validated."""
+def _resolve_input(args):
+    """(file document or None, family or None, digest bytes) of exactly
+    one input source: a file is read but not yet parsed."""
     if args.file and args.family:
         raise InputError("pass --file or --family, not both")
     if args.file:
         data, raw = _load_json(args.file)
-        return parse_algebra(data), None, raw
+        return data, None, raw
     if args.family:
         if args.m is None:
             raise InputError("--family needs --m (and --n for a super block)")
         coeff = coefficient_algebra(args.coeff)
         fam = build_family(args.family, args.m, args.n, coeff)
-        digest = f"{args.family}:{args.m},{args.n}:{args.coeff}".encode()
-        return fam.algebra, fam, digest
+        return None, fam, f"{args.family}:{args.m},{args.n}:{args.coeff}".encode()
     raise InputError("no input: pass --file or --family")
+
+
+def _resolve_algebra(args):
+    """(algebra, family or None, digest bytes) of the one input source.
+
+    A file is validated as it is parsed; a builtin family is derived from
+    validated coefficient algebras and is not re-validated."""
+    data, fam, digest = _resolve_input(args)
+    return (parse_algebra(data) if fam is None else fam.algebra), fam, digest
 
 
 def _parse_chain(text: str):
@@ -408,22 +415,25 @@ def _resolve_system(args) -> Tuple[DirectedSystem, bytes]:
 
 # -------------------------------------------------------------------- commands
 
+def _validity(report: ValidationReport) -> dict:
+    return {"valid": report.ok,
+            "violations": [{"law": law, "where": where, "detail": detail}
+                           for law, where, detail in report.violations]}
+
+
 def _cmd_validate(args):
-    if args.file and args.family:
-        raise InputError("pass --file or --family, not both")
-    if args.file:
-        data, digest = _load_json(args.file)
-        alg = parse_algebra(data, validate=False)
-        report = validate_assoc(alg) if isinstance(alg, AssocSuperalgebra) else validate_lie(alg)
-    else:
-        _, fam, digest = _resolve_algebra(args)
+    """A file is validated once, as it is parsed: an invalid one's
+    violations are the report its InvalidAlgebraError carries."""
+    data, fam, digest = _resolve_input(args)
+    if fam is not None:
         report = validate_lie(fam.algebra)
-    results = {
-        "valid": report.ok,
-        "violations": [{"law": law, "where": where, "detail": detail}
-                       for law, where, detail in report.violations],
-    }
-    return results, (0 if report.ok else 1), digest
+    else:
+        try:
+            parse_algebra(data)
+            report = ValidationReport()
+        except InvalidAlgebraError as exc:
+            report = exc.report
+    return _validity(report), (0 if report.ok else 1), digest
 
 
 def _require_lie(alg):
@@ -447,12 +457,7 @@ def _cmd_uce(args):
     if ext.perfect:
         results["centrally_closed"] = is_centrally_closed(ext)
     if args.table:
-        labels = ext.lie.basis.labels
-        results["table"] = [
-            {"left": labels[i], "right": labels[j],
-             "result": vector_to_json(ext.lie.table[i][j], labels)}
-            for i in range(ext.dim) for j in range(ext.dim) if ext.lie.table[i][j]
-        ]
+        results["table"] = algebra_to_json(ext.lie)["products"]
     return results, 0, digest
 
 
@@ -548,50 +553,29 @@ def _family_args(args, minimum):
     return fam, digest
 
 
+def _check_results(rep) -> dict:
+    """The fields of a check report, in the order of its __slots__, then ok."""
+    return {**{name: getattr(rep, name) for name in type(rep).__slots__}, "ok": rep.ok}
+
+
 def _cmd_cocycle_check(args):
     fam, digest = _family_args(args, minimum=2)
     tau = tau_cocycle(fam)
     report = validate_cocycle(tau)
-    results = {
-        "dim_sl": fam.algebra.dim,
-        "target_dim": len(tau.target.labels),
-        "valid": report.ok,
-        "violations": [{"law": law, "where": where, "detail": detail}
-                       for law, where, detail in report.violations],
-    }
+    results = {"dim_sl": fam.algebra.dim, "target_dim": len(tau.target.labels), **_validity(report)}
     return results, (0 if report.ok else 1), digest
 
 
 def _cmd_steinberg(args):
     fam, digest = _family_args(args, minimum=3)
     rep = steinberg_check(fam, seed=args.seed)
-    results = {
-        "dim_uce": rep.dim_uce,
-        "generators": rep.generators,
-        "independence_of_k": rep.independence_of_k,
-        "linearity": rep.linearity,
-        "relations": rep.relations,
-        "generation": rep.generation,
-        "ok": rep.ok,
-    }
-    return results, (0 if rep.ok else 1), digest + f":seed={args.seed}".encode()
+    return _check_results(rep), (0 if rep.ok else 1), digest + f":seed={args.seed}".encode()
 
 
 def _cmd_h_iso(args):
     fam, digest = _family_args(args, minimum=5)
     rep = h_iso_check(fam)
-    results = {
-        "dim_sl": rep.dim_sl,
-        "dim_uce": rep.dim_uce,
-        "dim_extension": rep.dim_extension,
-        "dim_h2": rep.dim_h2,
-        "dim_hc1": rep.dim_hc1,
-        "is_morphism": rep.is_morphism,
-        "commutes_with_projections": rep.commutes_with_projections,
-        "bijective": rep.bijective,
-        "ok": rep.ok,
-    }
-    return results, (0 if rep.ok else 1), digest
+    return _check_results(rep), (0 if rep.ok else 1), digest
 
 
 def _cmd_limit_check(args):

@@ -20,10 +20,10 @@ from superuce import (
     DirectedSystem,
     GradedBasis,
     GradedLinearMap,
-    LieSuperalgebra,
     check_morphism,
 )
 from superuce.linalg import Vector, quotient_space, vec_add_scaled
+import unvalidated
 
 ONE = Fraction(1)
 
@@ -109,7 +109,7 @@ def colimit(system: DirectedSystem) -> ReferenceColimit:
             ok = offsets[k]
             row.append(pres.project({ok + c: v for c, v in z.items()}))
         table.append(row)
-    alg = LieSuperalgebra(basis, table, validate=False)
+    alg = unvalidated.lie(basis, table)
 
     injections = {}
     for i in poset.elements:

@@ -57,6 +57,7 @@ from superuce.linalg import (
     vec_add_scaled,
 )
 from superuce.matrices import MatrixFamily
+import unvalidated
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -531,8 +532,8 @@ def h2_cohomology_oracle(L: LieSuperalgebra) -> int:
 
 
 def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
-    """Supercommutator algebra on every ordered pair, cleaned by the
-    public constructor."""
+    """Supercommutator algebra on every ordered pair, cleaned as the
+    public constructor cleans a table."""
     d = A.dim
     par = A.basis.parities
     t = A.table
@@ -545,12 +546,12 @@ def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
             vec_add_scaled(cell, t[j][i], -sign)
             row.append(cell)
         table.append(row)
-    return LieSuperalgebra(A.basis, table, validate=False)
+    return unvalidated.lie(A.basis, table)
 
 
 def subalgebra_from_vectors(parent: LieSuperalgebra, vectors, labels):
     """Subalgebra table from the embedding's preimage of every ordered
-    pair's bracket, cleaned by the public constructor."""
+    pair's bracket, cleaned as the public constructor cleans a table."""
     basis_par = [vector_parity(v, parent.basis) for v in vectors]
     if None in basis_par:
         raise ValueError("zero vector in subalgebra basis")
@@ -565,18 +566,18 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors, labels):
             pair = f"({labels[i]}, {labels[row.index(None)]})"
             raise ValueError(f"span not closed under bracket at pair {pair}")
         table.append(row)
-    return LieSuperalgebra(basis, table, validate=False), embedding
+    return unvalidated.lie(basis, table), embedding
 
 
 def uce_table(ext) -> tuple:
     """The extension table of a UceAlgebra, <[a,b], [c,d]> projected on
-    every ordered pair of its basis pairs and cleaned by the public
-    constructor."""
+    every ordered pair of its basis pairs and cleaned as the public
+    constructor cleans a table."""
     L = ext.base
     brackets = [L.table[a][b] for a, b in ext.free_pairs]
     project = ext.presentation.project
     table = [[project(_tensor(w, w2, L.dim)) for w2 in brackets] for w in brackets]
-    return LieSuperalgebra(ext.lie.basis, table, validate=False).table
+    return unvalidated.lie(ext.lie.basis, table).table
 
 
 def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -> bool:

@@ -14,9 +14,6 @@ import superuce
 from superuce import cli
 
 ALLOWED = {
-    "AssocSuperalgebra.__init__:validate",
-    "LieSuperalgebra.__init__:validate",
-    "cli.parse_algebra:validate",
     "Echelon.__init__:track",
     "Echelon.insert:tag",
     "steinberg_check:seed",

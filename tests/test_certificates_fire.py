@@ -18,10 +18,8 @@ import pytest
 
 import superuce
 from superuce import (
-    AssocSuperalgebra,
     CertificateError,
     GradedLinearMap,
-    LieSuperalgebra,
     chain_system,
     coefficient_algebra,
     colimit,
@@ -34,6 +32,7 @@ from superuce.cyclic import cyclic_pairs
 from superuce.limits import Colimit
 
 from systems_util import sl2
+import unvalidated
 
 PACKAGE = Path(superuce.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -98,7 +97,7 @@ def test_pairing_space_certificate_fires_on_a_broken_product():
     A = coefficient_algebra("Mat(2,0;Q)")
     table = [[dict(cell) for cell in row] for row in A.table]
     table[1][2] = {0: 2}
-    broken = AssocSuperalgebra(A.basis, table, A.unit, validate=False)
+    broken = unvalidated.assoc(A.basis, table, A.unit)
     assert not validate_assoc(broken).ok
     message = "supercommutator does not kill the cyclic relation on <<E1,2(1),E1,1(1)>>"
     with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
@@ -110,7 +109,7 @@ def test_pairing_space_certificate_names_a_failing_pair_relation(monkeypatch):
     on Q) fails on the diagonal pair row first, and the message names a
     pair relation."""
     monkeypatch.setattr(cyclic, "lie_from_assoc",
-                        lambda A: LieSuperalgebra(A.basis, [[{0: 1}]], validate=False))
+                        lambda A: unvalidated.lie(A.basis, [[{0: 1}]]))
     message = "supercommutator does not kill the pair relation on <<1,1>>"
     with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
         cyclic_pairs(coefficient_algebra("Q"))

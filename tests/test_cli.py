@@ -129,6 +129,30 @@ def test_broken_jacobi_reported(tmp_path, capsys):
     assert "invalid algebra" in capsys.readouterr().err
 
 
+LIE_ONCE, ASSOC_ONCE = {"validate_lie": 1, "validate_assoc": 0}, {"validate_lie": 0, "validate_assoc": 1}
+
+
+@pytest.mark.parametrize("argv, code, calls", [
+    (["--file", SL2_FILE], 0, LIE_ONCE),
+    (["--file", QT2_FILE], 0, ASSOC_ONCE),
+    # [h,e] = 0 leaves sl(2) skew but breaks Jacobi at (h, e, f)
+    (["--file", dict(SL2_FILE, products=SL2_FILE["products"][2:])], 1, LIE_ONCE),
+    (["--file", dict(QT2_FILE, unit=[])], 1, ASSOC_ONCE),
+    # the coefficient algebra Q is validated where it enters, by its constructor
+    (["--family", "sl", "--m", "2"], 0, {"validate_lie": 1, "validate_assoc": 1}),
+])
+def test_validate_checks_the_input_once(monkeypatch, tmp_path, capsys, argv, code, calls):
+    """A file is validated as parse_algebra builds it, and an invalid one's
+    violations are read off InvalidAlgebraError; a family is validated by
+    the command itself.  No validator runs twice."""
+    monkeypatch.setattr(superuce.matrices, "_COEFF_CACHE", {})
+    argv = [write(tmp_path, "doc.json", x) if isinstance(x, dict) else x for x in argv]
+    counts = _count_where_bound(monkeypatch, ("validate_lie", "validate_assoc"))
+    code_got, report = run_json(["validate", *argv], capsys)
+    assert code_got == code and report["results"]["valid"] == (code == 0)
+    assert counts == calls
+
+
 def test_a_nonzero_even_diagonal_is_reported_once(tmp_path, capsys):
     """[h,h] = e for even h breaks skew-symmetry at one pair, (h, h), and
     is one violation worded for the diagonal."""

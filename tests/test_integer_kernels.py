@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from scalar_rule import scalar_faults
 from superuce import (
-    AssocSuperalgebra,
     Echelon,
     GradedBasis,
-    LieSuperalgebra,
     build_family,
     coefficient_algebra,
     validate_assoc,
@@ -30,6 +28,7 @@ from superuce.algebra import _integral_table, _tensor_relations
 from superuce.linalg import echelon_rows
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
+import unvalidated
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
 nonzero = rationals.filter(bool)
@@ -84,7 +83,7 @@ def random_lie(draw, max_dim=4):
     if draw(st.booleans()):  # break skew-symmetry at one pair
         i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
         table[i][j] = {**table[i][j], 0: draw(nonzero)}
-    return LieSuperalgebra(_basis(par), table, validate=False)
+    return unvalidated.lie(_basis(par), table)
 
 
 @st.composite
@@ -102,7 +101,7 @@ def rescaled_lie(draw):
             sign = -1 if par[i] and par[j] else 1
             table[i][j] = {**table[i][j], k: table[i][j].get(k, 0) + x}
             table[j][i] = {**table[j][i], k: table[j][i].get(k, 0) - sign * x}
-    return LieSuperalgebra(L.basis, table, validate=False)
+    return unvalidated.lie(L.basis, table)
 
 
 @st.composite
@@ -112,7 +111,7 @@ def random_assoc(draw, max_dim=3):
     graded = draw(st.booleans())
     table = [[draw(cells(par, i, j, graded)) for j in range(d)] for i in range(d)]
     unit = {0: draw(nonzero)}
-    return AssocSuperalgebra(_basis(par), table, unit, validate=False)
+    return unvalidated.assoc(_basis(par), table, unit)
 
 
 @st.composite
@@ -124,7 +123,7 @@ def rescaled_assoc(draw):
         i, j, k = (draw(st.integers(0, A.dim - 1)) for _ in range(3))
         table[i][j] = {**table[i][j], k: table[i][j].get(k, 0) + draw(nonzero)}
     unit = {k: x / scales[k] for k, x in A.unit.items()}
-    return AssocSuperalgebra(A.basis, table, unit, validate=False)
+    return unvalidated.assoc(A.basis, table, unit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,12 +142,12 @@ def test_rescaled_builtins_stay_valid():
     scales = [Fraction(k + 1, 6 - k % 5) for k in range(16)]
     for make in LIE.values():
         L = make()
-        M = LieSuperalgebra(L.basis, rescaled(L.table, scales[:L.dim]), validate=False)
+        M = unvalidated.lie(L.basis, rescaled(L.table, scales[:L.dim]))
         assert validate_lie(M).ok
     for make in ASSOC.values():
         A = make()
         unit = {k: x / scales[k] for k, x in A.unit.items()}
-        B = AssocSuperalgebra(A.basis, rescaled(A.table, scales[:A.dim]), unit, validate=False)
+        B = unvalidated.assoc(A.basis, rescaled(A.table, scales[:A.dim]), unit)
         assert validate_assoc(B).ok
 
 
@@ -174,8 +173,7 @@ def test_integral_table_returns_an_int_table_itself():
     assert _integral_table(L.table) == (L.table, 1)
     assert _integral_table(L.table)[0] is L.table
     # in the basis e, 2h, 3f: [2h, e] = 4e, [2h, 3f] = -4(3f), [e, 3f] = (3/2)(2h)
-    scaled = LieSuperalgebra(L.basis, rescaled(L.table, [Fraction(k) for k in (1, 2, 3)]),
-                             validate=False)
+    scaled = unvalidated.lie(L.basis, rescaled(L.table, [Fraction(k) for k in (1, 2, 3)]))
     itable, den = _integral_table(scaled.table)
     assert den == 2 and itable is not scaled.table
     assert all(type(x) is int for row in itable for cell in row for x in cell.values())

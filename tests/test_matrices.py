@@ -17,7 +17,6 @@ from superuce import (
     Cocycle2,
     GradedBasis,
     GradedLinearMap,
-    LieSuperalgebra,
     build_family,
     check_morphism,
     coefficient_algebra,
@@ -39,6 +38,7 @@ from superuce.matrices import MatrixFamily, grassmann, matrix_superalgebra
 from superuce.uce import UceAlgebra
 
 from reference_kernels import bracket_Eij
+import unvalidated
 
 ONE = Fraction(1)
 
@@ -345,7 +345,7 @@ def _doubled_bracket(ext):
     """ext with its bracket doubled: still a Lie superalgebra, but not
     the bracket its classes and u were built for."""
     table = [[{k: 2 * x for k, x in cell.items()} for cell in row] for row in ext.lie.table]
-    return _rebuilt(ext, lie=LieSuperalgebra(ext.lie.basis, table, validate=False))
+    return _rebuilt(ext, lie=unvalidated.lie(ext.lie.basis, table))
 
 
 def _doubled_u(ext):
@@ -359,7 +359,7 @@ def _with_central_summand(ext):
     basis = GradedBasis(old.labels + ("z",), old.parities + (0,))
     table = [list(row) + [{}] for row in ext.lie.table] + [[{}] * (ext.dim + 1)]
     u = GradedLinearMap(basis, ext.u.codomain, list(ext.u.columns) + [{}])
-    return _rebuilt(ext, lie=LieSuperalgebra(basis, table, validate=False), u=u,
+    return _rebuilt(ext, lie=unvalidated.lie(basis, table), u=u,
                     kernel=ext.kernel + ({ext.dim: 1},))
 
 
@@ -432,7 +432,7 @@ def _moved_by(fam, phi):
             table.append(cells + [{}])
         basis = GradedBasis(ext.lie.basis.labels + ("z",), ext.lie.basis.parities + (0,))
         u = GradedLinearMap(basis, ext.u.codomain, list(ext.u.columns) + [{}])
-        return _rebuilt(ext, lie=LieSuperalgebra(basis, table + [[{}] * (d + 1)], validate=False),
+        return _rebuilt(ext, lie=unvalidated.lie(basis, table + [[{}] * (d + 1)]),
                         u=u, kernel=ext.kernel + ({d: 1},))
     return corrupt
 

@@ -21,7 +21,6 @@ import reference_kernels as ref
 from superuce import (
     Cocycle2,
     GradedBasis,
-    LieSuperalgebra,
     build_family,
     build_uce,
     coefficient_algebra,
@@ -34,6 +33,7 @@ from superuce.algebra import _tensor_relations
 from superuce.linalg import echelon_rows
 
 from systems_util import osp12, sl2
+import unvalidated
 
 nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)).filter(bool)
 
@@ -56,7 +56,7 @@ def skew_tables(draw, max_dim=5):
             table[i][j] = cell
             table[j][i] = {k: -sign * x for k, x in cell.items()}
     basis = GradedBasis([f"b{i}" for i in range(d)], par)
-    return LieSuperalgebra(basis, table, validate=False)
+    return unvalidated.lie(basis, table)
 
 
 @seed(13)

@@ -36,6 +36,7 @@ from superuce import (
 from superuce import algebra, uce
 
 from systems_util import heisenberg, osp12, sl2
+import unvalidated
 
 nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)).filter(bool)
 
@@ -79,7 +80,7 @@ def lawless_lie(draw, max_dim=4):
     d = draw(st.integers(1, max_dim))
     par = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
     basis = GradedBasis([f"b{i}" for i in range(d)], par)
-    return LieSuperalgebra(basis, draw(lawless_table(par, par, -1)), validate=False)
+    return unvalidated.lie(basis, draw(lawless_table(par, par, -1)))
 
 
 @st.composite
@@ -98,7 +99,7 @@ def lawless_assoc(draw, max_dim=4):
     d = draw(st.integers(1, max_dim))
     par = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
     basis = GradedBasis([f"b{i}" for i in range(d)], par)
-    return AssocSuperalgebra(basis, draw(lawless_table(par, par, 1)), {0: 1}, validate=False)
+    return unvalidated.assoc(basis, draw(lawless_table(par, par, 1)), {0: 1})
 
 
 @seed(31)

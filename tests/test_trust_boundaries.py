@@ -7,14 +7,19 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
+import reference_kernels as ref
 from superuce import (
     AssocSuperalgebra,
     Cocycle2,
     GradedBasis,
     GradedLinearMap,
+    InvalidAlgebraError,
     InvalidSystemError,
     LieSuperalgebra,
+    Subspace,
     build_family,
     build_uce,
     centre,
@@ -30,9 +35,11 @@ from superuce import (
     validate_cocycle,
     validate_lie,
 )
+from superuce.cli import algebra_to_json, parse_algebra
 from superuce.matrices import matrix_superalgebra
 
-from systems_util import sl2
+from systems_util import heisenberg, osp12, sl2
+import unvalidated
 
 ONE = Fraction(1)
 
@@ -113,6 +120,92 @@ def test_a_unit_entry_that_is_not_rational_is_refused(bad):
     why = f"{re.escape(repr(bad))} is not a rational"
     with pytest.raises(ValueError, match=rf"^unit entry 0: {why}"):
         AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: bad})
+
+
+@pytest.mark.parametrize("k", [3, -1])
+def test_a_unit_entry_out_of_range_is_refused(k):
+    # -1 would otherwise be stored, and Mat(2,0;A) would write it as a
+    # unit entry of its own whose unit law fails everywhere
+    with pytest.raises(ValueError, match=rf"^unit entry {k}: index out of range$"):
+        AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {k: 1})
+
+
+@pytest.mark.parametrize("k", [-1, 7])
+def test_a_subspace_vector_out_of_range_is_refused(k):
+    with pytest.raises(ValueError, match="^subspace vector entry out of ambient range$"):
+        Subspace(sl2(), [{k: 1}])
+
+
+nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)).filter(bool)
+
+
+@st.composite
+def planted_lie(draw):
+    """(basis, table) of a Lie superalgebra with one to three cells moved,
+    each with its super skew-symmetric mirror, along a basis element of
+    the cell's parity: still graded and skew, so only Jacobi can fail."""
+    L = draw(st.sampled_from([sl2, heisenberg, osp12]))()
+    d, par = L.dim, L.basis.parities
+    table = [[dict(cell) for cell in row] for row in L.table]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, k = draw(st.sampled_from([
+            (a, b, k) for a in range(d) for b in range(a, d) if a != b or par[a]
+            for k in range(d) if par[k] == (par[a] + par[b]) & 1]))
+        table[a][b][k] = table[a][b].get(k, 0) + draw(nonzero)
+        s = 1 if par[a] and par[b] else -1
+        table[b][a] = {t: s * x for t, x in table[a][b].items()}
+    return L.basis, table
+
+
+@st.composite
+def planted_assoc(draw):
+    """(basis, table, unit) of an associative superalgebra with one cell
+    moved along a basis element of its parity, or with an even basis
+    element added to its unit: associativity or the unit law can fail."""
+    A = coefficient_algebra(draw(st.sampled_from(COEFFS)))
+    d, par = A.dim, A.basis.parities
+    table = [[dict(cell) for cell in row] for row in A.table]
+    unit = dict(A.unit)
+    if draw(st.booleans()):
+        a, b, k = draw(st.sampled_from([(a, b, k) for a in range(d) for b in range(d)
+                                        for k in range(d) if par[k] == (par[a] + par[b]) & 1]))
+        table[a][b][k] = table[a][b].get(k, 0) + draw(nonzero)
+    else:
+        k = draw(st.sampled_from([k for k in range(d) if not par[k]]))
+        unit[k] = unit.get(k, 0) + draw(nonzero)
+    return A.basis, table, unit
+
+
+def assert_refused_on_every_public_path(build, unchecked, reference, laws):
+    """The constructor and parse_algebra both raise InvalidAlgebraError
+    whose report is the reference validator's on the unvalidated object."""
+    expected = reference(unchecked).violations
+    assume(expected)
+    assert {law for law, _, _ in expected} <= laws
+    for make in (build, lambda: parse_algebra(algebra_to_json(unchecked))):
+        with pytest.raises(InvalidAlgebraError) as err:
+            make()
+        assert err.value.report.violations == expected
+
+
+@seed(53)
+@settings(max_examples=80, deadline=None)
+@given(planted_lie())
+def test_no_public_path_builds_a_lie_table_that_breaks_jacobi(planted):
+    basis, table = planted
+    assert_refused_on_every_public_path(lambda: LieSuperalgebra(basis, table),
+                                        unvalidated.lie(basis, table), ref.validate_lie,
+                                        {"jacobi"})
+
+
+@seed(59)
+@settings(max_examples=80, deadline=None)
+@given(planted_assoc())
+def test_no_public_path_builds_an_assoc_table_that_breaks_a_law(planted):
+    basis, table, unit = planted
+    assert_refused_on_every_public_path(lambda: AssocSuperalgebra(basis, table, unit),
+                                        unvalidated.assoc(basis, table, unit), ref.validate_assoc,
+                                        {"associativity", "unit"})
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)

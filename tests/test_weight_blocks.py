@@ -49,6 +49,7 @@ from superuce.cli import parse_algebra
 
 from systems_util import gl2_assoc, heisenberg, osp12, sl2
 from test_acceptance import acceptance_test_matrix
+import unvalidated
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -184,7 +185,7 @@ def test_corrupted_weight_is_caught(monkeypatch):
     # an unvalidated copy keeps no torus, so each route finds it afresh
     for route in (algebra._torus, build_uce):
         with pytest.raises(CertificateError, match=message):
-            route(LieSuperalgebra(L.basis, L.table, validate=False))
+            route(unvalidated.lie(L.basis, L.table))
 
 
 def _count_torus_systems(monkeypatch) -> list:
@@ -232,7 +233,7 @@ def test_torus_equals_the_unpruned_reference(name):
                     for path in sorted(INPUTS.glob("*.json"))]
     assert len(algebras) >= 6
     for L in algebras:
-        fresh = LieSuperalgebra(L.basis, L.table, validate=False)
+        fresh = unvalidated.lie(L.basis, L.table)
         assert algebra._torus(fresh) == ref.torus(L)
 
 

@@ -20,11 +20,12 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from superuce import GradedBasis, LieSuperalgebra, build_family, coefficient_algebra, validate_lie
+from superuce import GradedBasis, build_family, coefficient_algebra, validate_lie
 from superuce import algebra
 from superuce.cli import parse_algebra
 
 from systems_util import osp12, sl2
+import unvalidated
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)).filter(bool)
@@ -71,7 +72,7 @@ def graded_tables(draw, max_dim=6):
             _put(table, par, i, j, {k: draw(nonzero) for k in range(d)
                                     if par[k] == want and w[k] == w[i] + w[j]
                                     and draw(st.integers(0, 1))})
-    return LieSuperalgebra(GradedBasis([f"b{i}" for i in range(d)], par), table, validate=False)
+    return unvalidated.lie(GradedBasis([f"b{i}" for i in range(d)], par), table)
 
 
 @seed(37)
@@ -98,7 +99,7 @@ def test_a_planted_failure_is_found_on_the_filtered_path(name, data):
     cell = table[a][b]
     cell[k] = cell.get(k, 0) + data.draw(nonzero)
     _put(table, par, a, b, {t: x for t, x in cell.items() if x})
-    M = LieSuperalgebra(L.basis, table, validate=False)
+    M = unvalidated.lie(L.basis, table)
     assume(_filtered(M))
     got = validate_lie(M).violations
     assert got == ref.validate_lie(M).violations
@@ -119,7 +120,7 @@ def test_an_inhomogeneous_cell_takes_the_walk_over_every_class(L, data):
     cell = dict(table[a][b])
     cell[k] = data.draw(nonzero)
     _put(table, par, a, b, cell)
-    M = LieSuperalgebra(L.basis, table, validate=False)
+    M = unvalidated.lie(L.basis, table)
     _, weights = algebra._torus(M)
     assume(algebra._cell_weights(M.table, weights, weights) is None)
     assert validate_lie(M).violations == ref.validate_lie(M).violations
@@ -139,7 +140,7 @@ def test_the_fallback_reports_a_failure_the_filter_would_skip():
         _put(table, par, h, j, {j: w})
     _put(table, par, a, b, {c: 1})
     _put(table, par, d, c, {e: 1})
-    L = LieSuperalgebra(GradedBasis(list(names), par), table, validate=False)
+    L = unvalidated.lie(GradedBasis(list(names), par), table)
     _, weights = algebra._torus(L)
     assert algebra._cell_weights(L.table, weights, weights) is None
     reached = algebra._cell_weights(L.table, weights)
@@ -167,5 +168,5 @@ def test_the_weight_rule_cuts_the_jacobi_walk_of_the_largest_documents(monkeypat
         return classes(itable, par, weights, skew, totals)
 
     monkeypatch.setattr(algebra, "_cyclic_classes", counting)
-    assert validate_lie(LieSuperalgebra(L.basis, L.table, validate=False)).ok
+    assert validate_lie(unvalidated.lie(L.basis, L.table)).ok
     assert visited == [kept, every]

@@ -49,6 +49,23 @@ NOT_SKEW = {
     "basis": [{"name": "h", "parity": "even"}, {"name": "e", "parity": "even"}],
     "products": [{"left": "h", "right": "e", "result": [{"basis": "e", "num": "1", "den": "1"}]}],
 }
+# the dual numbers Q[t]/(t^2), and an associative document that fails both
+# associativity, (aa)a = ba = 0 but a(aa) = ab = a, and the unit law, b1 = 0
+DUAL_NUMBERS = {
+    "kind": "assoc",
+    "basis": [{"name": x, "parity": "even"} for x in ("1", "t")],
+    "products": [{"left": left, "right": right, "result": [{"basis": b, "num": "1", "den": "1"}]}
+                 for left, right, b in [("1", "1", "1"), ("1", "t", "t"), ("t", "1", "t")]],
+    "unit": [{"basis": "1", "num": "1", "den": "1"}],
+}
+BROKEN_ASSOC = {
+    "kind": "assoc",
+    "basis": [{"name": x, "parity": "even"} for x in ("1", "a", "b")],
+    "products": [{"left": left, "right": right, "result": [{"basis": b, "num": "1", "den": "1"}]}
+                 for left, right, b in [("1", "1", "1"), ("1", "a", "a"), ("a", "1", "a"),
+                                        ("1", "b", "b"), ("a", "a", "b"), ("a", "b", "a")]],
+    "unit": [{"basis": "1", "num": "1", "den": "1"}],
+}
 # --system documents: a three-member chain whose middle kernel dies, a vee
 # 0, 1 <= 2, a chain from an absent relation, and gl members that are not perfect
 CHAIN3 = {"kind": "sl", "coeff": "Q", "members": [[1, 2], [2, 2], [3, 2]],
@@ -60,6 +77,7 @@ GL_SYSTEM = {"kind": "gl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
 # each placeholder in an invocation stands for the path of a file holding its document
 DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{graded-jacobi}": GRADED_JACOBI,
              "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
+             "{dual-numbers}": DUAL_NUMBERS, "{broken-assoc}": BROKEN_ASSOC,
              "{chain3}": CHAIN3, "{vee}": VEE, "{no-relation}": NO_RELATION,
              "{gl-system}": GL_SYSTEM}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
@@ -110,6 +128,12 @@ INVOCATIONS = [
     # broken documents that fail grading or skew-symmetry, or only Jacobi on the
     # weight-filtered walk, in JSON and text
     *[["validate", "--file", doc, *fmt] for doc in ("{graded-jacobi}", "{misgraded}", "{not-skew}")
+      for fmt in ([], ["--format", "text"])],
+    # associative documents, valid and failing associativity and the unit law, and
+    # a broken document that another command refuses as it parses it (exit 1)
+    *[[*argv, *fmt] for argv in (["validate", "--file", "{dual-numbers}"],
+                                 ["validate", "--file", "{broken-assoc}"],
+                                 ["h2", "--file", "{broken}"])
       for fmt in ([], ["--format", "text"])],
     # system files with exit codes 0 and 2, in JSON and text
     *[["limit-check", "--system", doc, *fmt]
