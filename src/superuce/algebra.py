@@ -31,10 +31,11 @@ the weight-0 relations of the tensor square.
 
 They are checked where data enters the package: the public
 constructors LieSuperalgebra and AssocSuperalgebra, which every algebra
-a caller builds and every algebra file goes through, clean the table
-and the unit (zeros dropped, entries put under the scalar rule, indices
-range-checked by _clean_table and _clean_unit) and validate the result,
-raising InvalidAlgebraError with the validator's report.  An algebra
+a caller builds and every algebra file goes through, pass every table
+cell (_clean_table) and the unit through linalg._clean_vector, the one
+gate for indices and entries, and validate the result, raising
+InvalidAlgebraError with the validator's report.  GradedLinearMap
+columns and Subspace vectors pass the same gate.  An algebra
 the package derives from a validated one (supercommutator algebra,
 matrix algebra, subalgebra, central quotient, extension) satisfies the
 laws by construction, and the package builds each of its cells under
@@ -61,6 +62,7 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     Vector,
+    _clean_vector,
     _denominator_lcm,
     _rational,
     echelon_rows,
@@ -115,20 +117,20 @@ class InvalidAlgebraError(ValueError):
 
 
 class GradedBasis:
-    """Ordered homogeneous basis: unique labels and parities in {0, 1}."""
+    """Ordered homogeneous basis: unique labels, each parity the int 0 or 1."""
 
     __slots__ = ("labels", "parities", "_index")
 
     def __init__(self, labels: Sequence[str], parities: Sequence[int]):
         self.labels = tuple(str(x) for x in labels)
-        self.parities = tuple(int(p) for p in parities)
+        self.parities = tuple(parities)
         if len(self.labels) != len(self.parities):
             raise ValueError("labels and parities differ in length")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be unique")
         for p in self.parities:
-            if p not in (EVEN, ODD):
-                raise ValueError(f"parity must be 0 or 1, got {p}")
+            if type(p) is not int or p not in (EVEN, ODD):
+                raise ValueError(f"parity must be the int 0 or 1, got {p!r}")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def __len__(self) -> int:
@@ -151,42 +153,20 @@ class GradedBasis:
         return f"GradedBasis({len(self.labels)} elements)"
 
 
-def _clean_table(basis: GradedBasis, table) -> tuple:
-    """The table as tuples of cells, zeros dropped and every entry put
-    under the scalar rule by linalg._rational; ValueError names a bad cell."""
+def _clean_table(basis: GradedBasis, table, n: Optional[int] = None, site: str = "table cell") -> tuple:
+    """A d x d table over basis, d = len(basis), as tuples of cells, each
+    passed through linalg._clean_vector into a space of dimension n
+    (default d): the product table of either algebra class, or the values
+    of a Cocycle2.  A table that is not d rows of d cells raises
+    ValueError, as does a bad cell, named (site (label_i, label_j))."""
     labels = basis.labels
-    dim = len(labels)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            try:
-                cell = {k: y for k, x in table[i][j].items()
-                        if (y := x if type(x) is int else _rational(x))}
-            except TypeError as exc:
-                raise ValueError(f"table cell ({labels[i]}, {labels[j]}): {exc}") from None
-            for k in cell:
-                if not 0 <= k < dim:
-                    raise ValueError(f"structure constant index {k} out of range")
-            row.append(cell)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _clean_unit(basis: GradedBasis, unit) -> dict:
-    """The unit vector, zeros dropped and every entry put under the scalar
-    rule by linalg._rational; ValueError names a bad entry."""
-    out = {}
-    for k, x in unit.items():
-        try:
-            x = _rational(x)
-        except TypeError as exc:
-            raise ValueError(f"unit entry {k}: {exc}") from None
-        if x:
-            if not 0 <= k < len(basis):
-                raise ValueError(f"unit entry {k}: index out of range")
-            out[k] = x
-    return out
+    d = len(labels)
+    if len(table) != d or any(len(row) != d for row in table):
+        raise ValueError(f"{site}s: expected {d} rows of {d} cells")
+    n = d if n is None else n
+    return tuple(tuple(_clean_vector(cell, n, f"{site} ({labels[i]}, {labels[j]})")
+                       for j, cell in enumerate(row))
+                 for i, row in enumerate(table))
 
 
 def vector_parity(v: Vector, basis: GradedBasis) -> Optional[int]:
@@ -252,7 +232,7 @@ class AssocSuperalgebra:
     def __init__(self, basis: GradedBasis, table, unit: Vector):
         self.basis = basis
         self.table = _clean_table(basis, table)
-        self.unit = _clean_unit(basis, unit)
+        self.unit = _clean_vector(unit, len(basis), "unit")
         report = validate_assoc(self)
         if not report.ok:
             raise InvalidAlgebraError(report)
@@ -734,7 +714,8 @@ def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
 
 
 class GradedLinearMap:
-    """Even linear map between graded spaces, stored column-wise; rank()
+    """Even linear map between graded spaces, stored column-wise; each
+    column passes linalg._clean_vector, named by its domain label.  rank()
     and preimage() read one tracked Echelon of the columns, built on first use."""
 
     __slots__ = ("domain", "codomain", "columns", "_echelon")
@@ -742,16 +723,11 @@ class GradedLinearMap:
     def __init__(self, domain: GradedBasis, codomain: GradedBasis, columns: Sequence[Vector]):
         if len(columns) != len(domain):
             raise ValueError("one column per domain basis element required")
-        cols = []
-        for j, col in enumerate(columns):
-            c = {k: x for k, x in col.items() if x}
-            for k in c:
-                if not 0 <= k < len(codomain):
-                    raise ValueError("column entry out of codomain range")
-            cols.append(c)
+        n = len(codomain)
         self.domain = domain
         self.codomain = codomain
-        self.columns = tuple(cols)
+        self.columns = tuple(_clean_vector(col, n, f"column {label}")
+                             for label, col in zip(domain.labels, columns))
         self._echelon = None
 
     @classmethod
@@ -833,19 +809,18 @@ class GradedLinearMap:
 
 
 class Subspace:
-    """Homogeneous subspace of an algebra's underlying graded space."""
+    """Homogeneous subspace of an algebra's underlying graded space, on
+    independent vectors that each pass linalg._clean_vector."""
 
     __slots__ = ("ambient", "vectors", "_echelon")
 
     def __init__(self, ambient, vectors: Sequence[Vector]):
         basis = ambient.basis
         vecs = []
-        for v in vectors:
-            v = {k: x for k, x in v.items() if x}
+        for n, v in enumerate(vectors):
+            v = _clean_vector(v, len(basis), f"subspace vector {n}")
             if not v:
                 raise ValueError("zero vector in subspace basis")
-            if not all(0 <= k < len(basis) for k in v):
-                raise ValueError("subspace vector entry out of ambient range")
             vector_parity(v, basis)  # raises if not homogeneous
             vecs.append(v)
         ech = Echelon()

@@ -29,7 +29,6 @@ from .algebra import (
     ValidationReport,
     check_morphism,
 )
-from .linalg import _rational
 from .uce import UceAlgebra, build_uce, uce_of_morphism
 
 
@@ -115,22 +114,6 @@ class DirectedSystem:
         return self.morphisms[(i, j)]
 
 
-def _report_non_rationals(report: ValidationReport, where: str, f: GradedLinearMap) -> bool:
-    """Adds a scalar violation for each column entry of f that is not a
-    rational (linalg._rational); True when there is one."""
-    found = False
-    for label, col in zip(f.domain.labels, f.columns):
-        for x in col.values():
-            if type(x) is int:
-                continue
-            try:
-                _rational(x)
-            except TypeError as exc:
-                report.add("scalar", where, f"column {label}: {exc}")
-                found = True
-    return found
-
-
 def validate_system(system: DirectedSystem) -> ValidationReport:
     report = ValidationReport()
     poset = system.poset
@@ -151,8 +134,6 @@ def validate_system(system: DirectedSystem) -> ValidationReport:
             continue
         if f.domain != system.algebras[i].basis or f.codomain != system.algebras[j].basis:
             report.add("typing", f"{i!r} <= {j!r}", "transition endpoints do not match the algebras")
-            continue
-        if _report_non_rationals(report, f"{i!r} <= {j!r}", f):
             continue
         if not f.is_parity_preserving():
             report.add("grading", f"{i!r} <= {j!r}", "transition is not parity preserving")

@@ -19,9 +19,18 @@ is formed only where a result leaves the kernel: residues and
 certificates of reduce() and insert(), and the rows of rref_rows(),
 whose pivot coefficient is 1.  Each goes through _ratio, which returns
 an int when the division is exact and a Fraction otherwise; this module
-is the only one that imports fractions.  _rational decides what a
-rational is where values enter the package (tables, units and the
-transition maps of a directed system).
+is the only one that imports fractions.
+
+_clean_vector is the one gate where a vector enters the package: every
+index is an int (not a bool) in range(dim), every entry passes
+_rational, the scalar rule (a rational is an int that is not a bool, or
+a Fraction), and zeros are dropped.  The table cells and the unit of an
+algebra, the columns of a GradedLinearMap, the vectors of a Subspace,
+the values of a Cocycle2, the rows of a SparseMatrix and the relations
+of quotient_space all pass it, and each failure is one ValueError
+naming the site, the index and what is wrong.  Echelon.insert and
+reduce are not gated: they are the hot kernel and see only vectors that
+passed the gate or were derived from such.
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.
@@ -50,9 +59,29 @@ def _ratio(num, den: int):
 def _rational(x):
     """x under the scalar rule.  A rational is an int that is not a bool, or
     a Fraction; anything else (a float, a bool, a str) raises TypeError."""
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"{x!r} is not a rational (an int or a Fraction)")
     return _ratio(x.numerator, x.denominator)
+
+
+def _clean_vector(vec, dim: int, where: str) -> Vector:
+    """vec as it may enter the package: zeros dropped, every index an int
+    (not a bool) in range(dim), every entry under the scalar rule.
+    ValueError names the site where, the index and what is wrong."""
+    out = {}
+    for k, x in vec.items():
+        if type(k) is not int or not 0 <= k < dim:
+            raise ValueError(f"{where}, index {k!r}: not an int in range({dim})")
+        if type(x) is not int:
+            try:
+                x = _rational(x)
+            except TypeError as exc:
+                raise ValueError(f"{where}, index {k}: {exc}") from None
+        if x:
+            out[k] = x
+    return out
 
 
 def vec_add_scaled(u: Vector, v: Vector, c) -> None:
@@ -88,15 +117,8 @@ class SparseMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Vector], ncols: int):
-        clean = []
-        for r in rows:
-            row = {c: x for c, x in r.items() if x}
-            for c in row:
-                if not 0 <= c < ncols:
-                    raise ValueError(f"column index {c} out of range 0..{ncols - 1}")
-            clean.append(row)
-        self.rows = tuple(clean)
-        self.nrows = len(clean)
+        self.rows = tuple(_clean_vector(r, ncols, f"matrix row {n}") for n, r in enumerate(rows))
+        self.nrows = len(self.rows)
         self.ncols = ncols
 
     def __eq__(self, other) -> bool:
@@ -390,8 +412,5 @@ class QuotientPresentation:
 
 def quotient_space(ambient_dim: int, spanning: Sequence[Vector]) -> QuotientPresentation:
     """Presentation of Q^ambient_dim modulo the span of the given vectors."""
-    for row in spanning:
-        for c in row:
-            if not 0 <= c < ambient_dim:
-                raise ValueError(f"relation coordinate {c} out of range 0..{ambient_dim - 1}")
-    return QuotientPresentation(ambient_dim, echelon_rows(spanning))
+    rows = [_clean_vector(v, ambient_dim, f"relation {n}") for n, v in enumerate(spanning)]
+    return QuotientPresentation(ambient_dim, echelon_rows(rows))

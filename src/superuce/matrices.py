@@ -77,9 +77,6 @@ from .uce import Cocycle2, build_uce, extension_from_cocycle
 
 # ---------------------------------------------------------------- coefficients
 
-_COEFF_CACHE: dict = {}
-
-
 def rational_algebra() -> AssocSuperalgebra:
     return AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: 1})
 
@@ -135,10 +132,8 @@ coefficient names: Q | Q[t]/(t^N) with 2 <= N <= 6 | Q[x,y]/(x,y)^2
 
 
 def coefficient_algebra(name: str) -> AssocSuperalgebra:
-    """Builtin coefficient algebra by name; instances are cached by name."""
+    """Builtin coefficient algebra by name, built and validated on each call."""
     key = name.replace(" ", "")
-    if key in _COEFF_CACHE:
-        return _COEFF_CACHE[key]
     if key == "Q":
         alg = rational_algebra()
     elif m := re.fullmatch(r"Q\[t\]/\(t\^([0-9]+)\)", key):
@@ -158,7 +153,6 @@ def coefficient_algebra(name: str) -> AssocSuperalgebra:
         alg = AssocSuperalgebra(mat.basis, mat.table, mat.unit)  # validated like the others
     else:
         raise ValueError(f"unknown coefficient algebra {name!r}; {_COEFF_GRAMMAR}")
-    _COEFF_CACHE[key] = alg
     return alg
 
 
@@ -717,12 +711,14 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
     Even positions map to the first even block, odd positions to the
     first odd block, so each odd position moves by dst.m - src.m;
     entries are preserved.  Positions are decoded with src.position and
-    encoded with dst.coord.
+    encoded with dst.coord.  The coefficient algebras must be equal:
+    same basis, table and unit.
     """
     if src.kind != dst.kind or src.kind not in ("sl", "gl"):
         raise ValueError("corner embeddings are provided for sl and gl families")
-    if src.coeff is not dst.coeff:
-        raise ValueError("coefficient algebras must be the same object")
+    A, B = src.coeff, dst.coeff
+    if (A.basis, A.table, A.unit) != (B.basis, B.table, B.unit):
+        raise ValueError("coefficient algebras must be equal (basis, table and unit)")
     if src.m > dst.m or src.n > dst.n:
         raise ValueError("target must be at least as large in both blocks")
     shift = dst.m - src.m

@@ -57,7 +57,7 @@ entered the package brings its torus along); with no such element
 there is one block and B is eliminated whole.
 
 A 2-cocycle (Cocycle2) is a table of values indexed like a bracket
-table.  validate_cocycle checks it with the table-law walkers of
+table, cleaned by the same algebra._clean_table.  validate_cocycle checks it with the table-law walkers of
 algebra (degree, super-alternation, the cyclic identity under the
 weight rule of the torus), and it is evaluated only as part of the
 bracket of the total algebra extension_from_cocycle builds; it has no
@@ -87,6 +87,7 @@ from .algebra import (
     _cell_weights,
     _cyclic_failures,
     _grading_failures,
+    _clean_table,
     _integral_table,
     _pair_basis,
     _skew_mirror,
@@ -99,7 +100,6 @@ from .linalg import (
     Echelon,
     QuotientPresentation,
     Vector,
-    _rational,
     _tensor,
     echelon_rows,
     kernel_basis,
@@ -312,9 +312,10 @@ class Cocycle2:
     """Degree-zero 2-cocycle on L with values in a graded space.
 
     values[i][j] is tau(b_i, b_j) in coordinates of the target basis.
-    Each value is put under the scalar rule by linalg._rational, zeros
-    dropped; a value that is not a rational raises ValueError naming the
-    pair and the component.
+    The values are cleaned as a product table is (algebra._clean_table,
+    into the target's dimension): a table that is not dim L rows of
+    dim L cells, or a value that fails linalg._clean_vector, raises
+    ValueError naming the pair.
     """
 
     __slots__ = ("source", "target", "values")
@@ -322,26 +323,7 @@ class Cocycle2:
     def __init__(self, source: LieSuperalgebra, target: GradedBasis, values):
         self.source = source
         self.target = target
-        d = source.dim
-        labels = source.basis.labels
-        vals = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                cell = {}
-                for k, x in values[i][j].items():
-                    if not 0 <= k < len(target):
-                        raise ValueError("cocycle value out of target range")
-                    try:
-                        x = _rational(x)
-                    except TypeError as exc:
-                        raise ValueError(f"cocycle value ({labels[i]}, {labels[j]}) component "
-                                         f"{target.labels[k]}: {exc}") from None
-                    if x:
-                        cell[k] = x
-                row.append(cell)
-            vals.append(tuple(row))
-        self.values = tuple(vals)
+        self.values = _clean_table(source.basis, values, len(target), "cocycle value")
 
     def __repr__(self) -> str:
         return f"Cocycle2({self.source!r} -> dim {len(self.target)})"

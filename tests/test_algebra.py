@@ -1,6 +1,7 @@
 """Structure-constant algebra layer: validation, maps, subquotients."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,13 @@ def test_sl2_is_valid_and_perfect():
     e, h, f = {0: ONE}, {1: ONE}, {2: ONE}
     assert L.bracket(h, e) == {0: Fraction(2)}
     assert L.bracket(e, f) == {1: ONE}
+
+
+@pytest.mark.parametrize("p", [1.5, True, False, "1", 2, -1, 1.0], ids=repr)
+def test_a_parity_that_is_not_the_int_0_or_1_is_refused(p):
+    # no coercion: int(1.5), int(True) and int('1') would all read as odd
+    with pytest.raises(ValueError, match=rf"^parity must be the int 0 or 1, got {re.escape(repr(p))}$"):
+        GradedBasis(["x", "y"], [0, p])
 
 
 def test_heisenberg_not_perfect():

@@ -45,11 +45,17 @@ ONE = Fraction(1)
 
 # ---------------------------------------------------------------- coefficients
 
-def test_coefficient_names_cached_and_space_insensitive():
+def same_algebra(A, B) -> bool:
+    return (A.basis, A.table, A.unit) == (B.basis, B.table, B.unit)
+
+
+def test_coefficient_names_space_insensitive():
     A = coefficient_algebra("Q[t]/(t^2)")
-    assert coefficient_algebra("Q[t]/(t^2)") is A
-    assert coefficient_algebra("Q[t] / (t^2)") is A
-    assert coefficient_algebra("Q") is coefficient_algebra("Q")
+    assert same_algebra(coefficient_algebra("Q[t] / (t^2)"), A)
+    assert not same_algebra(coefficient_algebra("Q[t]/(t^3)"), A)
+    # built on each call: nothing a caller does to one instance reaches another
+    assert coefficient_algebra("Q[t]/(t^2)") is not A
+    assert same_algebra(coefficient_algebra("Q[t]/(t^2)"), A)
 
 
 @pytest.mark.parametrize("bad", ["Z", "Q[t]/(t^1)", "Q[t]/(t^7)", "Grassmann(0)",
@@ -559,8 +565,17 @@ def test_corner_embedding_requires_same_coefficients():
     A1 = coefficient_algebra("Q[t]/(t^2)")
     src = build_family("sl", 2, 0, A1)
     dst = build_family("sl", 3, 0, coefficient_algebra("Q[t]/(t^3)"))
-    with pytest.raises(ValueError, match="same object"):
+    with pytest.raises(ValueError, match="coefficient algebras must be equal"):
         corner_embedding(src, dst)
+
+
+def test_corner_embedding_compares_coefficients_by_value():
+    # two separately obtained coefficient algebras are equal, not the same object
+    A1, A2 = coefficient_algebra("Q[t]/(t^2)"), coefficient_algebra("Q[t]/(t^2)")
+    assert A1 is not A2
+    src, dst = build_family("sl", 2, 0, A1), build_family("sl", 3, 0, A2)
+    f = corner_embedding(src, dst)
+    assert f.is_injective() and check_morphism(f, src.algebra, dst.algebra)
 
 
 def test_corner_embedding_rejects_other_kinds():

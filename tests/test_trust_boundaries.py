@@ -17,7 +17,6 @@ from superuce import (
     GradedBasis,
     GradedLinearMap,
     InvalidAlgebraError,
-    InvalidSystemError,
     LieSuperalgebra,
     Subspace,
     build_family,
@@ -28,7 +27,6 @@ from superuce import (
     colimit,
     corner_embedding,
     extension_from_cocycle,
-    limit_u,
     quotient_by_central,
     tau_cocycle,
     validate_assoc,
@@ -107,18 +105,18 @@ NOT_RATIONAL = [0.5, 1.0, True, "1"]
 def test_a_table_entry_that_is_not_rational_is_refused(bad):
     # refused where it enters, before any law is checked
     why = f"{re.escape(repr(bad))} is not a rational"
-    with pytest.raises(ValueError, match=rf"^table cell \(x, x\): {why}"):
+    with pytest.raises(ValueError, match=rf"^table cell \(x, x\), index 0: {why}"):
         LieSuperalgebra(GradedBasis(["x"], [0]), [[{0: bad}]])
     basis = GradedBasis(["1", "t"], [0, 0])
     table = [[{0: 1}, {1: 1}], [{1: bad}, {}]]
-    with pytest.raises(ValueError, match=rf"^table cell \(t, 1\): {why}"):
+    with pytest.raises(ValueError, match=rf"^table cell \(t, 1\), index 1: {why}"):
         AssocSuperalgebra(basis, table, {0: 1})
 
 
 @pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
 def test_a_unit_entry_that_is_not_rational_is_refused(bad):
     why = f"{re.escape(repr(bad))} is not a rational"
-    with pytest.raises(ValueError, match=rf"^unit entry 0: {why}"):
+    with pytest.raises(ValueError, match=rf"^unit, index 0: {why}"):
         AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {0: bad})
 
 
@@ -126,13 +124,13 @@ def test_a_unit_entry_that_is_not_rational_is_refused(bad):
 def test_a_unit_entry_out_of_range_is_refused(k):
     # -1 would otherwise be stored, and Mat(2,0;A) would write it as a
     # unit entry of its own whose unit law fails everywhere
-    with pytest.raises(ValueError, match=rf"^unit entry {k}: index out of range$"):
+    with pytest.raises(ValueError, match=rf"^unit, index {k}: not an int in range\(1\)$"):
         AssocSuperalgebra(GradedBasis(["1"], [0]), [[{0: 1}]], {k: 1})
 
 
 @pytest.mark.parametrize("k", [-1, 7])
 def test_a_subspace_vector_out_of_range_is_refused(k):
-    with pytest.raises(ValueError, match="^subspace vector entry out of ambient range$"):
+    with pytest.raises(ValueError, match=rf"^subspace vector 0, index {k}: not an int in range\(3\)$"):
         Subspace(sl2(), [{k: 1}])
 
 
@@ -210,15 +208,11 @@ def test_no_public_path_builds_an_assoc_table_that_breaks_a_law(planted):
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)
 def test_a_transition_entry_that_is_not_rational_is_refused(bad):
-    # refused where the system is validated, before the morphism check
+    # refused where the map is built, before any system or morphism check sees it
     L = sl2()
-    f = GradedLinearMap(L.basis, L.basis, [{0: bad}, {1: bad}, {2: bad}])
-    with pytest.raises(InvalidSystemError) as err:
-        limit_u(chain_system([L, L], [f]))
-    why = f"{bad!r} is not a rational (an int or a Fraction)"
-    assert err.value.report.violations == [
-        ("scalar", "0 <= 1", f"column {label}: {why}") for label in L.basis.labels
-    ]
+    why = f"{re.escape(repr(bad))} is not a rational \\(an int or a Fraction\\)"
+    with pytest.raises(ValueError, match=rf"^column e, index 0: {why}$"):
+        GradedLinearMap(L.basis, L.basis, [{0: bad}, {1: bad}, {2: bad}])
 
 
 @pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
@@ -230,7 +224,7 @@ def test_a_cocycle_value_that_is_not_rational_is_refused(bad):
     values[0][1] = {0: bad}
     values[1][0] = {0: bad}
     why = f"{re.escape(repr(bad))} is not a rational"
-    with pytest.raises(ValueError, match=rf"^cocycle value \(e, h\) component c: {why}"):
+    with pytest.raises(ValueError, match=rf"^cocycle value \(e, h\), index 0: {why}"):
         Cocycle2(L, GradedBasis(["c"], [0]), values)
 
 

@@ -2,11 +2,12 @@
 the public constructors refuse or should not re-check: a corrupted table
 for a certificate test, a random table for a validator checked against
 its reference.  The table and the unit are cleaned as the constructors
-clean them, by algebra._clean_table and algebra._clean_unit; only the
+clean them, by algebra._clean_table and linalg._clean_vector; only the
 validation is left out, through the package's own _derived path.
 """
 
-from superuce.algebra import AssocSuperalgebra, LieSuperalgebra, _clean_table, _clean_unit
+from superuce.algebra import AssocSuperalgebra, LieSuperalgebra, _clean_table
+from superuce.linalg import _clean_vector
 
 
 def lie(basis, table) -> LieSuperalgebra:
@@ -14,4 +15,5 @@ def lie(basis, table) -> LieSuperalgebra:
 
 
 def assoc(basis, table, unit) -> AssocSuperalgebra:
-    return AssocSuperalgebra._derived(basis, _clean_table(basis, table), _clean_unit(basis, unit))
+    return AssocSuperalgebra._derived(basis, _clean_table(basis, table),
+                                      _clean_vector(unit, len(basis), "unit"))
