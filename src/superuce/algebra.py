@@ -44,13 +44,19 @@ AssocSuperalgebra._derived, the one path with neither step.  The
 certificates of each construction (closure, centrality, morphism and
 bijectivity checks) always run.
 
-A Lie table is super skew-symmetric, [y,x] = -(-1)^{|x||y|}[x,y], so
-every pair loop over a trusted one computes only the cells i <= j of a
-derived table and writes each cell (j, i) as the sign-flipped copy, and
-check_morphism checks only the pairs i <= j.
+A Lie table is super skew-symmetric, [y,x] = -(-1)^{|x||y|}[x,y].  So
+every derived Lie table (supercommutator algebra, subalgebra, central
+quotient, universal central extension, cocycle extension) is built by
+_lie_from_pairs, the one package caller of LieSuperalgebra._derived: it
+computes the cells i <= j and writes each cell (j, i) as the
+sign-flipped copy, so the law _derived does not check holds by
+construction.  Every reader of a trusted table reads the pairs i <= j
+only: check_morphism, and the bracket span of derived_subalgebra and
+is_perfect.
 
-Everything is immutable after construction, apart from the private
-echelon a GradedLinearMap builds of its columns on first use.
+Everything is immutable after construction, apart from two private
+caches filled on first use: the echelon a GradedLinearMap builds of its
+columns, and the torus _torus keeps on a LieSuperalgebra.
 """
 
 from __future__ import annotations
@@ -485,19 +491,6 @@ def _cyclic_relations(table, par, weights=None, skew=False) -> list:
     return rows
 
 
-def _skew_mirror(table: list, par) -> list:
-    """Fill the cells below the diagonal of a Lie table whose cells
-    i <= j are built: by super skew-symmetry, cell (j, i) is
-    -(-1)^{|i||j|} times cell (i, j).  Returns the table."""
-    d = len(par)
-    for i in range(d):
-        row = table[i]
-        for j in range(i + 1, d):
-            cell = row[j]
-            table[j][i] = dict(cell) if par[i] and par[j] else {k: -x for k, x in cell.items()}
-    return table
-
-
 def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
     """(pairs, GradedBasis) of a quotient of V (x) V on its free tensor
     columns: free column q is a*dim + b for (a, b) = pairs[q], and its
@@ -687,30 +680,45 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     return report
 
 
+def _lie_from_pairs(basis: GradedBasis, cell) -> LieSuperalgebra:
+    """The Lie superalgebra a validated construction derives: cell(i, j)
+    is its bracket [b_i, b_j], built under the scalar rule and called once
+    for each pair i <= j, in row order, and cell (j, i) is written as
+    -(-1)^{|i||j|} times it, so the table is super skew-symmetric by
+    construction.  The one package caller of LieSuperalgebra._derived."""
+    par = basis.parities
+    d = len(par)
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        row = table[i]
+        for j in range(i, d):
+            c = row[j] = cell(i, j)
+            if j > i:
+                table[j][i] = dict(c) if par[i] and par[j] else {k: -x for k, x in c.items()}
+    return LieSuperalgebra._derived(basis, table)
+
+
 def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
     """Supercommutator algebra: [x,y] = xy - (-1)^{|x||y|} yx.
 
-    Only the cells i <= j are computed; cell (j, i) is -(-1)^{|i||j|}
-    times cell (i, j).  A sum of two Fractions that is integral is stored
-    as an int.
+    Built by _lie_from_pairs.  A sum of two Fractions that is integral is
+    stored as an int.
     """
-    d = A.dim
     par = A.basis.parities
     t = A.table
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        ti = t[i]
-        for j in range(i, d):
-            sign = -1 if par[i] and par[j] else 1
-            cell = dict(ti[j])
-            for k, x in t[j][i].items():
-                y = cell.get(k, 0) - sign * x
-                if y:
-                    cell[k] = y if type(y) is int else _rational(y)
-                else:
-                    del cell[k]
-            table[i][j] = cell
-    return LieSuperalgebra._derived(A.basis, _skew_mirror(table, par))
+
+    def cell(i, j):
+        sign = -1 if par[i] and par[j] else 1
+        out = dict(t[i][j])
+        for k, x in t[j][i].items():
+            y = out.get(k, 0) - sign * x
+            if y:
+                out[k] = y if type(y) is int else _rational(y)
+            else:
+                del out[k]
+        return out
+
+    return _lie_from_pairs(A.basis, cell)
 
 
 class GradedLinearMap:
@@ -876,16 +884,20 @@ def centre(L: LieSuperalgebra) -> Subspace:
     return Subspace(L, kernel_basis(m))
 
 
+def _bracket_span(L: LieSuperalgebra) -> list:
+    """The nonzero cells i <= j of a trusted Lie table: by super
+    skew-symmetry they span every basis bracket."""
+    return [cell for i, row in enumerate(L.table) for cell in row[i:] if cell]
+
+
 def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
     """Span of all basis brackets, canonical echelon basis."""
-    spans = [cell for row in L.table for cell in row if cell]
-    ech = echelon_rows(spans)
+    ech = echelon_rows(_bracket_span(L))
     return Subspace(L, [ech[p] for p in sorted(ech)])
 
 
 def is_perfect(L: LieSuperalgebra) -> bool:
-    spans = [cell for row in L.table for cell in row if cell]
-    return rank_of_rows(spans) == L.dim
+    return rank_of_rows(_bracket_span(L)) == L.dim
 
 
 class NotCentralError(ValueError):
@@ -896,7 +908,8 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
     """Quotient by a central subspace.
 
     Returns (quotient algebra, projection map).  The quotient basis is
-    the canonical one of the presentation (non-pivot coordinates of L).
+    the canonical one of the presentation (non-pivot coordinates of L);
+    only the cells p <= q of its table are projected (_lie_from_pairs).
     """
     if Z.ambient is not L:
         raise ValueError("subspace does not live in the given algebra")
@@ -912,13 +925,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
     labels = [L.basis.labels[c] for c in free]
     parities = [L.basis.parities[c] for c in free]
     basis = GradedBasis(labels, parities)
-    table = []
-    for a in free:
-        row = []
-        for b in free:
-            row.append(pres.project(L.table[a][b]))
-        table.append(row)
-    quotient = LieSuperalgebra._derived(basis, table)
+    quotient = _lie_from_pairs(basis, lambda p, q: pres.project(L.table[free[p]][free[q]]))
     proj_cols = [pres.project({j: 1}) for j in range(L.dim)]
     projection = GradedLinearMap(L.basis, basis, proj_cols)
     return quotient, projection
@@ -931,25 +938,23 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     Returns (algebra, embedding into parent).  The embedding is built
     first; its rank certifies independence, and each structure constant
     is the embedding's preimage of a bracket, so it is exact and
-    deterministic.  Only the pairs i <= j are solved: [v_j, v_i] is
-    -(-1)^{|v_i||v_j|} [v_i, v_j], so it lies in the span exactly when
-    [v_i, v_j] does, and its coordinates are the sign-flipped copy.
-    Raises if the span is not closed under the bracket, naming the first
-    failing pair in row order.
+    deterministic.  Only the pairs i <= j are solved (_lie_from_pairs):
+    [v_j, v_i] is -(-1)^{|v_i||v_j|} [v_i, v_j], so it lies in the span
+    exactly when [v_i, v_j] does.  Raises if the span is not closed under
+    the bracket, naming the first failing pair in row order.
     """
     basis_par = [vector_parity(v, parent.basis) for v in vectors]
     if None in basis_par:
         raise ValueError("zero vector in subalgebra basis")
     basis = GradedBasis(labels, basis_par)
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
-    n = len(vectors)
-    if embedding.rank() != n:
+    if embedding.rank() != len(vectors):
         raise ValueError("subalgebra basis is linearly dependent")
-    table = [[None] * n for _ in range(n)]
-    for i, v in enumerate(vectors):
-        for j in range(i, n):
-            cell = embedding.preimage(parent.bracket(v, vectors[j]))
-            if cell is None:
-                raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
-            table[i][j] = cell
-    return LieSuperalgebra._derived(basis, _skew_mirror(table, basis_par)), embedding
+
+    def cell(i, j):
+        out = embedding.preimage(parent.bracket(vectors[i], vectors[j]))
+        if out is None:
+            raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
+        return out
+
+    return _lie_from_pairs(basis, cell), embedding

@@ -24,8 +24,9 @@ Pairs absent from "products" are zero; nothing is symmetrized or
 completed behind the caller's back, and a (left, right) pair listed
 twice is an input error.  Terms of a "result" or of the "unit" that
 name the same basis element are summed.  Rational numbers are written
-as {"num": "...", "den": "..."}; each part is a decimal string or a
-JSON integer, never a float or boolean.
+as {"num": "...", "den": "..."}; each part is a JSON integer or a
+decimal string of ASCII digits with an optional sign ([+-]?[0-9]+: no
+whitespace, underscore or other digit), never a float or boolean.
 
 Chain shorthand: ``sl:5..7:Q[t]/(t^2)`` (or ``sl:3,2..5,2:Q``) builds
 the corner-embedding chain of sl families from the start size to the
@@ -58,9 +59,9 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
-import warnings
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
@@ -86,7 +87,7 @@ from .matrices import (
     steinberg_check,
     tau_cocycle,
 )
-from .uce import build_uce, h2, is_centrally_closed, validate_cocycle
+from .uce import build_uce, is_centrally_closed, validate_cocycle
 
 FAMILY_KINDS = ("gl", "sl", "osp", "p", "sq")
 
@@ -101,17 +102,20 @@ def rational_to_json(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rational_from_json(obj: dict):
-    """{"num": ..., "den": ...}, each a decimal string or a JSON integer;
-    an int when den divides num, a Fraction otherwise."""
+    """{"num": ..., "den": ...}, each a decimal string (ASCII [+-]?[0-9]+)
+    or a JSON integer; an int when den divides num, a Fraction otherwise."""
     try:
         num, den = obj["num"], obj["den"]
         for x in (num, den):
-            if not (isinstance(x, str) or _is_json_int(x)):
+            if not (_is_json_int(x) or isinstance(x, str) and _DECIMAL.fullmatch(x)):
                 raise ValueError("num and den must be decimal strings or integers")
         return _ratio(int(num), int(den))
     except (KeyError, ValueError, ZeroDivisionError) as exc:
@@ -465,14 +469,11 @@ def _cmd_h2(args):
     alg, _, digest = _resolve_algebra(args)
     alg = _require_lie(alg)
     ext = build_uce(alg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        space = h2(ext)
     results = {
         "dim_input": alg.dim,
         "perfect": ext.perfect,
-        "dim_h2": space.dim,
-        "vectors": [vector_to_json(v, ext.lie.basis.labels) for v in space.vectors],
+        "dim_h2": len(ext.kernel),
+        "vectors": [vector_to_json(v, ext.lie.basis.labels) for v in ext.kernel],
     }
     if not ext.perfect:
         results["warning"] = "algebra is not perfect; reported space is the kernel of the canonical map"

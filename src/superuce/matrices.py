@@ -60,6 +60,7 @@ from .algebra import (
     GradedBasis,
     GradedLinearMap,
     check_morphism,
+    derived_subalgebra,
     lie_from_assoc,
     subalgebra_from_vectors,
 )
@@ -68,7 +69,6 @@ from .linalg import (
     Echelon,
     SparseMatrix,
     Vector,
-    echelon_rows,
     kernel_basis,
     vec_add_scaled,
 )
@@ -271,16 +271,11 @@ def supertrace(fam: MatrixFamily, v: Vector) -> Vector:
     return out
 
 
-def _supercommutator_span(A: AssocSuperalgebra) -> list:
-    rows = [cell for row in lie_from_assoc(A).table for cell in row if cell]
-    ech = echelon_rows(rows)
-    return [ech[p] for p in sorted(ech)]
-
-
 def _sl_vectors(fam: MatrixFamily):
     """Basis vectors and labels of sl inside the gl member fam: the
     off-diagonal E_ij(a) with gl's labels, the H_i(a), then E_11(s_1 c)
-    for c in an echelon basis of [A,A]."""
+    for c in the echelon basis of [A,A], the derived subalgebra of A's
+    supercommutator algebra."""
     A = fam.coeff
     alabels = A.basis.labels
     vectors = []
@@ -296,7 +291,7 @@ def _sl_vectors(fam: MatrixFamily):
             vectors.append({fam.coord(i, i, t): 1, fam.coord(i + 1, i + 1, t): -ss})
             labels.append(f"H{i + 1}({alabels[t]})")
     s1 = fam.sigma(0)
-    for idx, c in enumerate(_supercommutator_span(A)):
+    for idx, c in enumerate(derived_subalgebra(lie_from_assoc(A)).vectors):
         vectors.append(fam.E(0, 0, {t: s1 * x for t, x in c.items()}))
         labels.append(f"C{idx}")
     return vectors, labels

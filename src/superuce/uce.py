@@ -89,8 +89,8 @@ from .algebra import (
     _grading_failures,
     _clean_table,
     _integral_table,
+    _lie_from_pairs,
     _pair_basis,
-    _skew_mirror,
     _symmetry_failures,
     _tensor_relations,
     _torus,
@@ -232,8 +232,8 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     block is one greedy pass from the right over the bracket images.  It
     equals the RREF presentation of the whole relation space.  The
     extension table is projected on the pairs p <= q of its basis and
-    mirrored by super skew-symmetry; its cells are built under the scalar
-    rule, so it is not cleaned again.
+    mirrored by super skew-symmetry (algebra._lie_from_pairs); its cells
+    are built under the scalar rule, so it is not cleaned again.
 
     Its certificates always run: h is diagonal with the weights the
     blocks use (_torus), each nonzero block's free images span the basis
@@ -246,12 +246,7 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
     brackets = [L.table[a][b] for a, b in free_pairs]
     project = pres.project
-    n = len(brackets)
-    table = [[None] * n for _ in range(n)]
-    for p, w in enumerate(brackets):
-        for q in range(p, n):
-            table[p][q] = project(_tensor(w, brackets[q], d))
-    lie = LieSuperalgebra._derived(basis, _skew_mirror(table, basis.parities))
+    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d)))
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
@@ -394,7 +389,7 @@ def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
     tau is validated; the total algebra is then a Lie superalgebra by
     construction, and its cells are those of L and of tau, both already
     under the scalar rule, so it is built without re-validation or
-    cleaning.
+    cleaning, on the pairs i <= j (algebra._lie_from_pairs).
     """
     if not validate_cocycle(tau).ok:
         raise ValueError("cocycle does not validate against its source algebra")
@@ -411,19 +406,16 @@ def extension_from_cocycle(tau: Cocycle2) -> CentralExtension:
         used.add(name)
     parities = list(L.basis.parities) + list(tau.target.parities)
     basis = GradedBasis(labels, parities)
-    table = []
-    for i in range(d + c):
-        row = []
-        for j in range(d + c):
-            if i < d and j < d:
-                cell = dict(L.table[i][j])
-                for k, x in tau.values[i][j].items():
-                    cell[d + k] = x
-                row.append(cell)
-            else:
-                row.append({})
-        table.append(row)
-    total = LieSuperalgebra._derived(basis, table)
+
+    def cell(i, j):
+        if j >= d:  # i <= j: a pair with a central element
+            return {}
+        out = dict(L.table[i][j])
+        for k, x in tau.values[i][j].items():
+            out[d + k] = x
+        return out
+
+    total = _lie_from_pairs(basis, cell)
     projection = GradedLinearMap(
         basis, L.basis, [{i: 1} if i < d else {} for i in range(d + c)]
     )

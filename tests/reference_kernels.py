@@ -10,10 +10,11 @@ row-space routines must match, the presentation of the tensor square
 by one elimination of the whole relation space, which the weight-block
 build_uce must match, and the Fraction dual-cohomology oracle over
 every cochain, which the integer weight-0 oracle must match.  The
-supercommutator algebra, the subalgebra table, the extension table and
-the morphism check here compute every ordered pair (i, j); the
-package's compute the pairs i <= j and mirror the rest by super
-skew-symmetry, and must give the same cells and the same verdicts.  The
+supercommutator algebra, the subalgebra table, the extension table,
+the central quotient, the cocycle extension and the morphism check
+here compute every ordered pair (i, j); the package's compute the pairs
+i <= j and mirror the rest by super skew-symmetry, and must give the
+same cells and the same verdicts.  The
 validators here write out their own grading and skew loops, where the
 package's read its shared table-law walkers.  The Lie validators here
 walk every cyclic class i <= j, i <= k in both orientations and
@@ -578,6 +579,31 @@ def uce_table(ext) -> tuple:
     project = ext.presentation.project
     table = [[project(_tensor(w, w2, L.dim)) for w2 in brackets] for w in brackets]
     return unvalidated.lie(ext.lie.basis, table).table
+
+
+def quotient_by_central(L: LieSuperalgebra, Z) -> LieSuperalgebra:
+    """L / Z on the free columns of its presentation, every ordered pair
+    of them projected, cleaned as the public constructor cleans a table."""
+    pres = quotient_space(L.dim, list(Z.vectors))
+    free = pres.free_columns
+    basis = GradedBasis([L.basis.labels[c] for c in free], [L.basis.parities[c] for c in free])
+    return unvalidated.lie(basis, [[pres.project(L.table[a][b]) for b in free] for a in free])
+
+
+def extension_table(tau) -> list:
+    """The table of L (+) C that extension_from_cocycle builds, on every
+    ordered pair: [b_i, b_j] (+) tau(b_i, b_j) for i, j < dim L, and 0
+    at every pair with a central element."""
+    L = tau.source
+    d, c = L.dim, len(tau.target)
+    table = [[{} for _ in range(d + c)] for _ in range(d + c)]
+    for i in range(d):
+        for j in range(d):
+            cell = dict(L.table[i][j])
+            for k, x in tau.values[i][j].items():
+                cell[d + k] = x
+            table[i][j] = cell
+    return table
 
 
 def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -> bool:

@@ -70,6 +70,25 @@ def test_rational_round_trip():
         assert rational_from_json(rational_to_json(x)) == x
 
 
+def test_a_string_part_is_an_ascii_decimal(tmp_path, capsys):
+    """A string num or den is [+-]?[0-9]+ in ASCII digits.  int() also
+    reads an underscore, surrounding whitespace and other scripts'
+    digits; each is an input error here, also in a file that would
+    otherwise be sl(2)."""
+    assert rational_from_json({"num": "+12", "den": "-03"}) == -4
+    for text in ("1_000", " 7 ", "7\n", "\u0661", "", "+", "--1", "0x10", "1.0"):
+        for obj in ({"num": text, "den": "1"}, {"num": "1", "den": text}):
+            with pytest.raises(cli.InputError):
+                rational_from_json(obj)
+    for n, (num, neg) in enumerate([("\u0661", "-\u0661"), (" 1 ", "-1"), ("0_1", "-1")]):
+        data = json.loads(json.dumps(SL2_FILE))
+        for entry in data["products"]:
+            if {entry["left"], entry["right"]} == {"e", "f"}:
+                entry["result"][0]["num"] = num if entry["left"] == "e" else neg
+        assert main(["uce", "--file", write(tmp_path, f"sl2_{n}.json", data)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad rational")
+
+
 # --------------------------------------------------------------- algebra files
 
 def test_parse_truncated_polynomials(tmp_path):
@@ -611,6 +630,19 @@ def test_a_closed_stdout_ends_quietly_with_the_exit_code():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_same_output_usage_needs_no_tree(tmp_path):
+    """tools/same_output.py prints its usage line for -h or --help, and
+    to stderr with exit code 2 for another option or a tree without
+    src/superuce, before it runs any invocation."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    usage = "usage: python tools/same_output.py PARENT_TREE [CHANGE_TREE]\n"
+    for args, code, out, err in [(["--help"], 0, usage, ""), (["-h"], 0, usage, ""),
+                                 (["--tree"], 2, "", usage), ([str(tmp_path)], 2, "", usage)]:
+        proc = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), args
 
 
 def test_every_same_output_invocation_parses():

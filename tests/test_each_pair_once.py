@@ -3,22 +3,28 @@
 Super skew-symmetry, [y,x] = -(-1)^{|x||y|}[x,y], makes cell (j, i) of
 a derived Lie table the sign-flipped copy of cell (i, j), and the
 morphism equation of the pair (j, i) +-1 times that of (i, j).  So
-lie_from_assoc, subalgebra_from_vectors and the extension table of
-build_uce compute the cells i <= j only, the nonzero weight blocks of
-the presentation read the RREF row of a column (a, b), a < b, off the
-row of (b, a), and check_morphism checks the pairs i <= j only.  Against
-the full-square versions in tests/reference_kernels.py they must give
-the same cells (with the same int or Fraction entries), the same
-presentation and the same verdicts, on families with odd parts.
+every derived Lie table (lie_from_assoc, subalgebra_from_vectors,
+quotient_by_central, the extension table of build_uce and the total
+algebra of extension_from_cocycle) is built by algebra._lie_from_pairs,
+which computes the cells i <= j only, once each; derived_subalgebra and
+is_perfect eliminate the nonzero cells i <= j only; the nonzero weight
+blocks of the presentation read the RREF row of a column (a, b), a < b,
+off the row of (b, a); and check_morphism checks the pairs i <= j only.
+Against the full-square versions in tests/reference_kernels.py they
+must give the same cells (with the same int or Fraction entries), the
+same presentation and the same verdicts, on families with odd parts,
+and counting tests pin the cells projected and the rows eliminated.
 
 Derived tables are built by the private constructors
 LieSuperalgebra._derived and AssocSuperalgebra._derived, which do not
 clean a table; every derived table must already be clean, and a lint
-keeps those constructors at the construction sites that build every
-cell under the scalar rule.
+keeps those constructors at the two construction sites that build
+every cell under the scalar rule: _lie_from_pairs for every Lie table,
+and matrix_superalgebra.
 """
 
 import ast
+import json
 import re
 import warnings
 from fractions import Fraction
@@ -35,6 +41,7 @@ from superuce import (
     AssocSuperalgebra,
     GradedBasis,
     GradedLinearMap,
+    QuotientPresentation,
     build_family,
     build_uce,
     centre,
@@ -43,18 +50,23 @@ from superuce import (
     coefficient_algebra,
     colimit,
     corner_embedding,
+    derived_subalgebra,
     extension_from_cocycle,
+    is_perfect,
     lie_from_assoc,
     quotient_by_central,
     tau_cocycle,
 )
+from superuce import algebra
 from superuce.algebra import _clean_table
+from superuce.cli import parse_algebra
 from superuce.matrices import matrix_superalgebra
 
 from test_one_orientation import nonzero, skew_tables
 from test_weight_blocks import assert_same_as_reference
 
 PACKAGE = Path(superuce.__file__).resolve().parent
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 # osp needs a supercommutative coefficient algebra, so Mat(2,0;Q) serves sl only
 FAMILIES = {
@@ -97,6 +109,54 @@ def test_central_quotient_extension_equals_the_full_square():
     quotient, _ = quotient_by_central(L, centre(L))
     assert quotient.dim < L.dim
     assert_extension_equals_the_full_square(quotient)
+
+
+def test_central_quotient_table_equals_the_full_square():
+    L = build_family("sq", 3, 3, coefficient_algebra("Q")).algebra
+    Z = centre(L)
+    quotient, _ = quotient_by_central(L, Z)
+    assert typed(quotient.table) == typed(ref.quotient_by_central(L, Z).table)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+def test_cocycle_extension_table_equals_the_full_square(m, n):
+    """sl(m,n;Grassmann(1)) (+) HC1, built from the supertrace cocycle."""
+    tau = tau_cocycle(acceptance.family("sl", m, n, "Grassmann(1)"))
+    assert typed(extension_from_cocycle(tau).total.table) == typed(ref.extension_table(tau))
+
+
+def test_a_central_quotient_projects_each_pair_once(monkeypatch):
+    L = build_family("sq", 3, 3, coefficient_algebra("Q")).algebra
+    Z = centre(L)
+    project = QuotientPresentation.project
+    calls = []
+
+    def counted(self, v):
+        calls.append(v)
+        return project(self, v)
+
+    monkeypatch.setattr(QuotientPresentation, "project", counted)
+    quotient, _ = quotient_by_central(L, Z)
+    n = quotient.dim
+    # one call per cell p <= q of the table, then one per column of the projection
+    assert (n, len(calls)) == (16, n * (n + 1) // 2 + L.dim)
+
+
+def test_the_bracket_span_is_read_on_the_pairs_i_le_j(monkeypatch):
+    """is_perfect and derived_subalgebra eliminate the nonzero cells
+    i <= j only: by skew-symmetry they span every bracket."""
+    data = json.loads((INPUTS / "sq5c.json").read_text(encoding="utf-8"))
+    L = parse_algebra(data)
+    sizes = []
+    for name in ("rank_of_rows", "echelon_rows"):
+        def counted(rows, real=getattr(algebra, name)):
+            sizes.append(len(rows))
+            return real(rows)
+        monkeypatch.setattr(algebra, name, counted)
+    upper = sum(1 for i, row in enumerate(L.table) for cell in row[i:] if cell)
+    assert is_perfect(L)
+    assert derived_subalgebra(L).dim == L.dim
+    assert sizes == [upper, upper] == [458, 458]
 
 
 def test_a_subalgebra_that_is_not_closed_names_the_first_pair_in_row_order():
@@ -208,12 +268,8 @@ def test_derived_tables_are_already_clean():
 
 
 ALLOWED_DERIVED = [
-    "algebra.py:lie_from_assoc",
-    "algebra.py:quotient_by_central",
-    "algebra.py:subalgebra_from_vectors",
+    "algebra.py:_lie_from_pairs",
     "matrices.py:matrix_superalgebra",
-    "uce.py:build_uce",
-    "uce.py:extension_from_cocycle",
 ]
 
 

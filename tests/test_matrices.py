@@ -184,12 +184,11 @@ def test_supertrace_of_brackets_vanishes_supercommutative(coeff):
 def test_supertrace_of_brackets_in_commutator_span():
     """Over matrix coefficients str([x,y]) lies in the span of [A,A]."""
     from superuce.linalg import Echelon
-    from superuce.matrices import _supercommutator_span
 
     A = coefficient_algebra("Mat(2,0;Q)")
     fam = build_family("gl", 2, 1, A)
     span = Echelon()
-    for row in _supercommutator_span(A):
+    for row in derived_subalgebra(lie_from_assoc(A)).vectors:
         span.insert(dict(row))
     rng = random.Random(11)
     for _ in range(25):

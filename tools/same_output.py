@@ -3,10 +3,13 @@ report every one whose output differs.
 
     python tools/same_output.py PARENT_TREE [CHANGE_TREE]
 
-CHANGE_TREE defaults to this checkout.  Each invocation runs as
-`python -m superuce.cli ...` with PYTHONPATH=<tree>/src.  Stdout (JSON
-without its "timing" block, text without its "elapsed:" line), stderr
-and the exit code must agree.  The script exits 1 on any difference.
+CHANGE_TREE defaults to this checkout, and each tree must hold
+src/superuce.  Each invocation runs as `python -m superuce.cli ...` with
+PYTHONPATH=<tree>/src.  Stdout (JSON without its "timing" block, text
+without its "elapsed:" line), stderr and the exit code must agree.  The
+script exits 1 on any difference.  -h or --help prints the usage line;
+any other option, a wrong number of trees or a tree without
+src/superuce prints it to stderr and exits 2.
 """
 
 import json
@@ -17,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+USAGE = "usage: python tools/same_output.py PARENT_TREE [CHANGE_TREE]"
 INPUTS = ROOT / "perfbench" / "inputs"
 BROKEN_JACOBI = {
     "kind": "lie",
@@ -158,9 +162,17 @@ def outcome(tree: Path, argv: list) -> tuple:
 
 
 def main(argv) -> int:
-    if not 1 <= len(argv) <= 2:
-        sys.exit(__doc__)
-    parent, change = Path(argv[0]).resolve(), Path(argv[1] if len(argv) > 1 else ROOT).resolve()
+    if argv and argv[0] in ("-h", "--help"):
+        print(USAGE)
+        return 0
+    trees = [Path(a).resolve() for a in argv]
+    if len(trees) == 1:
+        trees.append(ROOT)
+    if (len(trees) != 2 or any(a.startswith("-") for a in argv)
+            or not all((tree / "src" / "superuce").is_dir() for tree in trees)):
+        print(USAGE, file=sys.stderr)
+        return 2
+    parent, change = trees
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
