@@ -35,7 +35,8 @@ a caller builds and every algebra file goes through, pass every table
 cell (_clean_table) and the unit through linalg._clean_vector, the one
 gate for indices and entries, and validate the result, raising
 InvalidAlgebraError with the validator's report.  GradedLinearMap
-columns and Subspace vectors pass the same gate.  An algebra
+columns, the argument of its preimage and Subspace vectors pass the
+same gate; the package's own solves call the ungated _preimage.  An algebra
 the package derives from a validated one (supercommutator algebra,
 matrix algebra, subalgebra, central quotient, extension) satisfies the
 laws by construction, and the package builds each of its cells under
@@ -54,9 +55,10 @@ construction.  Every reader of a trusted table reads the pairs i <= j
 only: check_morphism, and the bracket span of derived_subalgebra and
 is_perfect.
 
-Everything is immutable after construction, apart from two private
-caches filled on first use: the echelon a GradedLinearMap builds of its
-columns, and the torus _torus keeps on a LieSuperalgebra.
+Everything is immutable after construction, apart from private caches
+filled on first use: the echelon a GradedLinearMap builds of its
+columns and the certificates of its pivots, and the torus _torus keeps
+on a LieSuperalgebra.
 """
 
 from __future__ import annotations
@@ -724,9 +726,10 @@ def lie_from_assoc(A: AssocSuperalgebra) -> LieSuperalgebra:
 class GradedLinearMap:
     """Even linear map between graded spaces, stored column-wise; each
     column passes linalg._clean_vector, named by its domain label.  rank()
-    and preimage() read one tracked Echelon of the columns, built on first use."""
+    reads one tracked Echelon of the columns, built on first use, and
+    preimage() the certificates of its pivots, each made on first use."""
 
-    __slots__ = ("domain", "codomain", "columns", "_echelon")
+    __slots__ = ("domain", "codomain", "columns", "_echelon", "_certs")
 
     def __init__(self, domain: GradedBasis, codomain: GradedBasis, columns: Sequence[Vector]):
         if len(columns) != len(domain):
@@ -737,6 +740,7 @@ class GradedLinearMap:
         self.columns = tuple(_clean_vector(col, n, f"column {label}")
                              for label, col in zip(domain.labels, columns))
         self._echelon = None
+        self._certs = {}
 
     @classmethod
     def identity(cls, basis: GradedBasis) -> "GradedLinearMap":
@@ -784,10 +788,27 @@ class GradedLinearMap:
         return self._echelon
 
     def preimage(self, v: Vector) -> Optional[Vector]:
-        """A domain vector x with apply(x) == v (exact and deterministic: the
-        elimination's certificate), or None when v is not in the image."""
-        residue, cert = self._columns_echelon().reduce(v)
-        return None if residue else cert
+        """A domain vector x with apply(x) == v, or None when v is not in
+        the image; v passes linalg._clean_vector first.
+
+        Forward reduction against the echelon of the columns is a
+        triangular solve in the pivot coordinates, so its certificate is
+        linear in v restricted to the pivots: x = sum_p v_p cert(e_p).
+        v is in the image exactly when apply(x) == v (residue 0), and x
+        is then the elimination's certificate, under the scalar rule."""
+        return self._preimage(_clean_vector(v, len(self.codomain), "preimage"))
+
+    def _preimage(self, v: Vector) -> Optional[Vector]:
+        """preimage of a vector the package built, ungated."""
+        ech, certs = self._columns_echelon(), self._certs
+        x: Vector = {}
+        for p, y in v.items():
+            if p in ech.rows:
+                if p not in certs:
+                    certs[p] = ech.reduce({p: 1})[1]
+                vec_add_scaled(x, certs[p], y)
+        x = {j: y if type(y) is int else _rational(y) for j, y in x.items()}
+        return x if self.apply(x) == v else None
 
     def rank(self) -> int:
         return self._columns_echelon().rank
@@ -952,7 +973,7 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
         raise ValueError("subalgebra basis is linearly dependent")
 
     def cell(i, j):
-        out = embedding.preimage(parent.bracket(vectors[i], vectors[j]))
+        out = embedding._preimage(parent.bracket(vectors[i], vectors[j]))
         if out is None:
             raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
         return out

@@ -25,12 +25,12 @@ _clean_vector is the one gate where a vector enters the package: every
 index is an int (not a bool) in range(dim), every entry passes
 _rational, the scalar rule (a rational is an int that is not a bool, or
 a Fraction), and zeros are dropped.  The table cells and the unit of an
-algebra, the columns of a GradedLinearMap, the vectors of a Subspace,
-the values of a Cocycle2, the rows of a SparseMatrix and the relations
-of quotient_space all pass it, and each failure is one ValueError
-naming the site, the index and what is wrong.  Echelon.insert and
-reduce are not gated: they are the hot kernel and see only vectors that
-passed the gate or were derived from such.
+algebra, the columns of a GradedLinearMap and the argument of its
+preimage, the vectors of a Subspace, the values of a Cocycle2, the rows
+of a SparseMatrix and the relations of quotient_space all pass it, and
+each failure is one ValueError naming the site, the index and what is
+wrong.  Echelon.insert and reduce are not gated: they are the hot kernel
+and see only vectors that passed the gate or were derived from such.
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.
@@ -355,17 +355,28 @@ class QuotientPresentation:
     free column q (all non-pivot coordinates other than q are zero), so
     project(section(w)) == w exactly and section(project(v)) - v lies in
     the relation span.
+
+    relations holds the RREF row of each stored pivot.  A pivot c without
+    a stored row is read through through = (image, lifts): project(e_c)
+    is the sum over k of image[c][k] project(lifts[k]), each lift an
+    ambient vector on free columns.  through is None when every row is
+    stored.  pivots lists every pivot.
     """
 
-    __slots__ = ("ambient_dim", "relations", "pivots", "free_columns", "_qindex")
+    __slots__ = ("ambient_dim", "relations", "free_columns", "_qindex", "_image", "_lifts")
 
-    def __init__(self, ambient_dim: int, relation_rows: dict):
+    def __init__(self, ambient_dim: int, relation_rows: dict, free_columns: tuple, through):
         self.ambient_dim = ambient_dim
         self.relations = relation_rows  # {pivot: rref row}
-        self.pivots = tuple(sorted(relation_rows))
-        pivset = set(self.pivots)
-        self.free_columns = tuple(c for c in range(ambient_dim) if c not in pivset)
-        self._qindex = {c: q for q, c in enumerate(self.free_columns)}
+        self.free_columns = free_columns
+        self._qindex = qi = {c: q for q, c in enumerate(free_columns)}
+        self._image, lifts = through or (None, {})
+        self._lifts = {k: {qi[c]: x for c, x in lift.items()} for k, lift in lifts.items()}
+
+    @property
+    def pivots(self) -> tuple:
+        qi = self._qindex
+        return tuple(c for c in range(self.ambient_dim) if c not in qi)
 
     @property
     def dim(self) -> int:
@@ -376,7 +387,7 @@ class QuotientPresentation:
         qi = self._qindex
         rel = self.relations
         out: Vector = {}
-        extra = None
+        through: Vector = {}
         for c, x in v.items():
             q = qi.get(c)
             if q is not None:
@@ -385,22 +396,19 @@ class QuotientPresentation:
                     out[q] = y
                 else:
                     out.pop(q, None)
+            elif c in rel:
+                for c2, v2 in rel[c].items():
+                    if c2 != c:
+                        q = qi[c2]  # rref rows touch no other pivot column
+                        y = out.get(q, 0) - x * v2
+                        if y:
+                            out[q] = y
+                        else:
+                            out.pop(q, None)
             else:
-                if extra is None:
-                    extra = []
-                extra.append((c, x))
-        if extra:
-            for c, x in extra:
-                row = rel[c]
-                for c2, v2 in row.items():
-                    if c2 == c:
-                        continue
-                    q = qi[c2]  # rref rows touch no other pivot column
-                    y = out.get(q, 0) - x * v2
-                    if y:
-                        out[q] = y
-                    else:
-                        out.pop(q, None)
+                vec_add_scaled(through, self._image[c], x)
+        for k, x in through.items():
+            vec_add_scaled(out, self._lifts[k], x)
         for q, y in out.items():
             if type(y) is not int and y.denominator == 1:
                 out[q] = y.numerator
@@ -413,4 +421,6 @@ class QuotientPresentation:
 def quotient_space(ambient_dim: int, spanning: Sequence[Vector]) -> QuotientPresentation:
     """Presentation of Q^ambient_dim modulo the span of the given vectors."""
     rows = [_clean_vector(v, ambient_dim, f"relation {n}") for n, v in enumerate(spanning)]
-    return QuotientPresentation(ambient_dim, echelon_rows(rows))
+    rref = echelon_rows(rows)
+    free = tuple(c for c in range(ambient_dim) if c not in rref)
+    return QuotientPresentation(ambient_dim, rref, free, None)

@@ -594,7 +594,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
     size = m + n
 
     def sl_coords(glvec: Vector) -> Vector:
-        x = fam.embedding.preimage(glvec)
+        x = fam.embedding._preimage(glvec)
         if x is None:
             support = ", ".join(fam.gl.basis.labels[c] for c in sorted(glvec))
             raise CertificateError(
@@ -725,7 +725,7 @@ def corner_embedding(src: MatrixFamily, dst: MatrixFamily) -> GradedLinearMap:
             i += shift * src.index_parity(i)
             j += shift * src.index_parity(j)
             big[dst.coord(i, j, t)] = x
-        coords = dst.embedding.preimage(big)
+        coords = dst.embedding._preimage(big)
         if coords is None:
             raise ValueError("corner image does not land in the target family")
         cols.append(coords)

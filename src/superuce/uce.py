@@ -39,22 +39,25 @@ isomorphically onto L_l = [h, L_l], and B_l is the kernel of u on the
 block; no perfectness is needed.  This is the torus-acts-trivially
 argument of Hochschild and Serre (Ann. of Math. 57, 1953) in the super
 setting of Neher, "An introduction to universal central extensions of
-Lie superalgebras" (2003).  Only the weight-0 block is generated and
-eliminated.  On a block l != 0 a column c is free in the RREF exactly
-when e_c is not in B_l + span{e_c' : c' > c}, that is, when [b_a, b_b]
-is not in the span of the images of the later columns; so one greedy
-pass from the right over the images yields the free columns, and the
-RREF row of a pivot c is e_c minus the exact expression of its image
-over the later free images.  The pass reduces no column (a, b) with
-a < b: its image is -s times that of (b, a), s = (-1)^{|a||b|}, and
-(b, a) lies further right, so it was passed first.  Its row is read off
-the pair relation: e_(a,b) + s e_(b,a) when (b, a) is free, and
-e_(a,b) - s (row of (b, a) without its pivot) otherwise.  The
-presentation is the one a full elimination of B gives.  h is a regular
-element of the torus of all such elements (algebra._torus, which also
-grades validation and is kept on L, so an algebra validated where it
-entered the package brings its torus along); with no such element
-there is one block and B is eliminated whole.
+Lie superalgebras" (2003).  Only the weight-0 block is generated,
+eliminated and stored.  On a block l != 0 a column c is free in the RREF
+exactly when [b_a, b_b] is not in the span of the images of the later
+columns, so one greedy pass from the right over the images finds the
+free columns.  It skips the columns (a, b) with a < b, whose image is
+-(-1)^{|a||b|} times that of (b, a), further right, and it stops once
+the free images span n_l dimensions, n_l the number of basis elements of
+weight l: by Jacobi, [h, [b_a, b_b]] = (w_a + w_b) [b_a, b_b], so every
+image lies in L_l and the columns left of that point are pivots.  Each
+e_k of weight l is then an exact combination lift_k of the free images,
+and the RREF row of a pivot c = (a, b) is e_c minus the sum over k of
+[b_a, b_b]_k lift_k, the unique expression of its image over the later
+free images.  No such row is stored: the presentation reads it through
+the bracket and the lifts (linalg.QuotientPresentation).  It is the
+presentation a full elimination of B gives.  h is a regular element of
+the torus of all such elements (algebra._torus, which also grades
+validation and is kept on L, so an algebra validated where it entered
+the package brings its torus along); with no such element there is one
+block and B is eliminated whole.
 
 A 2-cocycle (Cocycle2) is a table of values indexed like a bracket
 table, cleaned by the same algebra._clean_table.  validate_cocycle checks it with the table-law walkers of
@@ -156,69 +159,47 @@ class UceAlgebra:
 def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentation:
     """RREF presentation of L (x) L modulo B, block by weight block.
 
-    The weight-0 rows are generated and eliminated.  Every other block is
-    one greedy pass from the right over the images [b_a, b_b]: a column
-    whose image is in the span of the later free images is a pivot, and
-    its RREF row is read off the Echelon(track=True) certificate, or, for
-    a column (a, b) with a < b, off the mirror column (b, a) (see the
-    module docstring).  Raises CertificateError when the free images of a
-    block do not span the basis elements of that weight.
+    The weight-0 rows are generated, eliminated and stored.  Each other
+    block is one greedy pass from the right over the images of its
+    columns (a, b) with a >= b, which stops at rank n_l; lift_k, the
+    Echelon(track=True) certificate of e_k over the free images, is kept
+    for each basis element k of weight l, and the block's rows are read
+    through the bracket and the lifts (see the module docstring).  Raises
+    CertificateError when the free images of a block do not span the
+    basis elements of that weight.
     """
     d = L.dim
     table = L.table
     relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights, skew=True))
-    buckets: dict = {}
-    for b, wb in enumerate(weights):
-        buckets.setdefault(wb, []).append(b)
-    # for each a, the b of one weight bucket give one block's columns a * d + b,
-    # so every block lists its columns in increasing order
+    elements: dict = {}
+    for k, w in enumerate(weights):
+        elements.setdefault(w, []).append(k)
+    # for each a, the b of one weight give one block's columns a * d + b, in increasing order
     blocks: dict = {}
     for a, wa in enumerate(weights):
-        ad = a * d
-        for wb, bs in buckets.items():
-            if wa + wb:
-                cols = blocks.get(wa + wb)
-                if cols is None:
-                    cols = blocks[wa + wb] = []
-                for b in bs:
-                    cols.append(ad + b)
-    par = L.basis.parities
+        for wb, bs in elements.items():
+            blocks.setdefault(wa + wb, []).extend(a * d + b for b in bs)
+    free = [c for c in blocks.pop(0, ()) if c not in relations]
+    lifts = {}
     for weight, cols in blocks.items():
+        ks = elements.get(weight, [])
         ech = Echelon(track=True)
         for c in reversed(cols):
+            if ech.rank == len(ks):
+                break
             a, b = divmod(c, d)
-            if a < b:
-                # the image is -s times that of the mirror column, already processed
-                sign = -1 if par[a] and par[b] else 1
-                mirror = b * d + a
-                mrow = relations.get(mirror)
-                if mrow is None:
-                    relations[c] = {c: 1, mirror: sign}
-                else:
-                    row = {c: 1}
-                    for t, x in mrow.items():
-                        if t != mirror:
-                            row[t] = -sign * x
-                    relations[c] = row
-                continue
-            image = table[a][b]
-            cert = {}
-            if image:
-                residue, cert = ech.reduce(image)
-                if residue:
-                    ech.insert(image, tag=c)
-                    continue
-            row = {c: 1}
-            for t, x in cert.items():
-                row[t] = -x
-            relations[c] = row
-        if ech.rank != weights.count(weight):
-            elements = [L.basis.labels[j] for j, w in enumerate(weights) if w == weight]
+            if a >= b and table[a][b] and ech.insert(table[a][b], tag=c) is not None:
+                free.append(c)
+        if ech.rank != len(ks):
             raise CertificateError(
                 f"weight block {weight}: the free images span {ech.rank} dimensions, but "
-                f"{len(elements)} basis elements have that weight ({', '.join(elements) or 'none'})"
+                f"{len(ks)} basis elements have that weight "
+                f"({', '.join(L.basis.labels[k] for k in ks)})"
             )
-    return QuotientPresentation(d * d, relations)
+        for k in ks:
+            lifts[k] = ech.reduce({k: 1})[1]
+    images = [cell for row in table for cell in row]  # column a * d + b -> [b_a, b_b]
+    return QuotientPresentation(d * d, relations, tuple(sorted(free)), (images, lifts))
 
 
 def build_uce(L: LieSuperalgebra) -> UceAlgebra:
@@ -227,18 +208,18 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     L is trusted to be a valid Lie superalgebra (it was validated where
     it entered the package), so the extension is built without
     re-validation.  The presentation is built by weight blocks (see the
-    module docstring): a regular element h of the torus is found, only
-    the weight-0 relations are generated and eliminated, and each other
-    block is one greedy pass from the right over the bracket images.  It
-    equals the RREF presentation of the whole relation space.  The
-    extension table is projected on the pairs p <= q of its basis and
-    mirrored by super skew-symmetry (algebra._lie_from_pairs); its cells
-    are built under the scalar rule, so it is not cleaned again.
+    module docstring) and equals the RREF presentation of the whole
+    relation space.  The extension table is built on the pairs p <= q of
+    its basis and mirrored by super skew-symmetry
+    (algebra._lie_from_pairs), under the scalar rule, so it is not
+    cleaned again.  Cell (p, q) has weight w_p + w_q, w_p the weight of
+    the free column of p; when no free column has that weight the block
+    is 0 in the quotient, and the cell is {} without a projection.
 
     Its certificates always run: h is diagonal with the weights the
     blocks use (_torus), each nonzero block's free images span the basis
     elements of its weight, and the canonical map u is checked to be a
-    morphism with central kernel.
+    morphism, on every pair i <= j, with central kernel.
     """
     d = L.dim
     _, weights = _torus(L)
@@ -246,7 +227,10 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
     brackets = [L.table[a][b] for a, b in free_pairs]
     project = pres.project
-    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d)))
+    fw = [weights[a] + weights[b] for a, b in free_pairs]
+    reached = set(fw)
+    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d))
+                          if fw[p] + fw[q] in reached else {})
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")

@@ -6,7 +6,8 @@ kept as they were so that tests can require equal results: the same
 violations in the same order, the same relation span, and the same
 pivots, residues, certificates and reduced rows.  Beside them are the
 row space and rank by this Fraction Echelon, which the integer
-row-space routines must match, the presentation of the tensor square
+row-space routines must match, the preimages of a map by a reduce on it,
+which GradedLinearMap.preimage must match, the presentation of the tensor square
 by one elimination of the whole relation space, which the weight-block
 build_uce must match, and the Fraction dual-cohomology oracle over
 every cochain, which the integer weight-0 oracle must match.  The
@@ -443,6 +444,20 @@ def fraction_rank_of_rows(rows) -> int:
     return ech.rank
 
 
+def preimages(f: GradedLinearMap, vectors) -> list:
+    """For each vector v, the certificate of a reduce of v on the Fraction
+    Echelon(track=True) of f's columns (column j tagged j), or None when
+    the residue is not 0: the route GradedLinearMap.preimage replaced."""
+    ech = Echelon(track=True)
+    for col in f.columns:
+        ech.insert(col)
+    out = []
+    for v in vectors:
+        residue, cert = ech.reduce(v)
+        out.append(None if residue else cert)
+    return out
+
+
 def reference_presentation(L: LieSuperalgebra):
     """L (x) L modulo the relation space B, by one RREF of every row of B."""
     d = L.dim
@@ -560,9 +575,10 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors, labels):
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
     if embedding.rank() != len(vectors):
         raise ValueError("subalgebra basis is linearly dependent")
+    cells = preimages(embedding, [parent.bracket(v, w) for v in vectors for w in vectors])
     table = []
-    for i, v in enumerate(vectors):
-        row = [embedding.preimage(parent.bracket(v, w)) for w in vectors]
+    for i in range(len(vectors)):
+        row = cells[i * len(vectors):(i + 1) * len(vectors)]
         if None in row:
             pair = f"({labels[i]}, {labels[row.index(None)]})"
             raise ValueError(f"span not closed under bracket at pair {pair}")

@@ -114,6 +114,18 @@ def test_a_float_copy_of_the_identity_is_not_a_morphism():
         check_morphism(GradedLinearMap(L.basis, L.basis, [{i: 1.0} for i in range(L.dim)]), L, L)
 
 
+@pytest.mark.parametrize("vec, why", [
+    ({0: 0.5}, r"index 0: 0\.5 is not a rational \(an int or a Fraction\)"),
+    ({True: 1}, r"index True: not an int in range\(3\)"),
+    ({3: 1}, r"index 3: not an int in range\(3\)"),
+    ({-1: 1}, r"index -1: not an int in range\(3\)"),
+], ids=["float", "bool", "dim", "negative"])
+def test_preimage_is_gated(vec, why):
+    f = GradedLinearMap.identity(sl2().basis)
+    with pytest.raises(ValueError, match=rf"^preimage, {why}$"):
+        f.preimage(vec)
+
+
 # ------------------------------------------------------------------- the lint
 
 def _is_index_range_check(node) -> bool:
@@ -145,3 +157,14 @@ def gate_lint(path: Path) -> list:
 def test_only_linalg_checks_indices_and_scalars():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in gate_lint(path)]
     assert not found, f"entry checks outside linalg._clean_vector: {', '.join(found)}"
+
+
+def test_no_module_calls_the_gated_preimage():
+    """The package's own solves call the ungated GradedLinearMap._preimage:
+    their vectors were built inside it, and the gate costs a pass over each."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "preimage"]
+    assert not found, f"gated preimage called inside the package: {', '.join(found)}"

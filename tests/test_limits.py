@@ -284,6 +284,7 @@ def test_limit_u_reads_kernel_and_surjectivity_off_the_top_extension(monkeypatch
         m.setattr(GradedLinearMap, "is_surjective", refuse)
         m.setattr(GradedLinearMap, "rank", refuse)
         m.setattr(GradedLinearMap, "preimage", refuse)
+        m.setattr(GradedLinearMap, "_preimage", refuse)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = [limit_u(system) for system in systems]

@@ -80,7 +80,13 @@ def assert_same_as_reference(L):
     got = ext.presentation
     want = ref.reference_presentation(L)
     assert got.free_columns == want.free_columns
-    assert got.relations == want.relations
+    # every RREF row, stored or read through the bracket: e_c - section(project(e_c))
+    assert got.pivots == want.pivots
+    for c in want.pivots:
+        row = {c: 1}
+        for q, x in got.project({c: 1}).items():
+            row[got.free_columns[q]] = -x
+        assert row == want.relations[c] == got.relations.get(c, row)
     assert uce.h2_cohomology_oracle(L) == ref.h2_cohomology_oracle(L)
     # tables, presentation and kernel: a Fraction only where a denominator exists
     assert not scalar_faults(ext)
@@ -277,3 +283,74 @@ def test_oracle_shares_no_code_with_the_builder(monkeypatch, name):
                          (algebra, "_tensor_relations")]:
         monkeypatch.setattr(module, attr, broken)
     assert uce.h2_cohomology_oracle(L) == want
+
+
+# ------------------------------------------------------------- what is stored
+
+def _named(name):
+    """sl(7;Q[t]/(t^2)), the largest family of the benchmark, or one of its documents."""
+    if name == "sl7_t2":
+        return _family("sl", 7, 0, "Q[t]/(t^2)")()
+    return parse_algebra(json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8")))
+
+
+# name -> (stored RREF rows, projected extension cells, extension cells p <= q)
+STORED = {"sl7_t2": (300, 2010, 4656), "sq5c": (135, 685, 1225)}
+
+
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_only_weight_0_rows_are_stored_and_reachable_cells_projected(monkeypatch, name):
+    L = _named(name)
+    rows, projected, cells = STORED[name]
+    calls = []
+    project = uce.QuotientPresentation.project
+    monkeypatch.setattr(uce.QuotientPresentation, "project",
+                        lambda self, v: calls.append(v) or project(self, v))
+    ext = build_uce(L)
+    assert len(ext.presentation.relations) == rows
+    _, weights = algebra._torus(L)
+    assert {weights[a] + weights[b] for c in ext.presentation.relations
+            for a, b in [divmod(c, L.dim)]} == {0}
+    assert len(calls) == projected
+    assert ext.dim * (ext.dim + 1) // 2 == cells
+
+
+# osp(3|2;Grassmann(1)) is the document whose pass reaches a column (a, b) with a < b
+@pytest.mark.parametrize("name", sorted(STORED) + ["osp3_2_G1"])
+def test_every_weight_block_stops_at_full_rank(monkeypatch, name):
+    """Each nonzero block eliminates images only until its rank is n_l, the
+    number of basis elements of its weight, and only of columns (a, b)
+    with a >= b; at rank n_l it reduces only e_k for each of them, once,
+    for the lifts."""
+    L = _named(name)
+    _, weights = algebra._torus(L)
+    blocks, columns = [], []
+
+    class Recorded(uce.Echelon):
+        def __init__(self, track=False):
+            super().__init__(track)
+            self.calls = []  # (rank before the call, vector)
+            blocks.append(self)
+
+        def insert(self, vec, tag=None):
+            self.calls.append((self.rank, vec))
+            columns.append(divmod(tag, L.dim))
+            return super().insert(vec, tag)
+
+        def reduce(self, vec):
+            self.calls.append((self.rank, vec))
+            return super().reduce(vec)
+
+    monkeypatch.setattr(uce, "Echelon", Recorded)
+    build_uce(L)
+    assert columns and all(a >= b for a, b in columns)
+    assert len(blocks) == len({wa + wb for wa in weights for wb in weights} - {0})
+    for ech in blocks:
+        if not ech.rows:
+            assert not ech.calls
+            continue
+        weight = weights[min(ech.rows)]
+        n = weights.count(weight)
+        assert ech.rank == n
+        assert [vec for rank, vec in ech.calls if rank == n] == \
+            [{k: 1} for k, w in enumerate(weights) if w == weight]
