@@ -35,8 +35,9 @@ a caller builds and every algebra file goes through, pass every table
 cell (_clean_table) and the unit through linalg._clean_vector, the one
 gate for indices and entries, and validate the result, raising
 InvalidAlgebraError with the validator's report.  GradedLinearMap
-columns, the argument of its preimage and Subspace vectors pass the
-same gate; the package's own solves call the ungated _preimage.  An algebra
+columns, the arguments of the public evaluators (bracket, product,
+apply, preimage) and Subspace vectors pass the same gate; the package
+itself calls the ungated _bilinear, _apply and _preimage.  An algebra
 the package derives from a validated one (supercommutator algebra,
 matrix algebra, subalgebra, central quotient, extension) satisfies the
 laws by construction, and the package builds each of its cells under
@@ -223,8 +224,10 @@ class LieSuperalgebra:
         return len(self.basis)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        """Bilinear extension of the structure constants."""
-        return _bilinear(self.table, u, v)
+        """Bilinear extension of the structure constants; u and v pass
+        linalg._clean_vector first.  The package calls _bilinear."""
+        d = self.dim
+        return _bilinear(self.table, _clean_vector(u, d, "bracket"), _clean_vector(v, d, "bracket"))
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra(dim={self.dim})"
@@ -259,7 +262,9 @@ class AssocSuperalgebra:
         return len(self.basis)
 
     def product(self, u: Vector, v: Vector) -> Vector:
-        return _bilinear(self.table, u, v)
+        """As LieSuperalgebra.bracket, for the product."""
+        d = self.dim
+        return _bilinear(self.table, _clean_vector(u, d, "product"), _clean_vector(v, d, "product"))
 
     def is_supercommutative(self) -> bool:
         """ab == (-1)^{|a||b|} ba on all basis pairs."""
@@ -568,7 +573,7 @@ def _torus(L: LieSuperalgebra) -> tuple:
         for j, a in enumerate(alpha):
             weights[j] += scale * a
     for j, w in enumerate(weights):
-        if L.bracket(h, {j: 1}) != ({j: w} if w else {}):
+        if _bilinear(L.table, h, {j: 1}) != ({j: w} if w else {}):
             raise CertificateError(
                 f"torus element is not diagonal with weight {w} at basis element {L.basis.labels[j]}"
             )
@@ -654,8 +659,8 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     if upar == ODD:
         report.add("unit", ("1",), "unit must be even")
     for i in range(d):
-        left = A.product(A.unit, {i: 1})
-        right = A.product({i: 1}, A.unit)
+        left = _bilinear(A.table, A.unit, {i: 1})
+        right = _bilinear(A.table, {i: 1}, A.unit)
         if left != {i: 1}:
             report.add("unit", (labels[i],), "1 * x != x")
         if right != {i: 1}:
@@ -751,6 +756,11 @@ class GradedLinearMap:
         return cls(domain, codomain, [{} for _ in range(len(domain))])
 
     def apply(self, v: Vector) -> Vector:
+        """The image of v, which passes linalg._clean_vector first."""
+        return self._apply(_clean_vector(v, len(self.domain), "apply"))
+
+    def _apply(self, v: Vector) -> Vector:
+        """apply to a vector the package built, ungated."""
         out: Vector = {}
         for j, x in v.items():
             vec_add_scaled(out, self.columns[j], x)
@@ -760,7 +770,7 @@ class GradedLinearMap:
         """self after inner."""
         if inner.codomain != self.domain:
             raise ValueError("composition domain mismatch")
-        cols = [self.apply(c) for c in inner.columns]
+        cols = [self._apply(c) for c in inner.columns]
         return GradedLinearMap(inner.domain, self.codomain, cols)
 
     def is_parity_preserving(self) -> bool:
@@ -808,7 +818,7 @@ class GradedLinearMap:
                     certs[p] = ech.reduce({p: 1})[1]
                 vec_add_scaled(x, certs[p], y)
         x = {j: y if type(y) is int else _rational(y) for j, y in x.items()}
-        return x if self.apply(x) == v else None
+        return x if self._apply(x) == v else None
 
     def rank(self) -> int:
         return self._columns_echelon().rank
@@ -888,7 +898,7 @@ def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -
         fi = cols[i]
         row = L.table[i]
         for j in range(i, L.dim):
-            if f.apply(row[j]) != M.bracket(fi, cols[j]):
+            if f._apply(row[j]) != _bilinear(M.table, fi, cols[j]):
                 return False
     return True
 
@@ -936,7 +946,7 @@ def quotient_by_central(L: LieSuperalgebra, Z: Subspace):
         raise ValueError("subspace does not live in the given algebra")
     for z in Z.vectors:
         for j in range(L.dim):
-            w = L.bracket(z, {j: 1})
+            w = _bilinear(L.table, z, {j: 1})
             if w:
                 raise NotCentralError(
                     f"subspace vector is not central: [z, {L.basis.labels[j]}] != 0"
@@ -973,7 +983,7 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
         raise ValueError("subalgebra basis is linearly dependent")
 
     def cell(i, j):
-        out = embedding._preimage(parent.bracket(vectors[i], vectors[j]))
+        out = embedding._preimage(_bilinear(parent.table, vectors[i], vectors[j]))
         if out is None:
             raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
         return out

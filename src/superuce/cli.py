@@ -45,11 +45,13 @@ System file format (JSON)::
     }
 
 Members are indexed by position, and members and relation pairs are
-lists of two integers; every related pair gets the corner embedding as
-its transition map.  A given "relation" is used as it is, even an
-empty one: it must be transitive (its reflexive pairs are implied), and
-two members with "relation": [] are not directed.  Without a "relation"
-key the members form a chain in file order, each below every later one.
+lists of two integers; every covering pair of the relation (i < j with
+no member strictly between) gets the corner embedding as its transition
+map, and every other transition is their composite.  A given "relation"
+is used as it is, even an empty one: it must be transitive (its
+reflexive pairs are implied), and two members with "relation": [] are
+not directed.  Without a "relation" key the members form a chain in
+file order, each below every later one.
 """
 
 from __future__ import annotations
@@ -372,10 +374,7 @@ def _family_system(kind: str, members, coeff_name: str, relation=None) -> Direct
     if relation is None:
         relation = [(a, b) for a in idx for b in idx[a + 1:]]
     poset = DirectedPoset(idx, relation)
-    morphisms = {}
-    for i, j in poset.pairs():
-        if i != j:
-            morphisms[(i, j)] = corner_embedding(fams[i], fams[j])
+    morphisms = {(i, j): corner_embedding(fams[i], fams[j]) for i, j in poset.covers}
     return DirectedSystem(poset, {i: fams[i].algebra for i in idx}, morphisms)
 
 

@@ -1,16 +1,19 @@
 """Directed systems of Lie superalgebras, colimits, and the limit theorem.
 
 A directed system is a functor from a directed poset: one algebra per
-element and one transition morphism per related pair, with f_ii = id
-and f_ki = f_kj . f_ji checked exactly.  A finite directed poset has a
+element and one transition morphism per covering pair, the edges of the
+poset's Hasse diagram.  Every other transition is composed along a path
+of covers, f_ii = id is implicit, and where two cover paths join their
+composites are checked to agree exactly.  A finite directed poset has a
 greatest element t, and the colimit is the top member L_t with the
 injections f_it.  The paper's theorem has its content in infinite rank;
 here it is checked exactly on finite systems.
 
 limit_u builds the extension of every member once, the lifted
-transitions uce(f_ij) once, both colimits, colim L_i and colim uce(L_i),
-and the canonical projection v between them, and keeps them in one
-LimitUReport.  theorem_verify returns that report from one limit_u call.
+transitions uce(f_ij) of the covers once, both colimits, colim L_i and
+colim uce(L_i), and the canonical projection v between them, and keeps
+them in one LimitUReport.  theorem_verify returns that report from one
+limit_u call.
 On a finite system both sides of the theorem are the extension of the
 top member, and the comparison phi, the mediating map of the injections
 of colim uce(L_i), is certified to be its identity; every other fact of
@@ -44,9 +47,11 @@ class DirectedPoset:
     """Finite directed poset; the reflexive closure is taken automatically.
 
     A finite poset is directed exactly when it has a greatest element.
+    covers lists the covering pairs i < j, with nothing strictly between
+    them, in element order.
     """
 
-    __slots__ = ("elements", "_leq", "_top")
+    __slots__ = ("elements", "covers", "_leq", "_top")
 
     def __init__(self, elements: Sequence[Hashable], relation):
         self.elements = tuple(elements)
@@ -75,6 +80,8 @@ class DirectedPoset:
             raise ValueError(f"no upper bound for {a!r}, {b!r}: poset is not directed")
         self._top = tops[0]
         self._leq = frozenset(leq)
+        self.covers = tuple((i, j) for i, j in self.pairs() if i != j and not any(
+            (i, k) in leq and (k, j) in leq for k in self.elements if k not in (i, j)))
 
     def leq(self, i, j) -> bool:
         return (i, j) in self._leq
@@ -91,12 +98,15 @@ class DirectedPoset:
 class DirectedSystem:
     """Algebras over a directed poset with compatible transition maps.
 
-    morphisms maps strictly related pairs (i, j), i < j, to the map
-    L_i -> L_j; identity transitions are implicit.  The maps are checked
-    at construction (validate_system).
+    morphisms maps each covering pair (i, j) of the poset to its map
+    L_i -> L_j.  transition(i, j) returns a cover's map as given and
+    the identity for i == j; any other transition is composed along a
+    path of covers, once, and cached.  A caller may also give the map of
+    a pair that is not a cover; it is checked against that composite.
+    The maps are checked at construction (validate_system).
     """
 
-    __slots__ = ("poset", "algebras", "morphisms")
+    __slots__ = ("poset", "algebras", "morphisms", "_transitions")
 
     def __init__(self, poset: DirectedPoset,
                  algebras: Dict[Hashable, LieSuperalgebra],
@@ -104,6 +114,7 @@ class DirectedSystem:
         self.poset = poset
         self.algebras = dict(algebras)
         self.morphisms = dict(morphisms)
+        self._transitions = {p: self.morphisms[p] for p in poset.covers if p in self.morphisms}
         report = validate_system(self)
         if not report.ok:
             raise InvalidSystemError(report)
@@ -111,43 +122,62 @@ class DirectedSystem:
     def transition(self, i, j) -> GradedLinearMap:
         if i == j:
             return GradedLinearMap.identity(self.algebras[i].basis)
-        return self.morphisms[(i, j)]
+        f = self._transitions.get((i, j))
+        if f is None:
+            if not self.poset.leq(i, j):
+                raise KeyError((i, j))
+            # through the first upper cover k of i below j: f_ji = f_jk . f_ki
+            k = next(k for a, k in self.poset.covers if a == i and self.poset.leq(k, j))
+            f = self._transitions[(i, j)] = self.transition(k, j).compose(self.morphisms[(i, k)])
+        return f
 
 
 def validate_system(system: DirectedSystem) -> ValidationReport:
+    """Check the cover maps, and the composites where cover paths join.
+
+    Each cover map is typed, graded and checked to respect brackets;
+    every other transition is a composite of morphisms, hence one.  All
+    cover paths from i to j agree when, at every element j with two or
+    more lower covers k above i, the composites f_jk . f_ki agree; that
+    is checked there and nowhere else, so a chain has nothing to compare.
+    A map given for a pair that is no cover is typed and compared once
+    with the composite.
+    """
     report = ValidationReport()
-    poset = system.poset
+    poset, algebras = system.poset, system.algebras
     for i in poset.elements:
-        if i not in system.algebras:
+        if i not in algebras:
             report.add("coverage", repr(i), "no algebra attached to this element")
     if not report.ok:
         return report
     for i, j in poset.pairs():
+        f, cover = system.morphisms.get((i, j)), (i, j) in poset.covers
         if i == j:
-            f = system.morphisms.get((i, i))
-            if f is not None and f != GradedLinearMap.identity(system.algebras[i].basis):
+            if f is not None and f != GradedLinearMap.identity(algebras[i].basis):
                 report.add("identity", repr(i), "explicit self-transition is not the identity")
-            continue
-        f = system.morphisms.get((i, j))
-        if f is None:
-            report.add("coverage", f"{i!r} <= {j!r}", "missing transition map")
-            continue
-        if f.domain != system.algebras[i].basis or f.codomain != system.algebras[j].basis:
+        elif f is None:
+            if cover:
+                report.add("coverage", f"{i!r} <= {j!r}", "missing transition map")
+        elif f.domain != algebras[i].basis or f.codomain != algebras[j].basis:
             report.add("typing", f"{i!r} <= {j!r}", "transition endpoints do not match the algebras")
-            continue
-        if not f.is_parity_preserving():
+        elif cover and not f.is_parity_preserving():
             report.add("grading", f"{i!r} <= {j!r}", "transition is not parity preserving")
-        elif not check_morphism(f, system.algebras[i], system.algebras[j]):
+        elif cover and not check_morphism(f, algebras[i], algebras[j]):
             report.add("morphism", f"{i!r} <= {j!r}", "transition does not respect brackets")
     if not report.ok:
         return report
     for i, j in poset.pairs():
-        for k in poset.elements:
-            if i != j and j != k and poset.leq(j, k):
-                lhs = system.transition(j, k).compose(system.transition(i, j))
-                if lhs != system.transition(i, k):
-                    report.add("compatibility", f"{i!r} <= {j!r} <= {k!r}",
-                               "composite transition disagrees with the direct one")
+        if i == j or (i, j) in poset.covers:
+            continue
+        given = system.morphisms.get((i, j))
+        if given is not None and given != system.transition(i, j):
+            report.add("compatibility", f"{i!r} <= {j!r}",
+                       "given transition disagrees with the composite along covers")
+        ways = [k for k, top in poset.covers if top == j and poset.leq(i, k)]
+        if len(ways) > 1 and any(system.transition(k, j).compose(system.transition(i, k))
+                                 != system.transition(i, j) for k in ways):
+            report.add("compatibility", f"{i!r} <= {j!r}",
+                       f"cover paths from {i!r} disagree where they join at {j!r}")
     return report
 
 
@@ -156,19 +186,10 @@ def chain_system(algebras: Sequence[LieSuperalgebra],
     """Totally ordered system 0 < 1 < ... from consecutive maps L_k -> L_{k+1}."""
     if len(maps) != len(algebras) - 1:
         raise ValueError("need one map fewer than algebras")
-    labels = list(range(len(algebras)))
-    relation = [(labels[k], labels[k + 1]) for k in range(len(maps))]
-    poset = DirectedPoset(labels, relation + [
-        (labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))
-    ])
-    morphisms = {}
-    for a in range(len(labels)):
-        acc = None
-        for b in range(a + 1, len(labels)):
-            step = maps[b - 1]
-            acc = step if acc is None else step.compose(acc)
-            morphisms[(labels[a], labels[b])] = acc
-    return DirectedSystem(poset, dict(zip(labels, algebras)), morphisms)
+    n = len(algebras)
+    poset = DirectedPoset(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
+    covers = {(k, k + 1): f for k, f in enumerate(maps)}
+    return DirectedSystem(poset, dict(enumerate(algebras)), covers)
 
 
 class Colimit:
@@ -202,8 +223,9 @@ def factor_through(colim: Colimit,
     """The unique map out of the colimit agreeing with a compatible cone.
 
     cones[i] maps system member i into a common codomain; compatibility
-    cones[j] . f_ji == cones[i] is verified.  The colimit is the top
-    member t, so the mediating map is cones[t]; that it extends the
+    cones[j] . f_ji == cones[i] is verified on the covers, which carries
+    it along every cover path to every related pair.  The colimit is the
+    top member t, so the mediating map is cones[t]; that it extends the
     cone at every member is verified too.
     """
     system = colim.system
@@ -217,9 +239,7 @@ def factor_through(colim: Colimit,
             codomain = g.codomain
         elif g.codomain != codomain:
             raise ValueError("cone components have different codomains")
-    for i, j in poset.pairs():
-        if i == j:
-            continue
+    for i, j in poset.covers:
         if cones[j].compose(system.transition(i, j)) != cones[i]:
             raise ValueError(f"cone is not compatible over {i!r} <= {j!r}")
     mediating = cones[colim.top]
@@ -232,19 +252,16 @@ def factor_through(colim: Colimit,
 # ------------------------------------------------------- central extensions of systems
 
 def uce_system(system: DirectedSystem) -> Tuple[DirectedSystem, Dict[Hashable, UceAlgebra]]:
-    """Apply the central-extension construction to every member and map.
+    """Apply the central-extension construction to every member and cover.
 
-    Builds one extension per member; returns the system of extensions
-    and the member extensions.
+    Builds one extension per member and lifts each cover's map once; the
+    other transitions of the system of extensions are their composites.
+    Returns the system of extensions and the member extensions.
     """
     exts = {i: build_uce(system.algebras[i]) for i in system.poset.elements}
     algebras = {i: exts[i].lie for i in system.poset.elements}
-    morphisms = {}
-    for i, j in system.poset.pairs():
-        if i == j:
-            continue
-        morphisms[(i, j)] = uce_of_morphism(system.transition(i, j),
-                                            source=exts[i], target=exts[j])
+    morphisms = {(i, j): uce_of_morphism(system.transition(i, j), source=exts[i], target=exts[j])
+                 for i, j in system.poset.covers}
     return DirectedSystem(system.poset, algebras, morphisms), exts
 
 
@@ -334,14 +351,13 @@ def induced_colimit_map(src: Colimit, dst: Colimit,
     """Colimit of a morphism of systems over the same poset.
 
     components[i] : src member i -> dst member i must commute with the
-    transition maps of both systems.
+    transition maps of both systems; it is checked on the covers, which
+    carries it along every cover path.
     """
     sp, dp = src.system.poset, dst.system.poset
-    if sp.elements != dp.elements or sp.pairs() != dp.pairs():
+    if sp.elements != dp.elements or sp.covers != dp.covers:
         raise ValueError("systems live over different posets")
-    for i, j in sp.pairs():
-        if i == j:
-            continue
+    for i, j in sp.covers:
         lhs = components[j].compose(src.system.transition(i, j))
         rhs = dst.system.transition(i, j).compose(components[i])
         if lhs != rhs:

@@ -25,12 +25,13 @@ _clean_vector is the one gate where a vector enters the package: every
 index is an int (not a bool) in range(dim), every entry passes
 _rational, the scalar rule (a rational is an int that is not a bool, or
 a Fraction), and zeros are dropped.  The table cells and the unit of an
-algebra, the columns of a GradedLinearMap and the argument of its
-preimage, the vectors of a Subspace, the values of a Cocycle2, the rows
-of a SparseMatrix and the relations of quotient_space all pass it, and
-each failure is one ValueError naming the site, the index and what is
-wrong.  Echelon.insert and reduce are not gated: they are the hot kernel
-and see only vectors that passed the gate or were derived from such.
+algebra, the arguments of bracket and product, the columns of a
+GradedLinearMap and the arguments of its apply and preimage, the vectors
+of a Subspace, the values of a Cocycle2, the rows of a SparseMatrix and
+the relations of quotient_space all pass it, and each failure is one
+ValueError naming the site, the index and what is wrong.  Echelon.insert
+and reduce are not gated: they are the hot kernel and see only vectors
+that passed the gate or were derived from such.
 
 The row-space routines (echelon_rows, rank_of_rows and everything built
 on them) insert every input row into one Echelon, in the order given.

@@ -59,6 +59,7 @@ from .algebra import (
     CertificateError,
     GradedBasis,
     GradedLinearMap,
+    _bilinear,
     check_morphism,
     derived_subalgebra,
     lie_from_assoc,
@@ -637,7 +638,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
                         independence = False
                 # the canonical map returns the plain matrix unit
                 expect = sl_coords(fam.E(i, j, a))
-                if ext.u.apply(base) != expect:
+                if ext.u._apply(base) != expect:
                     independence = False
 
     def ehat_lin(i: int, j: int, a: Vector) -> Vector:
@@ -666,7 +667,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
         for (p, q, s), g2 in gens[pos:]:
             if j == p and i == q:
                 continue  # not a presentation relation
-            lhs = uce_lie.bracket(g, g2)
+            lhs = _bilinear(uce_lie.table, g, g2)
             # the generator bracket, read off gl and lifted
             # coefficient-for-coefficient
             expected = fam.gl.table[fam.coord(i, j, t)][fam.coord(p, q, s)]
@@ -684,7 +685,7 @@ def steinberg_check(fam: MatrixFamily, seed: int = 0) -> SteinbergReport:
         added = []
         for k, w in enumerate(frontier):
             for v in done + frontier[:k + 1]:
-                z = uce_lie.bracket(v, w)
+                z = _bilinear(uce_lie.table, v, w)
                 if z and gen.insert(dict(z)) is not None:
                     added.append(z)
         done += frontier

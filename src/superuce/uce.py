@@ -87,6 +87,7 @@ from .algebra import (
     LieSuperalgebra,
     Subspace,
     ValidationReport,
+    _bilinear,
     _cell_weights,
     _cyclic_failures,
     _grading_failures,
@@ -237,7 +238,7 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     kernel = tuple(kernel_basis(u.matrix()))
     for z in kernel:
         for j, label in enumerate(basis.labels):
-            if lie.bracket(z, {j: 1}):
+            if _bilinear(lie.table, z, {j: 1}):
                 raise CertificateError(
                     f"kernel of u is not central: a kernel vector does not commute with {label}"
                 )

@@ -33,6 +33,7 @@ from superuce import (
     subalgebra_from_vectors,
     theorem_verify,
     uce_of_morphism,
+    uce_system,
 )
 from superuce.uce import h2_cohomology_oracle
 
@@ -201,30 +202,39 @@ def test_criterion_06_central_kernels_on_random_systems(record_criterion):
 
 
 def test_criterion_07_functoriality(record_criterion):
+    """uce lifts each identity to the identity, each lift is natural, and
+    on every related pair that is no cover the direct lift equals the
+    composite of the cover lifts, which is the transition of the system
+    of extensions: it lifts only the covers and composes the rest."""
     chains = [
-        [("sl", 3, 0, "Q"), ("sl", 4, 0, "Q"), ("sl", 5, 0, "Q")],
-        [("sl", 2, 1, "Grassmann(1)"), ("sl", 3, 1, "Grassmann(1)"),
-         ("sl", 3, 2, "Grassmann(1)")],
+        ([(3, 0), (4, 0), (5, 0)], "Q"),
+        # the chains probed under ROADMAP "Kernels along a chain"
+        ([(1, 2), (2, 2), (3, 2)], "Q"),
+        ([(2, 0), (3, 0), (4, 0)], "Grassmann(2)"),
+        ([(2, 1), (3, 1), (3, 2)], "Grassmann(1)"),
+        ([(3, 0), (4, 0), (5, 0), (6, 0)], "Q[x,y]/(x,y)^2"),
+        ([(2, 0), (3, 0), (4, 0), (5, 0)], "Q[t]/(t^2)"),
+        ([(4, 0), (5, 0), (6, 0), (7, 0)], "Q"),
     ]
-    checked = 0
-    for chain in chains:
-        fams = [family(*key) for key in chain]
-        exts = [extension(fam.algebra) for fam in fams]
-        for fam, ext in zip(fams, exts):
-            ident = GradedLinearMap.identity(fam.algebra.basis)
-            lifted = uce_of_morphism(ident, source=ext, target=ext)
-            assert lifted == GradedLinearMap.identity(ext.lie.basis)
-        f = corner_embedding(fams[0], fams[1])
-        g = corner_embedding(fams[1], fams[2])
-        fhat = uce_of_morphism(f, source=exts[0], target=exts[1])
-        ghat = uce_of_morphism(g, source=exts[1], target=exts[2])
-        gfhat = uce_of_morphism(g.compose(f), source=exts[0], target=exts[2])
-        assert gfhat == ghat.compose(fhat)
-        for arrow, src, dst in ((f, 0, 1), (g, 1, 2), (g.compose(f), 0, 2)):
-            lifted = uce_of_morphism(arrow, source=exts[src], target=exts[dst])
-            assert exts[dst].u.compose(lifted) == arrow.compose(exts[src].u)
+    checked = composites = 0
+    for sizes, coeff in chains:
+        system = sl_chain_system(sizes, coeff)
+        usys, exts = uce_system(system)
+        for i, j in system.poset.pairs():
+            arrow = system.transition(i, j)
+            lifted = uce_of_morphism(arrow, source=exts[i], target=exts[j])
+            assert exts[j].u.compose(lifted) == arrow.compose(exts[i].u)
             checked += 1
-    record_criterion(7, f"id, composition, and naturality exact on {checked} arrows")
+            if i == j:
+                assert lifted == GradedLinearMap.identity(exts[i].lie.basis)
+            elif (i, j) not in system.poset.covers:
+                path = usys.morphisms[(i, i + 1)]
+                for k in range(i + 1, j):
+                    path = usys.morphisms[(k, k + 1)].compose(path)
+                assert lifted == path == usys.transition(i, j)
+                composites += 1
+    record_criterion(7, f"id, composition, and naturality exact on {checked} arrows; "
+                        f"{composites} direct lifts equal their cover composites")
 
 
 def acceptance_test_matrix():

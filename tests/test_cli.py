@@ -447,12 +447,34 @@ def test_limit_check_builds_each_colimit_once(monkeypatch):
     _, code = run(["limit-check", "--chain", "sl:2..4:Q"])
     assert code == 0
     # one extension per member; the colimit is the top member, so none more;
-    # one lift per strictly related pair, which theorem_verify reuses; no
-    # centre, as build_uce has certified the kernel central
+    # one lift per covering pair, the other transitions being composites,
+    # which theorem_verify reuses; no centre, as build_uce has certified
+    # the kernel central
     assert {**counts, **centre_calls} == {
         "colimit": 2, "uce_system": 1, "validate_system": 2,
         "factor_through": 2, "centre": 0, "build_uce": k,
-        "uce_of_morphism": k * (k - 1) // 2}
+        "uce_of_morphism": k - 1}
+
+
+DIAMOND = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0], [3, 0], [4, 0]],
+           "relation": [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]]}
+
+
+@pytest.mark.parametrize("chain,covers", [
+    ("sl:2..14:Q", 12),  # 13 members, 78 strictly related pairs
+    (None, 4),           # DIAMOND: 5 strictly related pairs, 0 <= 3 no cover
+])
+def test_limit_check_checks_each_cover_map_once_per_system(monkeypatch, tmp_path, chain, covers):
+    """validate_system runs check_morphism on the covers only, for the
+    system and for its system of extensions: 2 * covers calls."""
+    calls = []
+    inner = superuce.limits.check_morphism
+    monkeypatch.setattr(superuce.limits, "check_morphism",
+                        lambda *args: calls.append(args) or inner(*args))
+    source = ["--chain", chain] if chain else ["--system", write(tmp_path, "d.json", DIAMOND)]
+    _, code = run(["limit-check", *source])
+    assert code == 0
+    assert len(calls) == 2 * covers
 
 
 def _count_where_bound(monkeypatch, names):

@@ -126,6 +126,35 @@ def test_preimage_is_gated(vec, why):
         f.preimage(vec)
 
 
+def _dual_numbers():
+    return AssocSuperalgebra(B2, [[{0: 1}, {1: 1}], [{1: 1}, {}]], {0: 1})
+
+
+# evaluator -> (evaluate at one vector, dimension of its space); each binary
+# evaluator is tried with the vector on either side
+EVALUATORS = {
+    "bracket left": (lambda v: sl2().bracket(v, {0: 1}), 3),
+    "bracket right": (lambda v: sl2().bracket({0: 1}, v), 3),
+    "product left": (lambda v: _dual_numbers().product(v, {0: 1}), 2),
+    "product right": (lambda v: _dual_numbers().product({0: 1}, v), 2),
+    "apply": (lambda v: GradedLinearMap.identity(sl2().basis).apply(v), 3),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "bool", "dim"])
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+def test_public_evaluators_are_gated(evaluator, bad):
+    """A float entry, a bool key and a key out of range each raise the
+    gate's ValueError, named for the evaluator; ungated, the float would
+    reach the result and the key out of range would raise IndexError."""
+    evaluate, d = EVALUATORS[evaluator]
+    vec, why = {"float": ({0: 0.5}, r"index 0: 0\.5 is not a rational"),
+                "bool": ({True: 1}, rf"index True: not an int in range\({d}\)"),
+                "dim": ({d: 1}, rf"index {d}: not an int in range\({d}\)")}[bad]
+    with pytest.raises(ValueError, match=rf"^{evaluator.split()[0]}, {why}"):
+        evaluate(vec)
+
+
 # ------------------------------------------------------------------- the lint
 
 def _is_index_range_check(node) -> bool:
@@ -159,12 +188,13 @@ def test_only_linalg_checks_indices_and_scalars():
     assert not found, f"entry checks outside linalg._clean_vector: {', '.join(found)}"
 
 
-def test_no_module_calls_the_gated_preimage():
-    """The package's own solves call the ungated GradedLinearMap._preimage:
-    their vectors were built inside it, and the gate costs a pass over each."""
-    found = [f"{path.name}:{node.lineno}"
+def test_no_module_calls_a_gated_evaluator():
+    """The package calls the ungated _bilinear, GradedLinearMap._apply and
+    GradedLinearMap._preimage: its vectors were built inside it, and the
+    gate costs a pass over each."""
+    found = [f"{path.name}:{node.lineno} .{node.func.attr}("
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "preimage"]
-    assert not found, f"gated preimage called inside the package: {', '.join(found)}"
+             and node.func.attr in ("bracket", "product", "apply", "preimage")]
+    assert not found, f"gated evaluator called inside the package: {', '.join(found)}"

@@ -35,7 +35,7 @@ from superuce.linalg import kernel_basis
 from reference_colimit import check_against_reference
 from systems_util import abelian, block_map, heisenberg, random_chain_system, sl2, vee_system
 
-ONE = Fraction(1)
+ONE, TWO = Fraction(1), Fraction(2)
 
 
 # ----------------------------------------------------------------------- poset
@@ -87,6 +87,28 @@ def test_corrupted_composite_reported():
         DirectedSystem(system.poset, system.algebras, bad)
     report = err.value.report
     assert any(law == "compatibility" for law, _, _ in report.violations)
+
+
+def test_cover_paths_that_disagree_at_a_join_are_reported():
+    """The diamond 0 < 1 < 3, 0 < 2 < 3 over sl(2): every cover map is a
+    morphism, but the leg through 2 ends in the automorphism e -> 2e,
+    f -> f/2, so the two cover paths from 0 disagree where they join, at 3."""
+    L = sl2()
+    ident = GradedLinearMap.identity(L.basis)
+    scale = GradedLinearMap(L.basis, L.basis, [{0: TWO}, {1: ONE}, {2: Fraction(1, 2)}])
+    assert check_morphism(scale, L, L)
+    poset = DirectedPoset([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
+    assert poset.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+    maps = {(0, 1): ident, (0, 2): ident, (1, 3): ident, (2, 3): scale}
+    with pytest.raises(InvalidSystemError) as err:
+        DirectedSystem(poset, dict.fromkeys(range(4), L), maps)
+    assert err.value.report.violations == [
+        ("compatibility", "0 <= 3", "cover paths from 0 disagree where they join at 3")]
+    maps[(2, 3)] = ident
+    system = DirectedSystem(poset, dict.fromkeys(range(4), L), maps)
+    assert system.transition(0, 3) == ident
+    with pytest.raises(KeyError):
+        system.transition(1, 2)  # no transition between incomparable elements
 
 
 def test_a_transition_is_checked_on_brackets_only_when_it_keeps_parity():

@@ -71,19 +71,22 @@ BROKEN_ASSOC = {
     "unit": [{"basis": "1", "num": "1", "den": "1"}],
 }
 # --system documents: a three-member chain whose middle kernel dies, a vee
-# 0, 1 <= 2, a chain from an absent relation, and gl members that are not perfect
+# 0, 1 <= 2, a diamond 0 <= 1, 2 <= 3 whose two cover paths join at 3, a chain
+# from an absent relation, and gl members that are not perfect
 CHAIN3 = {"kind": "sl", "coeff": "Q", "members": [[1, 2], [2, 2], [3, 2]],
           "relation": [[0, 1], [1, 2], [0, 2]]}
 VEE = {"kind": "sl", "coeff": "Q[t]/(t^2)", "members": [[2, 0], [2, 1], [3, 1]],
        "relation": [[0, 2], [1, 2]]}
 NO_RELATION = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
+DIAMOND = {"kind": "sl", "coeff": "Q", "members": [[2, 0], [3, 0], [3, 0], [4, 0]],
+           "relation": [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]]}
 GL_SYSTEM = {"kind": "gl", "coeff": "Q", "members": [[2, 0], [3, 0]]}
 # each placeholder in an invocation stands for the path of a file holding its document
 DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{graded-jacobi}": GRADED_JACOBI,
              "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
              "{dual-numbers}": DUAL_NUMBERS, "{broken-assoc}": BROKEN_ASSOC,
-             "{chain3}": CHAIN3, "{vee}": VEE, "{no-relation}": NO_RELATION,
-             "{gl-system}": GL_SYSTEM}
+             "{chain3}": CHAIN3, "{vee}": VEE, "{diamond}": DIAMOND,
+             "{no-relation}": NO_RELATION, "{gl-system}": GL_SYSTEM}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
 CHAINS = [["--chain", "sl:2..4:Q"], ["--chain", "sl:4..7:Q"], ["--chain", "sl:2,1..3,2:Grassmann(1)"],
           ["--chain", "sl:1,2..3,2:Q"], ["--chain", "sl:3..2:Q"],
@@ -141,7 +144,7 @@ INVOCATIONS = [
       for fmt in ([], ["--format", "text"])],
     # system files with exit codes 0 and 2, in JSON and text
     *[["limit-check", "--system", doc, *fmt]
-      for doc in ("{chain3}", "{vee}", "{no-relation}", "{gl-system}")
+      for doc in ("{chain3}", "{vee}", "{diamond}", "{no-relation}", "{gl-system}")
       for fmt in ([], ["--format", "text"])],
 ]
 
