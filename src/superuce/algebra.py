@@ -21,7 +21,12 @@ _cyclic_failures sums the cyclic identity (Jacobi and cocycle).
 This module owns the torus and the weight rule.  _torus finds, once per
 Lie algebra, an even h whose ad is diagonal in the basis, with int
 weights w; validate_lie finds it after the skew check and keeps it on
-the algebra for uce.build_uce.  Under w a cyclic class (i, j, k) can be
+the algebra for uce.build_uce.  _keep_torus is the one place a torus is
+stored, once it certifies [h, b_j] = w_j b_j for every basis element:
+for _torus, and for the gl and sl matrix families over a
+supercommutative coefficient algebra, which bring their diagonal
+torus (matrices.build_family), so that _torus solves no system for
+them.  Under w a cyclic class (i, j, k) can be
 nonzero only when its total weight w_i + w_j + w_k is the weight of a
 nonzero cell of the table it reads, so every walk of the cyclic
 identity is told the admissible total weights (_cyclic_classes): the
@@ -54,7 +59,14 @@ computes the cells i <= j and writes each cell (j, i) as the
 sign-flipped copy, so the law _derived does not check holds by
 construction.  Every reader of a trusted table reads the pairs i <= j
 only: check_morphism, and the bracket span of derived_subalgebra and
-is_perfect.
+is_perfect.  Under a certified torus [b_i, b_j] has weight w_i + w_j,
+so a pair whose weight sum is the weight of no nonzero vector has a 0
+cell.  _reachable_pairs walks the other pairs i <= j, in row order, and
+is the one loop of _lie_from_pairs and of check_morphism:
+subalgebra_from_vectors solves only the pairs of a weight of its
+parent, build_uce projects only the pairs of a weight of its extension,
+and check_morphism compares only the pairs of a weight sum reachable on
+either side.  With no torus every weight is 0 and every pair is walked.
 
 Everything is immutable after construction, apart from private caches
 filled on first use: the echelon a GradedLinearMap builds of its
@@ -194,8 +206,11 @@ class LieSuperalgebra:
     """Lie superalgebra from structure constants, cleaned and validated at
     construction: InvalidAlgebraError carries validate_lie's report of a
     table that breaks a law.  Its certified torus (see _torus) is found
-    by that validation, or by uce.build_uce for a derived algebra, and
-    kept."""
+    by that validation, brought by a gl or sl matrix family, or found by
+    uce.build_uce for another derived algebra, and kept.  The table is
+    read-only: the zero cells of a derived table may be one shared empty
+    dict (_lie_from_pairs), and the constructor copies every cell, so an
+    algebra built from another's table shares no cell with it."""
 
     __slots__ = ("basis", "table", "_torus")
 
@@ -572,6 +587,14 @@ def _torus(L: LieSuperalgebra) -> tuple:
         vec_add_scaled(h, ht, scale)
         for j, a in enumerate(alpha):
             weights[j] += scale * a
+    return _keep_torus(L, h, weights)
+
+
+def _keep_torus(L: LieSuperalgebra, h: Vector, weights: list) -> tuple:
+    """Keep (h, weights) as the torus of L once h is certified: one bracket
+    per basis element, [h, b_j] = weights[j] * b_j, and CertificateError
+    names the basis element where it is not.  The one place a torus is
+    stored, for _torus and for the matrix families, which know theirs."""
     for j, w in enumerate(weights):
         if _bilinear(L.table, h, {j: 1}) != ({j: w} if w else {}):
             raise CertificateError(
@@ -598,6 +621,36 @@ def _cell_weights(values, weights, target=None) -> Optional[set]:
                     return None
                 reached.add(w)
     return reached
+
+
+def _column_weights(columns, weights) -> list:
+    """The weight of each column under the int weights of its components:
+    0 for a zero column, None for one that is not homogeneous."""
+    sets = [{weights[k] for k in col} for col in columns]
+    return [min(ws, default=0) if len(ws) < 2 else None for ws in sets]
+
+
+def _reachable_pairs(weights, sums):
+    """The pairs i <= j, in row order, whose weight sum
+    weights[i] + weights[j] is in sums.  Each unordered pair of weights
+    w, v is tested once; the partners of w, every j of a weight v with
+    w + v in sums, are listed once, ascending, and each i of weight w
+    bisects its list.  All weights 0 and sums {0} give every pair."""
+    by_weight: dict = {}
+    for k, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(k)
+    ws = list(by_weight)
+    partners: dict = {w: [] for w in ws}
+    for a, w in enumerate(ws):
+        for v in [v for v in ws[a:] if w + v in sums]:
+            partners[w] += by_weight[v]
+            partners[v] += by_weight[w] if v != w else []
+    for js in partners.values():
+        js.sort()
+    for i, w in enumerate(weights):
+        js = partners[w]
+        for j in js[bisect_left(js, i):]:
+            yield i, j
 
 
 def validate_lie(L: LieSuperalgebra) -> ValidationReport:
@@ -687,21 +740,24 @@ def validate_assoc(A: AssocSuperalgebra) -> ValidationReport:
     return report
 
 
-def _lie_from_pairs(basis: GradedBasis, cell) -> LieSuperalgebra:
+def _lie_from_pairs(basis: GradedBasis, cell, weights=None, sums=(0,)) -> LieSuperalgebra:
     """The Lie superalgebra a validated construction derives: cell(i, j)
     is its bracket [b_i, b_j], built under the scalar rule and called once
-    for each pair i <= j, in row order, and cell (j, i) is written as
-    -(-1)^{|i||j|} times it, so the table is super skew-symmetric by
-    construction.  The one package caller of LieSuperalgebra._derived."""
+    for each pair i <= j of _reachable_pairs(weights, sums), in row order,
+    and cell (j, i) is written as -(-1)^{|i||j|} times it, so the table is
+    super skew-symmetric by construction.  Every other cell is 0, as the
+    caller knows that [b_i, b_j] has weight w_i + w_j and that no nonzero
+    vector has a weight outside sums; it is an empty dict shared along
+    its row, as no table is written to once built.  With no weights every
+    weight is 0 and every pair is computed.  The one package caller of
+    LieSuperalgebra._derived."""
     par = basis.parities
     d = len(par)
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        row = table[i]
-        for j in range(i, d):
-            c = row[j] = cell(i, j)
-            if j > i:
-                table[j][i] = dict(c) if par[i] and par[j] else {k: -x for k, x in c.items()}
+    table = [[{}] * d for _ in range(d)]
+    for i, j in _reachable_pairs(weights or [0] * d, sums):
+        c = table[i][j] = cell(i, j)
+        if j > i and c:
+            table[j][i] = dict(c) if par[i] and par[j] else {k: -x for k, x in c.items()}
     return LieSuperalgebra._derived(basis, table)
 
 
@@ -888,18 +944,27 @@ def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -
     Lie tables (super skew-symmetric), so the equation of the pair (j, i),
     f[b_j, b_i] = [f b_j, f b_i], is -(-1)^{|i||j|} times the one of
     (i, j) and holds exactly when it does.
+
+    When M carries its certified torus and every column of f is
+    homogeneous under it, f gives b_j the weight w_j of its column, and
+    only the pairs whose weight sum is in R_L or in the weights of M are
+    checked (_reachable_pairs), R_L the weight sums of the nonzero cells
+    of L.  A skipped pair has both sides 0: its cell of L is 0, and
+    [f b_i, f b_j] has weight w_i + w_j under the torus of M, a weight no
+    basis element of M has.  Otherwise every pair is checked.
     """
     if f.domain != L.basis or f.codomain != M.basis:
         return False
     if not f.is_parity_preserving():
         return False
     cols = f.columns
-    for i in range(L.dim):
-        fi = cols[i]
-        row = L.table[i]
-        for j in range(i, L.dim):
-            if f._apply(row[j]) != _bilinear(M.table, fi, cols[j]):
-                return False
+    wM = M._torus[1] if M._torus else [0] * M.dim
+    ws = _column_weights(cols, wM)
+    if None in ws:  # f is not weight-preserving: every pair
+        ws, wM = [0] * L.dim, [0]
+    for i, j in _reachable_pairs(ws, _cell_weights(L.table, ws) | set(wM)):
+        if f._apply(L.table[i][j]) != _bilinear(M.table, cols[i], cols[j]):
+            return False
     return True
 
 
@@ -973,6 +1038,12 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     [v_j, v_i] is -(-1)^{|v_i||v_j|} [v_i, v_j], so it lies in the span
     exactly when [v_i, v_j] does.  Raises if the span is not closed under
     the bracket, naming the first failing pair in row order.
+
+    When the parent carries its certified torus and every vector is a
+    weight vector, v_i of weight w_i, only the pairs whose weight sum
+    w_i + w_j is a weight of the parent are solved: [v_i, v_j] has that
+    weight, so every other bracket is 0 and lies in the span.  Otherwise
+    every pair is solved.
     """
     basis_par = [vector_parity(v, parent.basis) for v in vectors]
     if None in basis_par:
@@ -981,6 +1052,10 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
     if embedding.rank() != len(vectors):
         raise ValueError("subalgebra basis is linearly dependent")
+    pw = parent._torus[1] if parent._torus else [0] * parent.dim
+    weights = _column_weights(embedding.columns, pw)
+    if None in weights:  # a vector is no weight vector: every pair
+        weights, pw = None, [0]
 
     def cell(i, j):
         out = embedding._preimage(_bilinear(parent.table, vectors[i], vectors[j]))
@@ -988,4 +1063,4 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
             raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
         return out
 
-    return _lie_from_pairs(basis, cell), embedding
+    return _lie_from_pairs(basis, cell, weights, set(pw)), embedding

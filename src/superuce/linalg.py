@@ -358,20 +358,21 @@ class QuotientPresentation:
     the relation span.
 
     relations holds the RREF row of each stored pivot.  A pivot c without
-    a stored row is read through through = (image, lifts): project(e_c)
-    is the sum over k of image[c][k] project(lifts[k]), each lift an
-    ambient vector on free columns.  through is None when every row is
-    stored.  pivots lists every pivot.
+    a stored row is read through through = (table, lifts), for an
+    ambient space V (x) V with d = len(table) and c = a * d + b:
+    project(e_c) is the sum over k of table[a][b][k] project(lifts[k]),
+    each lift an ambient vector on free columns.  through is None when
+    every row is stored.  pivots lists every pivot.
     """
 
-    __slots__ = ("ambient_dim", "relations", "free_columns", "_qindex", "_image", "_lifts")
+    __slots__ = ("ambient_dim", "relations", "free_columns", "_qindex", "_table", "_lifts")
 
     def __init__(self, ambient_dim: int, relation_rows: dict, free_columns: tuple, through):
         self.ambient_dim = ambient_dim
         self.relations = relation_rows  # {pivot: rref row}
         self.free_columns = free_columns
         self._qindex = qi = {c: q for q, c in enumerate(free_columns)}
-        self._image, lifts = through or (None, {})
+        self._table, lifts = through or ((), {})
         self._lifts = {k: {qi[c]: x for c, x in lift.items()} for k, lift in lifts.items()}
 
     @property
@@ -407,7 +408,8 @@ class QuotientPresentation:
                         else:
                             out.pop(q, None)
             else:
-                vec_add_scaled(through, self._image[c], x)
+                a, b = divmod(c, len(self._table))
+                vec_add_scaled(through, self._table[a][b], x)
         for k, x in through.items():
             vec_add_scaled(out, self._lifts[k], x)
         for q, y in out.items():

@@ -60,6 +60,8 @@ from .algebra import (
     GradedBasis,
     GradedLinearMap,
     _bilinear,
+    _column_weights,
+    _keep_torus,
     check_morphism,
     derived_subalgebra,
     lie_from_assoc,
@@ -298,6 +300,23 @@ def _sl_vectors(fam: MatrixFamily):
     return vectors, labels
 
 
+def _diagonal_torus(fam: MatrixFamily) -> tuple:
+    """(h, weights) of the gl member fam: h = sum_t c_t E_tt(1), so
+    E_ij(a) has weight c_i - c_j.  With H_t = e_t - s_t s_{t+1} e_{t+1}
+    (s_t = (-1)^{|t|}, as in sl's H_t), c = sum_t B^t H_t has supertrace
+    0, so h lies in sl, and c_i - c_j encodes the tuple of the
+    (H_t)_i - (H_t)_j, each of absolute value at most M = 2, in balanced
+    base B = 6M + 1, as algebra._torus encodes its torus: the weights are
+    as fine as the diagonal torus of sl allows.  Certified by
+    algebra._keep_torus where it is stored."""
+    size, dA = fam.size, fam.coeff.dim
+    # c_t = B^t - s_{t-1} s_t B^{t-1}, B = 13, the first term absent for the last t
+    c = [(13 ** t if t < size - 1 else 0) - (fam.sigma(t - 1) * fam.sigma(t) * 13 ** (t - 1) if t else 0)
+         for t in range(size)]
+    h = {fam.coord(t, t, u): c[t] * x for t in range(size) if c[t] for u, x in fam.coeff.unit.items()}
+    return h, [c[i] - c[j] for i in range(size) for j in range(size) for _ in range(dA)]
+
+
 def _gram_osp(m: int, n: int):
     size = m + n
     h = n // 2
@@ -400,6 +419,18 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
     inherit their laws from coeff, and the family member is a subalgebra
     whose closure under the bracket is certified by
     subalgebra_from_vectors.
+
+    gl and sl over a supercommutative coeff bring their torus
+    (_diagonal_torus), certified where it is kept: under h, E_ij(a) has
+    weight c_i - c_j, and sl, spanned by weight vectors of h, solves only
+    the cells of a weight of gl and keeps h in its own coordinates.  Over
+    a local supercommutative coeff, as every named one is, only the
+    scalars act diagonally on coeff, so h is as fine as the torus
+    algebra._torus solves for; over another coeff, such as Mat(2,0;Q),
+    whose idempotents e11 and e22 give a finer torus, nothing is brought
+    and _torus solves it.  osp, p and sq are spanned by vectors that are
+    not weight vectors of gl's diagonal, so their gl carries no torus and
+    every cell is solved.
     """
     if kind not in ("gl", "sl", "osp", "p", "sq"):
         raise ValueError(f"unknown family kind {kind!r}")
@@ -417,6 +448,8 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
 
     gl = lie_from_assoc(matrix_superalgebra(m, n, coeff))
     fam = MatrixFamily("gl", m, n, coeff, gl, gl, GradedLinearMap.identity(gl.basis))
+    if kind in ("gl", "sl") and coeff.is_supercommutative():
+        h, weights = _keep_torus(gl, *_diagonal_torus(fam))
     if kind == "gl":
         return fam
     if kind == "sl":
@@ -429,6 +462,8 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
             vectors = _stabilizer_vectors(fam, G, trace_row=kind == "p")
         labels = [f"{kind}{i}" for i in range(len(vectors))]
     fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
+    if gl._torus is not None:  # sl over a supercommutative coeff
+        _keep_torus(fam_alg, embedding._preimage(h) or {}, _column_weights(embedding.columns, weights))
     return MatrixFamily(kind, m, n, coeff, gl, fam_alg, embedding)
 
 

@@ -21,7 +21,9 @@ The extension algebra is (L (x) L) / B with bracket
 kernel of u is central, and for perfect L it is the second homology of
 L and u is the universal central extension.  The extension is a Lie
 superalgebra, so only its cells p <= q are projected and each cell
-(q, p) is the sign-flipped copy.
+(q, p) is the sign-flipped copy; of those, only the pairs whose weight
+(below) is the weight of an extension basis element, as every other
+cell is 0.
 
 Weight blocks.  build_uce presents the quotient by the reduced row
 echelon form (RREF) of B, but it eliminates only a small part of B.
@@ -43,8 +45,10 @@ Lie superalgebras" (2003).  Only the weight-0 block is generated,
 eliminated and stored.  On a block l != 0 a column c is free in the RREF
 exactly when [b_a, b_b] is not in the span of the images of the later
 columns, so one greedy pass from the right over the images finds the
-free columns.  It skips the columns (a, b) with a < b, whose image is
--(-1)^{|a||b|} times that of (b, a), further right, and it stops once
+free columns.  Its columns are listed from the nonzero cells only, as
+a column with a zero image is never free.  It skips the columns (a, b)
+with a < b, whose image is -(-1)^{|a||b|} times that of (b, a), further
+right, and it stops once
 the free images span n_l dimensions, n_l the number of basis elements of
 weight l: by Jacobi, [h, [b_a, b_b]] = (w_a + w_b) [b_a, b_b], so every
 image lies in L_l and the columns left of that point are pivots.  Each
@@ -56,8 +60,8 @@ the bracket and the lifts (linalg.QuotientPresentation).  It is the
 presentation a full elimination of B gives.  h is a regular element of
 the torus of all such elements (algebra._torus, which also grades
 validation and is kept on L, so an algebra validated where it entered
-the package brings its torus along); with no such element there is one
-block and B is eliminated whole.
+the package, or a gl or sl matrix family, brings its torus along); with
+no such element there is one block and B is eliminated whole.
 
 A 2-cocycle (Cocycle2) is a table of values indexed like a bracket
 table, cleaned by the same algebra._clean_table.  validate_cocycle checks it with the table-law walkers of
@@ -162,12 +166,14 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
 
     The weight-0 rows are generated, eliminated and stored.  Each other
     block is one greedy pass from the right over the images of its
-    columns (a, b) with a >= b, which stops at rank n_l; lift_k, the
+    columns (a, b) with a >= b and a nonzero cell, which stops at rank
+    n_l; lift_k, the
     Echelon(track=True) certificate of e_k over the free images, is kept
     for each basis element k of weight l, and the block's rows are read
-    through the bracket and the lifts (see the module docstring).  Raises
-    CertificateError when the free images of a block do not span the
-    basis elements of that weight.
+    through the bracket and the lifts (see the module docstring), which
+    the presentation reads off L's table.  Every nonzero weight of a
+    basis element has its block, and CertificateError is raised when
+    its free images do not span the basis elements of that weight.
     """
     d = L.dim
     table = L.table
@@ -175,21 +181,24 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     elements: dict = {}
     for k, w in enumerate(weights):
         elements.setdefault(w, []).append(k)
-    # for each a, the b of one weight give one block's columns a * d + b, in increasing order
-    blocks: dict = {}
-    for a, wa in enumerate(weights):
-        for wb, bs in elements.items():
-            blocks.setdefault(wa + wb, []).extend(a * d + b for b in bs)
-    free = [c for c in blocks.pop(0, ()) if c not in relations]
+    free = [a * d + b for a, w in enumerate(weights) for b in elements.get(-w, ())
+            if a * d + b not in relations]
+    # each weight's columns a * d + b, a >= b, of a nonzero cell, in increasing order
+    blocks: dict = {w: [] for w in elements}
+    for a, row in enumerate(table):
+        for b, cell in enumerate(row[:a + 1]):
+            if cell:
+                blocks[weights[a] + weights[b]].append(a * d + b)
+    blocks.pop(0, None)
     lifts = {}
     for weight, cols in blocks.items():
-        ks = elements.get(weight, [])
+        ks = elements[weight]
         ech = Echelon(track=True)
         for c in reversed(cols):
             if ech.rank == len(ks):
                 break
             a, b = divmod(c, d)
-            if a >= b and table[a][b] and ech.insert(table[a][b], tag=c) is not None:
+            if ech.insert(table[a][b], tag=c) is not None:
                 free.append(c)
         if ech.rank != len(ks):
             raise CertificateError(
@@ -199,8 +208,7 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
             )
         for k in ks:
             lifts[k] = ech.reduce({k: 1})[1]
-    images = [cell for row in table for cell in row]  # column a * d + b -> [b_a, b_b]
-    return QuotientPresentation(d * d, relations, tuple(sorted(free)), (images, lifts))
+    return QuotientPresentation(d * d, relations, tuple(sorted(free)), (table, lifts))
 
 
 def build_uce(L: LieSuperalgebra) -> UceAlgebra:
@@ -210,17 +218,22 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     it entered the package), so the extension is built without
     re-validation.  The presentation is built by weight blocks (see the
     module docstring) and equals the RREF presentation of the whole
-    relation space.  The extension table is built on the pairs p <= q of
-    its basis and mirrored by super skew-symmetry
+    relation space.  The extension table is built on the reachable pairs
+    p <= q of its basis and mirrored by super skew-symmetry
     (algebra._lie_from_pairs), under the scalar rule, so it is not
     cleaned again.  Cell (p, q) has weight w_p + w_q, w_p the weight of
-    the free column of p; when no free column has that weight the block
-    is 0 in the quotient, and the cell is {} without a projection.
+    the free column of p: it is <[a,b], [c,d]>, and [a,b] and [c,d] lie
+    in L_{w_p} and L_{w_q}.  When no free column has that weight the
+    block is 0 in the quotient, so the pair is not visited and its cell
+    is 0.
 
     Its certificates always run: h is diagonal with the weights the
     blocks use (_torus), each nonzero block's free images span the basis
     elements of its weight, and the canonical map u is checked to be a
-    morphism, on every pair i <= j, with central kernel.
+    morphism, with central kernel.  u is weight-preserving (its column
+    at <a,b> is [b_a, b_b], of weight w_a + w_b), so check_morphism
+    compares only the pairs of a weight sum reachable in the extension
+    or in L; every other pair has both sides 0.
     """
     d = L.dim
     _, weights = _torus(L)
@@ -229,9 +242,8 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     brackets = [L.table[a][b] for a, b in free_pairs]
     project = pres.project
     fw = [weights[a] + weights[b] for a, b in free_pairs]
-    reached = set(fw)
-    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d))
-                          if fw[p] + fw[q] in reached else {})
+    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d)),
+                          fw, set(fw))
     u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
     if not check_morphism(u, lie, L):
         raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")

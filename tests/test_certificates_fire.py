@@ -38,7 +38,7 @@ PACKAGE = Path(superuce.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 SITES = {
-    "algebra.py:_torus#1": "test_weight_blocks.py::test_corrupted_weight_is_caught",
+    "algebra.py:_keep_torus#1": "test_weight_blocks.py::test_corrupted_weight_is_caught",
     "cyclic.py:cyclic_pairs#1":
         "test_certificates_fire.py::test_pairing_space_certificate_fires_on_a_broken_product",
     "limits.py:factor_through#1":

@@ -128,6 +128,12 @@ INVOCATIONS = [
     ["steinberg-check", "--family", "sl", "--m", "3", "--n", "1", "--format", "text"],
     ["h-iso-check", "--family", "sl", "--m", "4", "--n", "1", "--format", "text"],
     ["perfect", "--family", "gl", "--m", "2"],
+    # the edge members of the families' diagonal torus: rank 0, supertrace-0
+    # identities (m = n) and a coefficient algebra with a torus of its own
+    *[["h2", "--family", "sl", "--m", m, "--n", n, "--coeff", coeff]
+      for m, n, coeff in [("1", "0", "Q"), ("1", "1", "Q"), ("2", "2", "Q"), ("2", "0", "Mat(2,0;Q)")]],
+    ["uce", "--family", "gl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"],
+    ["limit-check", "--chain", "sl:2..3:Mat(2,0;Q)"],
     # limit-check chains with exit codes 0 and 2: every chain in text, the
     # ones not listed above in JSON
     *[["limit-check", *chain, "--format", "text"] for chain in CHAINS],
