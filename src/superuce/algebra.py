@@ -62,11 +62,16 @@ only: check_morphism, and the bracket span of derived_subalgebra and
 is_perfect.  Under a certified torus [b_i, b_j] has weight w_i + w_j,
 so a pair whose weight sum is the weight of no nonzero vector has a 0
 cell.  _reachable_pairs walks the other pairs i <= j, in row order, and
-is the one loop of _lie_from_pairs and of check_morphism:
+is the one loop of _lie_from_pairs, of check_morphism and of
+_pair_relations (the pairs of weight sum 0):
 subalgebra_from_vectors solves only the pairs of a weight of its
 parent, build_uce projects only the pairs of a weight of its extension,
 and check_morphism compares only the pairs of a weight sum reachable on
-either side.  With no torus every weight is 0 and every pair is walked.
+either side.  _column_weights is the one reader of a stored torus: it
+weighs the vectors of a subalgebra, the columns of a morphism and sl's
+vectors in gl by the torus of the algebra they lie in.  With no torus,
+or a vector that is no weight vector, every weight is 0 and every pair
+is walked.
 
 Everything is immutable after construction, apart from private caches
 filled on first use: the echelon a GradedLinearMap builds of its
@@ -376,23 +381,21 @@ def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
 
     Given int weights of the basis elements, only the classes whose total
     weight weights[i] + weights[j] + weights[k] is in totals are visited
-    (the weight rule; totals None visits every class).  The admissible k
-    of each pair sum s are listed once, ascending, from the groups of
-    basis elements by weight, and each pair bisects its list; with
+    (the weight rule).  No weights, or totals None, means every weight 0
+    and totals (0,): every class is visited.  The admissible k of each
+    pair sum s are listed once, ascending, from the groups of basis
+    elements by weight (_by_weight), and each pair bisects its list; with
     totals {0} the list of s is the group of weight -s itself.
     """
     d = len(itable)
-    admissible: Optional[dict] = None
-    if weights is not None and totals is not None:
-        by_weight: dict = {}
-        for k, wk in enumerate(weights):
-            by_weight.setdefault(wk, []).append(k)
-        groups: dict = {}  # pair sum s -> the groups of weight t - s, t in totals
+    if weights is None or totals is None:
+        weights, totals = [0] * d, (0,)
+    groups: dict = {}  # pair sum s -> the groups of weight t - s, t in totals
+    for wk, group in _by_weight(weights).items():
         for t in totals:
-            for wk, group in by_weight.items():
-                groups.setdefault(t - wk, []).append(group)
-        admissible = {s: gs[0] if len(gs) == 1 else sorted(k for g in gs for k in g)
-                      for s, gs in groups.items()}
+            groups.setdefault(t - wk, []).append(group)
+    admissible = {s: gs[0] if len(gs) == 1 else sorted(k for g in gs for k in g)
+                  for s, gs in groups.items()}
     for i in range(d):
         ti = itable[i]
         pi = par[i]
@@ -401,13 +404,8 @@ def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
             cij = ti[j]
             pj = par[j]
             sji = -1 if pj and pi else 1
-            low = j if skew else i
-            if admissible is None:
-                ks = range(low, d)
-            else:
-                group = admissible.get(weights[i] + weights[j], ())
-                ks = group[bisect_left(group, low):]
-            for k in ks:
+            group = admissible.get(weights[i] + weights[j], ())
+            for k in group[bisect_left(group, j if skew else i):]:
                 cjk = tj[k]
                 cki = itable[k][i]
                 if cjk or cki or cij:
@@ -469,21 +467,17 @@ def _pair_relations(par, weights=None) -> list:
     it is the diagonal row a (x) a when a is even (half the pair sum, and
     the quadratic relation too) and absent when a is odd (the sum is 0),
     so no pair or diagonal row is emitted twice.  Given weights, only the
-    rows of weight 0.
+    rows of weight 0: the pairs _reachable_pairs walks for the sums {0}.
     """
     d = len(par)
-    w = weights or (0,) * d
     rows = []
-    for i in range(d):
-        for j in range(i, d):
-            if w[i] + w[j]:
-                continue
-            sign = -1 if par[i] and par[j] else 1
-            if i == j:
-                if sign == 1:
-                    rows.append({i * d + i: 1})
-            else:
-                rows.append({i * d + j: 1, j * d + i: sign})
+    for i, j in _reachable_pairs(weights or [0] * d, {0}):
+        sign = -1 if par[i] and par[j] else 1
+        if i == j:
+            if sign == 1:
+                rows.append({i * d + i: 1})
+        else:
+            rows.append({i * d + j: 1, j * d + i: sign})
     return rows
 
 
@@ -517,13 +511,21 @@ def _pair_basis(basis: GradedBasis, free_columns, brackets: tuple) -> tuple:
     """(pairs, GradedBasis) of a quotient of V (x) V on its free tensor
     columns: free column q is a*dim + b for (a, b) = pairs[q], and its
     basis element, of parity |a| + |b|, is labelled open la,lb close for
-    (open, close) = brackets."""
+    (open, close) = brackets.  Labels with a comma can make two of these
+    equal; the later ones, in column order, are primed until unused, as
+    no label open la,lb close ends in a prime."""
     d = len(basis)
     labels, par = basis.labels, basis.parities
     left, right = brackets
     pairs = tuple(divmod(c, d) for c in free_columns)
-    return pairs, GradedBasis([f"{left}{labels[a]},{labels[b]}{right}" for a, b in pairs],
-                              [(par[a] + par[b]) & 1 for a, b in pairs])
+    names, used = [], set()
+    for a, b in pairs:
+        name = f"{left}{labels[a]},{labels[b]}{right}"
+        while name in used:
+            name += "'"
+        used.add(name)
+        names.append(name)
+    return pairs, GradedBasis(names, [(par[a] + par[b]) & 1 for a, b in pairs])
 
 
 def _torus(L: LieSuperalgebra) -> tuple:
@@ -623,11 +625,27 @@ def _cell_weights(values, weights, target=None) -> Optional[set]:
     return reached
 
 
-def _column_weights(columns, weights) -> list:
-    """The weight of each column under the int weights of its components:
-    0 for a zero column, None for one that is not homogeneous."""
-    sets = [{weights[k] for k in col} for col in columns]
-    return [min(ws, default=0) if len(ws) < 2 else None for ws in sets]
+def _column_weights(columns, M) -> tuple:
+    """(ws, sums): the weight of each column (a vector of M) under the
+    certified torus of M, 0 for a zero column, and the set of M's
+    weights.  The one reader of a stored torus.  When M has none, or a
+    column is not homogeneous, every weight is 0 and sums is {0}, so
+    _reachable_pairs walks every pair."""
+    if M._torus is not None:
+        wM = M._torus[1]
+        sets = [{wM[k] for k in col} for col in columns]
+        if all(len(ws) < 2 for ws in sets):
+            return [min(ws, default=0) for ws in sets], set(wM)
+    return [0] * len(columns), {0}
+
+
+def _by_weight(weights) -> dict:
+    """weight -> the basis indices of that weight, ascending; the weights
+    in the order they first occur."""
+    groups: dict = {}
+    for k, w in enumerate(weights):
+        groups.setdefault(w, []).append(k)
+    return groups
 
 
 def _reachable_pairs(weights, sums):
@@ -636,9 +654,7 @@ def _reachable_pairs(weights, sums):
     w, v is tested once; the partners of w, every j of a weight v with
     w + v in sums, are listed once, ascending, and each i of weight w
     bisects its list.  All weights 0 and sums {0} give every pair."""
-    by_weight: dict = {}
-    for k, w in enumerate(weights):
-        by_weight.setdefault(w, []).append(k)
+    by_weight = _by_weight(weights)
     ws = list(by_weight)
     partners: dict = {w: [] for w in ws}
     for a, w in enumerate(ws):
@@ -945,24 +961,22 @@ def check_morphism(f: GradedLinearMap, L: LieSuperalgebra, M: LieSuperalgebra) -
     f[b_j, b_i] = [f b_j, f b_i], is -(-1)^{|i||j|} times the one of
     (i, j) and holds exactly when it does.
 
-    When M carries its certified torus and every column of f is
-    homogeneous under it, f gives b_j the weight w_j of its column, and
-    only the pairs whose weight sum is in R_L or in the weights of M are
-    checked (_reachable_pairs), R_L the weight sums of the nonzero cells
-    of L.  A skipped pair has both sides 0: its cell of L is 0, and
-    [f b_i, f b_j] has weight w_i + w_j under the torus of M, a weight no
-    basis element of M has.  Otherwise every pair is checked.
+    f gives b_j the weight w_j of its column under the certified torus
+    of M (_column_weights), and only the pairs whose weight sum is in R_L
+    or in the weights of M are checked (_reachable_pairs), R_L the weight
+    sums of the nonzero cells of L.  A skipped pair has both sides 0: its
+    cell of L is 0, and [f b_i, f b_j] has weight w_i + w_j under the
+    torus of M, a weight no basis element of M has.  When M keeps no
+    torus, or a column is not homogeneous, every weight is 0 and every
+    pair is checked.
     """
     if f.domain != L.basis or f.codomain != M.basis:
         return False
     if not f.is_parity_preserving():
         return False
     cols = f.columns
-    wM = M._torus[1] if M._torus else [0] * M.dim
-    ws = _column_weights(cols, wM)
-    if None in ws:  # f is not weight-preserving: every pair
-        ws, wM = [0] * L.dim, [0]
-    for i, j in _reachable_pairs(ws, _cell_weights(L.table, ws) | set(wM)):
+    ws, sums = _column_weights(cols, M)
+    for i, j in _reachable_pairs(ws, _cell_weights(L.table, ws) | sums):
         if f._apply(L.table[i][j]) != _bilinear(M.table, cols[i], cols[j]):
             return False
     return True
@@ -1039,11 +1053,12 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     exactly when [v_i, v_j] does.  Raises if the span is not closed under
     the bracket, naming the first failing pair in row order.
 
-    When the parent carries its certified torus and every vector is a
-    weight vector, v_i of weight w_i, only the pairs whose weight sum
-    w_i + w_j is a weight of the parent are solved: [v_i, v_j] has that
-    weight, so every other bracket is 0 and lies in the span.  Otherwise
-    every pair is solved.
+    Each v_i has its weight w_i under the certified torus of the parent
+    (_column_weights), and only the pairs whose weight sum w_i + w_j is a
+    weight of the parent are solved: [v_i, v_j] has that weight, so every
+    other bracket is 0 and lies in the span.  When the parent keeps no
+    torus, or a vector is no weight vector, every weight is 0 and every
+    pair is solved.
     """
     basis_par = [vector_parity(v, parent.basis) for v in vectors]
     if None in basis_par:
@@ -1052,10 +1067,7 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
     embedding = GradedLinearMap(basis, parent.basis, list(vectors))
     if embedding.rank() != len(vectors):
         raise ValueError("subalgebra basis is linearly dependent")
-    pw = parent._torus[1] if parent._torus else [0] * parent.dim
-    weights = _column_weights(embedding.columns, pw)
-    if None in weights:  # a vector is no weight vector: every pair
-        weights, pw = None, [0]
+    weights, sums = _column_weights(embedding.columns, parent)
 
     def cell(i, j):
         out = embedding._preimage(_bilinear(parent.table, vectors[i], vectors[j]))
@@ -1063,4 +1075,4 @@ def subalgebra_from_vectors(parent: LieSuperalgebra, vectors: Sequence[Vector],
             raise ValueError(f"span not closed under bracket at pair ({labels[i]}, {labels[j]})")
         return out
 
-    return _lie_from_pairs(basis, cell, weights, set(pw)), embedding
+    return _lie_from_pairs(basis, cell, weights, sums), embedding

@@ -449,7 +449,7 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
     gl = lie_from_assoc(matrix_superalgebra(m, n, coeff))
     fam = MatrixFamily("gl", m, n, coeff, gl, gl, GradedLinearMap.identity(gl.basis))
     if kind in ("gl", "sl") and coeff.is_supercommutative():
-        h, weights = _keep_torus(gl, *_diagonal_torus(fam))
+        h = _keep_torus(gl, *_diagonal_torus(fam))[0]
     if kind == "gl":
         return fam
     if kind == "sl":
@@ -463,7 +463,7 @@ def build_family(kind: str, m: int, n: int, coeff: AssocSuperalgebra) -> MatrixF
         labels = [f"{kind}{i}" for i in range(len(vectors))]
     fam_alg, embedding = subalgebra_from_vectors(gl, vectors, labels)
     if gl._torus is not None:  # sl over a supercommutative coeff
-        _keep_torus(fam_alg, embedding._preimage(h) or {}, _column_weights(embedding.columns, weights))
+        _keep_torus(fam_alg, embedding._preimage(h) or {}, _column_weights(embedding.columns, gl)[0])
     return MatrixFamily(kind, m, n, coeff, gl, fam_alg, embedding)
 
 

@@ -92,6 +92,7 @@ from .algebra import (
     Subspace,
     ValidationReport,
     _bilinear,
+    _by_weight,
     _cell_weights,
     _cyclic_failures,
     _grading_failures,
@@ -178,9 +179,7 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     d = L.dim
     table = L.table
     relations = echelon_rows(_tensor_relations(table, L.basis.parities, weights, skew=True))
-    elements: dict = {}
-    for k, w in enumerate(weights):
-        elements.setdefault(w, []).append(k)
+    elements = _by_weight(weights)
     free = [a * d + b for a, w in enumerate(weights) for b in elements.get(-w, ())
             if a * d + b not in relations]
     # each weight's columns a * d + b, a >= b, of a nonzero cell, in increasing order

@@ -111,6 +111,36 @@ def test_duplicate_basis_names_rejected(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+# basis names with a comma: the pairs (p,q ; q) and (p ; q,q) both read p,q,q
+COMMA_NAMES = ["q", "p,q", "q,q", "p"]
+COMMA_LIE = {"kind": "lie", "basis": [{"name": x, "parity": "even"} for x in COMMA_NAMES],
+             "products": []}
+COMMA_ASSOC = {
+    "kind": "assoc",
+    "basis": [{"name": x, "parity": "even"} for x in [*COMMA_NAMES, "1"]],
+    "products": [{"left": left, "right": right, "result": [{"basis": x, "num": "1", "den": "1"}]}
+                 for left, right, x in [("1", "1", "1"), *[(a, b, x) for x in COMMA_NAMES
+                                                           for a, b in (("1", x), (x, "1"))]]],
+    "unit": [{"basis": "1", "num": "1", "den": "1"}],
+}
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("uce", COMMA_LIE, "basis"), ("h2", COMMA_LIE, "vectors"), ("hc1", COMMA_ASSOC, "vectors"),
+])
+def test_pair_labels_stay_distinct_when_basis_names_have_commas(tmp_path, capsys, command, data, key):
+    """A label that two free pairs share is primed on its later pair, in
+    column order; every other pair keeps its plain label."""
+    code, report = run_json([command, "--file", write(tmp_path, "comma.json", data)], capsys)
+    labels = report["results"][key]
+    if key == "vectors":
+        labels = [term["basis"] for vec in labels for term in vec]
+    left, right = ("<<", ">>") if command == "hc1" else ("<", ">")
+    plain = ["p,q,q", "q,q,q", "q,q,p,q", "p,q", "p,p,q"]
+    assert code == 0
+    assert labels == [f"{left}{x}{right}" for x in plain] + [f"{left}p,q,q{right}'"]
+
+
 def test_a_product_pair_listed_twice_is_an_input_error(tmp_path, capsys):
     """A second entry for (h, e) is refused, not written over the first."""
     once = {"left": "h", "right": "e", "result": [{"basis": "e", "num": "1", "den": "1"}]}

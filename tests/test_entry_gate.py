@@ -198,3 +198,25 @@ def test_no_module_calls_a_gated_evaluator():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("bracket", "product", "apply", "preimage")]
     assert not found, f"gated evaluator called inside the package: {', '.join(found)}"
+
+
+def torus_subscripts(path: Path) -> list:
+    """file:function of each subscript x._torus[...], named for the
+    innermost function it is in (<module> outside any)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost name stays
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_torus"]
+
+
+def test_only_column_weights_reads_a_stored_torus():
+    """algebra._column_weights is the one reader of the weights a torus
+    keeps on an algebra: every other function asks it for its columns'
+    weights (or takes the pair whole from algebra._torus), so the
+    fallback to weight 0 lives in one place."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in torus_subscripts(path)]
+    assert found == ["algebra.py:_column_weights"], f"stored torus read by: {', '.join(found)}"

@@ -138,10 +138,10 @@ def test_a_corrupted_family_weight_is_caught(monkeypatch):
 def test_a_corrupted_sl_weight_is_caught(monkeypatch):
     column_weights = matrices._column_weights
 
-    def corrupted(columns, weights):
-        out = column_weights(columns, weights)
+    def corrupted(columns, M):
+        out, sums = column_weights(columns, M)
         out[-1] += 1
-        return out
+        return out, sums
 
     monkeypatch.setattr(matrices, "_column_weights", corrupted)
     with pytest.raises(CertificateError, match=r"not diagonal with weight 1 at basis element H2\(1\)$"):

@@ -315,6 +315,21 @@ def test_only_weight_0_rows_are_stored_and_reachable_cells_projected(monkeypatch
     assert ext.dim * (ext.dim + 1) // 2 == cells
 
 
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_weighted_pair_rows_are_the_weight_0_pair_rows_in_order(name):
+    """_pair_relations(par, weights) walks only the pairs of weight sum 0
+    (algebra._reachable_pairs): its rows are the weight-0 rows of the
+    unweighted walk, row for row and in the same order."""
+    L = _named(name)
+    d, par = L.dim, L.basis.parities
+    _, weights = algebra._torus(L)
+    every = algebra._pair_relations(par)
+    weighted = algebra._pair_relations(par, weights)
+    assert weighted == [row for row in every
+                        if sum(weights[k] for k in divmod(min(row), d)) == 0]
+    assert len(set(weights)) > 1 and 0 < len(weighted) < len(every)
+
+
 # osp(3|2;Grassmann(1)) is the document whose pass reaches a column (a, b) with a < b
 @pytest.mark.parametrize("name", sorted(STORED) + ["osp3_2_G1"])
 def test_every_weight_block_stops_at_full_rank(monkeypatch, name):

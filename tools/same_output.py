@@ -70,6 +70,20 @@ BROKEN_ASSOC = {
                                         ("1", "b", "b"), ("a", "a", "b"), ("a", "b", "a")]],
     "unit": [{"basis": "1", "num": "1", "den": "1"}],
 }
+# basis names with a comma, so two free pairs share a label: (p,q ; q) and (p ; q,q)
+# both read p,q,q; an abelian Lie document and an associative one, unit 1 and
+# every other product 0
+COMMA_NAMES = ["q", "p,q", "q,q", "p"]
+COMMA_LIE = {"kind": "lie", "basis": [{"name": x, "parity": "even"} for x in COMMA_NAMES],
+             "products": []}
+COMMA_ASSOC = {
+    "kind": "assoc",
+    "basis": [{"name": x, "parity": "even"} for x in [*COMMA_NAMES, "1"]],
+    "products": [{"left": left, "right": right, "result": [{"basis": x, "num": "1", "den": "1"}]}
+                 for left, right, x in [("1", "1", "1"), *[(a, b, x) for x in COMMA_NAMES
+                                                           for a, b in (("1", x), (x, "1"))]]],
+    "unit": [{"basis": "1", "num": "1", "den": "1"}],
+}
 # --system documents: a three-member chain whose middle kernel dies, a vee
 # 0, 1 <= 2, a diamond 0 <= 1, 2 <= 3 whose two cover paths join at 3, a chain
 # from an absent relation, and gl members that are not perfect
@@ -86,7 +100,8 @@ DOCUMENTS = {"{broken}": BROKEN_JACOBI, "{graded-jacobi}": GRADED_JACOBI,
              "{misgraded}": MISGRADED, "{not-skew}": NOT_SKEW,
              "{dual-numbers}": DUAL_NUMBERS, "{broken-assoc}": BROKEN_ASSOC,
              "{chain3}": CHAIN3, "{vee}": VEE, "{diamond}": DIAMOND,
-             "{no-relation}": NO_RELATION, "{gl-system}": GL_SYSTEM}
+             "{no-relation}": NO_RELATION, "{gl-system}": GL_SYSTEM,
+             "{comma-lie}": COMMA_LIE, "{comma-assoc}": COMMA_ASSOC}
 SL21_G1 = ["--family", "sl", "--m", "2", "--n", "1", "--coeff", "Grassmann(1)"]
 CHAINS = [["--chain", "sl:2..4:Q"], ["--chain", "sl:4..7:Q"], ["--chain", "sl:2,1..3,2:Grassmann(1)"],
           ["--chain", "sl:1,2..3,2:Q"], ["--chain", "sl:3..2:Q"],
@@ -148,6 +163,10 @@ INVOCATIONS = [
                                  ["validate", "--file", "{broken-assoc}"],
                                  ["h2", "--file", "{broken}"])
       for fmt in ([], ["--format", "text"])],
+    # pair labels that collide unless the later one is renamed, in JSON
+    ["h2", "--file", "{comma-lie}"],
+    ["uce", "--file", "{comma-lie}"],
+    ["hc1", "--file", "{comma-assoc}"],
     # system files with exit codes 0 and 2, in JSON and text
     *[["limit-check", "--system", doc, *fmt]
       for doc in ("{chain3}", "{vee}", "{diamond}", "{no-relation}", "{gl-system}")
