@@ -65,9 +65,9 @@ cell.  _reachable_pairs walks the other pairs i <= j, in row order, and
 is the one loop of _lie_from_pairs, of check_morphism and of
 _pair_relations (the pairs of weight sum 0):
 subalgebra_from_vectors solves only the pairs of a weight of its
-parent, build_uce projects only the pairs of a weight of its extension,
-and check_morphism compares only the pairs of a weight sum reachable on
-either side.  _column_weights is the one reader of a stored torus: it
+parent, the extension table (uce.UceAlgebra.lie) projects only the
+pairs of a weight of the extension, and check_morphism compares only
+the pairs of a weight sum reachable on either side.  _column_weights is the one reader of a stored torus: it
 weighs the vectors of a subalgebra, the columns of a morphism and sl's
 vectors in gl by the torus of the algebra they lie in.  With no torus,
 or a vector that is no weight vector, every weight is 0 and every pair

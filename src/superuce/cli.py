@@ -454,8 +454,8 @@ def _cmd_uce(args):
         "perfect": ext.perfect,
         "dim_uce": ext.dim,
         "dim_kernel": len(ext.kernel),
-        "basis": list(ext.lie.basis.labels),
-        "parities": ["odd" if p else "even" for p in ext.lie.basis.parities],
+        "basis": list(ext.u.domain.labels),
+        "parities": ["odd" if p else "even" for p in ext.u.domain.parities],
     }
     if ext.perfect:
         results["centrally_closed"] = is_centrally_closed(ext)
@@ -472,7 +472,7 @@ def _cmd_h2(args):
         "dim_input": alg.dim,
         "perfect": ext.perfect,
         "dim_h2": len(ext.kernel),
-        "vectors": [vector_to_json(v, ext.lie.basis.labels) for v in ext.kernel],
+        "vectors": [vector_to_json(v, ext.u.domain.labels) for v in ext.kernel],
     }
     if not ext.perfect:
         results["warning"] = "algebra is not perfect; reported space is the kernel of the canonical map"
@@ -585,7 +585,7 @@ def _cmd_limit_check(args):
     # theorem_verify has checked that every member is perfect
     h2_dims = [len(rep.exts[i].kernel) for i in system.poset.elements]
     # the True fields hold whenever theorem_verify returns: phi = id = psi^-1
-    # (limits.py:theorem_verify#1) and ker v is central (uce.py:build_uce#2)
+    # (limits.py:theorem_verify#1) and ker v is central (uce.py:build_uce#1)
     results = {
         "members": len(system.poset.elements),
         "dim_colim": rep.colim.algebra.dim,

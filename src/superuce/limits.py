@@ -272,7 +272,7 @@ class LimitUReport:
     factor_through certified that v equals the top member's extension
     u_t column for column (see limit_u), so the rest is read off
     ext_top = exts[colim.top]: kernel is ext_top.kernel itself, central
-    because build_uce certifies it so (site uce.py:build_uce#2), and v
+    because build_uce certifies it so (site uce.py:build_uce#1), and v
     is surjective exactly when L_t is perfect.  The dimensions of the
     theorem are read off the same fields: colim.algebra is L_t,
     ext_top and colim_uce.algebra are uce(L_t).

@@ -25,6 +25,22 @@ superalgebra, so only its cells p <= q are projected and each cell
 (below) is the weight of an extension basis element, as every other
 cell is 0.
 
+Certificates.  build_uce certifies the presentation, not the extension
+table.  Write beta(a (x) b) = [a, b] on L (x) L and project for the
+presentation's map onto the extension.  Two checks give u . project =
+beta on all of L (x) L, column by column: a free column projects to its
+own class, which u maps to its bracket; a stored pivot c projects to
+e_c minus its RREF row, so beta killing every stored row gives it; and
+a pivot (a, b) read through the bracket (below) projects to the sum
+over k of [b_a, b_b]_k lift_k, so u(lift_k) = e_k for every lift gives
+it.  The table is project(u e_p (x) u e_q) on the basis of the
+extension, so u[e_p, e_q] = beta(u e_p (x) u e_q) = [u e_p, u e_q]: u
+is a morphism for the table, whenever it is built.  project is
+bilinear, so [z, e_q] = project(u z (x) u e_q) for every z of the
+extension, and a kernel vector with u z = 0 is central.  So build_uce
+checks u z = 0 on its kernel vectors, and the table is built only on
+first use (UceAlgebra.lie); none of its pairs is re-checked.
+
 Weight blocks.  build_uce presents the quotient by the reduced row
 echelon form (RREF) of B, but it eliminates only a small part of B.
 Let h be an even element with ad h diagonal in the basis,
@@ -91,7 +107,6 @@ from .algebra import (
     LieSuperalgebra,
     Subspace,
     ValidationReport,
-    _bilinear,
     _by_weight,
     _cell_weights,
     _cyclic_failures,
@@ -103,7 +118,6 @@ from .algebra import (
     _symmetry_failures,
     _tensor_relations,
     _torus,
-    check_morphism,
 )
 from .linalg import (
     Echelon,
@@ -113,35 +127,61 @@ from .linalg import (
     echelon_rows,
     kernel_basis,
     rank_of_rows,
+    vec_add_scaled,
 )
 
 
 class UceAlgebra:
     """The universal central extension data of a Lie superalgebra.
 
-    Fields: base (L), lie (the extension algebra), presentation (of
-    L (x) L by the relation space), u (extension -> L), kernel, the
+    Fields: base (L), presentation (of L (x) L by the relation space), u
+    (extension -> L; its domain is the extension basis), kernel, the
     canonical basis of the kernel of u (a tuple of extension vectors,
-    computed once by build_uce), and free_pairs, the basis pair of each
-    element: extension basis element q is the class <b_a, b_b> for
-    (a, b) = free_pairs[q], is labelled <label_a,label_b>, has parity
-    |a| + |b|, and u maps it to [b_a, b_b].  Every map out of the
-    extension is read off these pairs.
+    computed once by build_uce), free_pairs, the basis pair of each
+    element, and lie, the extension algebra, whose table is built on
+    first access and kept.  Extension basis element q is the class
+    <b_a, b_b> for (a, b) = free_pairs[q], is labelled <label_a,label_b>,
+    has parity |a| + |b|, and u maps it to [b_a, b_b].  Every map out of
+    the extension is read off these pairs.
     """
 
-    __slots__ = ("base", "lie", "presentation", "u", "kernel", "free_pairs")
+    __slots__ = ("base", "_lie", "presentation", "u", "kernel", "free_pairs")
 
     def __init__(self, base, lie, presentation, u, kernel, free_pairs):
         self.base = base
-        self.lie = lie
+        self._lie = lie  # None until first access
         self.presentation = presentation
         self.u = u
         self.kernel = kernel
         self.free_pairs = free_pairs
 
     @property
+    def lie(self) -> LieSuperalgebra:
+        """The extension algebra, its table built on first access.
+
+        Cell (p, q) is project(u e_p (x) u e_q), built on the reachable
+        pairs p <= q and mirrored by super skew-symmetry
+        (algebra._lie_from_pairs), under the scalar rule, so it is not
+        cleaned again.  It has weight w_p + w_q, w_p the weight of the
+        free column of p, as u e_p and u e_q lie in L_{w_p} and L_{w_q};
+        when no free column has that weight the block is 0 in the
+        quotient, so the pair is not visited and its cell is 0.
+        build_uce's certificate makes u a morphism with central kernel
+        for this table (see the module docstring), so it is not checked.
+        """
+        if self._lie is None:
+            d = self.base.dim
+            _, weights = _torus(self.base)
+            brackets, project = self.u.columns, self.presentation.project
+            fw = [weights[a] + weights[b] for a, b in self.free_pairs]
+            self._lie = _lie_from_pairs(
+                self.u.domain, lambda p, q: project(_tensor(brackets[p], brackets[q], d)),
+                fw, set(fw))
+        return self._lie
+
+    @property
     def dim(self) -> int:
-        return self.lie.dim
+        return len(self.u.domain)
 
     @property
     def perfect(self) -> bool:
@@ -210,6 +250,29 @@ def _weight_presentation(L: LieSuperalgebra, weights: list) -> QuotientPresentat
     return QuotientPresentation(d * d, relations, tuple(sorted(free)), (table, lifts))
 
 
+def _certify_presentation(L: LieSuperalgebra, pres: QuotientPresentation,
+                          u: GradedLinearMap) -> None:
+    """u . project = beta on L (x) L, for beta(a (x) b) = [a, b] (see the
+    module docstring): beta kills every stored RREF row, named by its
+    pivot pair when it does not, and u(lift_k) = e_k for every lift of a
+    nonzero weight block, named by its basis element k when it does not.
+    """
+    d, table, labels = L.dim, L.table, L.basis.labels
+    for c, row in pres.relations.items():
+        image: Vector = {}
+        for c2, x in row.items():
+            vec_add_scaled(image, table[c2 // d][c2 % d], x)
+        if image:
+            a, b = divmod(c, d)
+            raise CertificateError(
+                f"canonical map u: the bracket does not kill the relation row of "
+                f"<{labels[a]},{labels[b]}>"
+            )
+    for k, lift in pres._lifts.items():
+        if u._apply(lift) != {k: 1}:
+            raise CertificateError(f"canonical map u: the lift of {labels[k]} does not map to it")
+
+
 def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     """Quotient of the tensor square by the relation space.
 
@@ -217,43 +280,30 @@ def build_uce(L: LieSuperalgebra) -> UceAlgebra:
     it entered the package), so the extension is built without
     re-validation.  The presentation is built by weight blocks (see the
     module docstring) and equals the RREF presentation of the whole
-    relation space.  The extension table is built on the reachable pairs
-    p <= q of its basis and mirrored by super skew-symmetry
-    (algebra._lie_from_pairs), under the scalar rule, so it is not
-    cleaned again.  Cell (p, q) has weight w_p + w_q, w_p the weight of
-    the free column of p: it is <[a,b], [c,d]>, and [a,b] and [c,d] lie
-    in L_{w_p} and L_{w_q}.  When no free column has that weight the
-    block is 0 in the quotient, so the pair is not visited and its cell
-    is 0.
+    relation space.  The extension table is not built here: UceAlgebra.lie
+    builds it on first access, and the CLI's h2 and uce (without
+    --table) never read it.
 
-    Its certificates always run: h is diagonal with the weights the
-    blocks use (_torus), each nonzero block's free images span the basis
-    elements of its weight, and the canonical map u is checked to be a
-    morphism, with central kernel.  u is weight-preserving (its column
-    at <a,b> is [b_a, b_b], of weight w_a + w_b), so check_morphism
-    compares only the pairs of a weight sum reachable in the extension
-    or in L; every other pair has both sides 0.
+    Its certificates always run, on the presentation: h is diagonal with
+    the weights the blocks use (_torus), each nonzero block's free images
+    span the basis elements of its weight, the bracket kills every stored
+    row and u maps each lift to its basis element (_certify_presentation),
+    and u kills each kernel vector.  Together these make u a morphism
+    for the extension table, whenever it is built, with central kernel
+    (see the module docstring).
     """
-    d = L.dim
     _, weights = _torus(L)
     pres = _weight_presentation(L, weights)
     free_pairs, basis = _pair_basis(L.basis, pres.free_columns, ("<", ">"))
-    brackets = [L.table[a][b] for a, b in free_pairs]
-    project = pres.project
-    fw = [weights[a] + weights[b] for a, b in free_pairs]
-    lie = _lie_from_pairs(basis, lambda p, q: project(_tensor(brackets[p], brackets[q], d)),
-                          fw, set(fw))
-    u = GradedLinearMap(basis, L.basis, [dict(b) for b in brackets])
-    if not check_morphism(u, lie, L):
-        raise CertificateError(f"canonical map u: {lie!r} -> {L!r} is not a morphism")
+    u = GradedLinearMap(basis, L.basis, [L.table[a][b] for a, b in free_pairs])
+    _certify_presentation(L, pres, u)
     kernel = tuple(kernel_basis(u.matrix()))
     for z in kernel:
-        for j, label in enumerate(basis.labels):
-            if _bilinear(lie.table, z, {j: 1}):
-                raise CertificateError(
-                    f"kernel of u is not central: a kernel vector does not commute with {label}"
-                )
-    return UceAlgebra(L, lie, pres, u, kernel, free_pairs)
+        if u._apply(z):
+            raise CertificateError(
+                f"kernel of u: u does not kill the kernel vector at {basis.labels[max(z)]}"
+            )
+    return UceAlgebra(L, None, pres, u, kernel, free_pairs)
 
 
 def h2(L) -> Subspace:
@@ -279,7 +329,7 @@ def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
     if f.domain != source.base.basis or f.codomain != target.base.basis:
         raise ValueError("morphism endpoints do not match the given extensions")
     cols = [target.class_of(f.columns[a], f.columns[b]) for a, b in source.free_pairs]
-    out = GradedLinearMap(source.lie.basis, target.lie.basis, cols)
+    out = GradedLinearMap(source.u.domain, target.u.domain, cols)
     # naturality: u_M after uce(f) equals f after u_L
     lhs = target.u.compose(out)
     rhs = f.compose(source.u)
@@ -287,7 +337,7 @@ def uce_of_morphism(f: GradedLinearMap, source: UceAlgebra,
         if x != y:
             raise CertificateError(
                 "induced map does not commute with the canonical maps "
-                f"at {source.lie.basis.labels[j]}"
+                f"at {source.u.domain.labels[j]}"
             )
     return out
 

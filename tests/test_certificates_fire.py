@@ -51,8 +51,10 @@ SITES = {
         "test_matrices.py::test_steinberg_check_certifies_its_sl_coordinates",
     "uce.py:_weight_presentation#1":
         "test_weight_blocks.py::test_block_that_drops_a_free_column_is_caught",
-    "uce.py:build_uce#1": "test_cli.py::test_certificate_failure_exits_1",
-    "uce.py:build_uce#2": "test_uce.py::test_a_non_central_kernel_vector_is_caught",
+    "uce.py:_certify_presentation#1":
+        "test_weight_blocks.py::test_a_corrupted_stored_row_is_caught",
+    "uce.py:_certify_presentation#2": "test_weight_blocks.py::test_a_corrupted_lift_is_caught",
+    "uce.py:build_uce#1": "test_uce.py::test_a_non_central_kernel_vector_is_caught",
     "uce.py:uce_of_morphism#1":
         "test_uce.py::test_a_lift_of_a_map_that_is_not_a_morphism_is_caught",
     "uce.py:h2_cohomology_oracle#1": "test_weight_blocks.py::test_corrupted_oracle_weight_is_caught",

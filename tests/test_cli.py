@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superuce
-from superuce import cli
+from superuce import build_family, cli, coefficient_algebra
 from superuce.cli import (
     algebra_to_json,
     main,
@@ -23,6 +23,8 @@ from superuce.cli import (
     rational_to_json,
     run,
 )
+
+from test_weight_blocks import corrupt_a_stored_row
 
 QT2_FILE = {
     "kind": "assoc",
@@ -540,9 +542,27 @@ def test_h_iso_check_refuses_coefficients_before_building(monkeypatch, capsys):
     assert counts == {"build_uce": 0}
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["h2"], 0),
+    (["uce"], 0),
+    (["uce", "--table"], 2010),
+], ids=["h2", "uce", "uce --table"])
+def test_only_uce_table_projects_extension_cells(monkeypatch, argv, cells):
+    """h2 and uce without --table read the extension basis off u and
+    never build the extension table; uce --table projects its 2,010
+    reachable cells on sl(7;Q[t]/(t^2)), once each."""
+    calls = []
+    project = superuce.uce.QuotientPresentation.project
+    monkeypatch.setattr(superuce.uce.QuotientPresentation, "project",
+                        lambda self, v: calls.append(v) or project(self, v))
+    _, code = run([*argv, "--family", "sl", "--m", "7", "--coeff", "Q[t]/(t^2)"])
+    assert code == 0
+    assert len(calls) == cells
+
+
 def test_certificate_failure_exits_1(monkeypatch, capsys):
     # a failed certificate is a mathematical failure, not a usage error
-    monkeypatch.setattr(superuce.uce, "check_morphism", lambda f, L, M: False)
+    corrupt_a_stored_row(monkeypatch, build_family("sl", 3, 0, coefficient_algebra("Q")).algebra)
     assert main(["h2", "--family", "sl", "--m", "3", "--coeff", "Q"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("certificate failed: canonical map u:"), err

@@ -8,10 +8,10 @@ with one bracket per basis element; so _torus solves no system for
 them.  Under a certified torus [b_i, b_j] has weight w_i + w_j, so a
 pair whose weight sum no vector can have is 0 and
 algebra._reachable_pairs skips it: the sl cells of
-subalgebra_from_vectors, the extension table of build_uce and the
-pairs of check_morphism.  Counting tests, through the counters of
-tools/scale.py, pin the pairs visited (each fails on the all-pairs
-loops); the certificate is seen to fire on a corrupted weight; a
+subalgebra_from_vectors, the extension table (UceAlgebra.lie, built on
+first access, never by build_uce) and the pairs of check_morphism.
+Counting tests, through the counters of tools/scale.py, pin the pairs
+visited (each fails on the all-pairs loops); the certificate is seen to fire on a corrupted weight; a
 spanning vector that is no weight vector is seen to fall back to every
 pair; and the skip set of check_morphism is seen to keep the
 codomain's weights.  That the tables, presentations and verdicts equal
@@ -107,16 +107,21 @@ def test_sl18_cells_of_a_reachable_weight_only():
 
 @pytest.mark.parametrize("name, pairs", [("sl7_t2", 2010), ("sq5c", 685)])
 def test_extension_table_and_morphism_check_walk_reachable_pairs(name, pairs):
-    """The extension table computes, and check_morphism(u) compares, only
+    """build_uce builds no extension table and runs no check_morphism; the
+    first access of ext.lie computes, and check_morphism(u) compares, only
     the pairs p <= q of a reachable weight: 2,010 of 4,656 on
-    sl(7;Q[t]/(t^2)) and 685 of 1,225 on sq5c."""
+    sl(7;Q[t]/(t^2)) and 685 of 1,225 on sq5c; a second access computes
+    none."""
     from test_weight_blocks import _named
 
     L = _named(name)
     algebra._torus(L)
     counts, ext = scale.counters(lambda: build_uce(L))
-    assert counts == {"pairs visited by build_uce": pairs, "pairs compared by check_morphism": pairs}
-    assert scale.counters(lambda: check_morphism(ext.u, ext.lie, L)) == \
+    assert counts == {}
+    counts, lie = scale.counters(lambda: ext.lie)
+    assert counts == {"pairs visited by UceAlgebra.lie": pairs}
+    assert scale.counters(lambda: ext.lie) == ({}, lie)
+    assert scale.counters(lambda: check_morphism(ext.u, lie, L)) == \
         ({"pairs compared by check_morphism": pairs}, True)
 
 

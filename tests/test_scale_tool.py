@@ -1,9 +1,10 @@
 """The work counters of tools/scale.py repeat exactly from run to run.
 
 Times move with the host; the counters (the pairs each derived Lie table
-and check_morphism visit, the torus systems solved and the rows the
-presentation stores) do not, so two runs on the smallest size must
-print the same ones, and the package functions they wrap are restored.
+visits, the extension's on its first access, the torus systems solved
+and the rows the presentation stores) do not, so two runs on the
+smallest size must print the same ones, and the package functions they
+wrap are restored.
 """
 
 import importlib.util
@@ -23,8 +24,7 @@ def test_the_counters_repeat_on_the_smallest_size():
     first = scale.counters(scale.member_job(m, coeff))
     assert first == scale.counters(scale.member_job(m, coeff))
     assert first == ({
-        "pairs compared by check_morphism": 2010,
-        "pairs visited by build_uce": 2010,
+        "pairs visited by UceAlgebra.lie": 2010,
         "pairs visited by lie_from_assoc": 4854,
         "pairs visited by subalgebra_from_vectors": 2010,
     }, 300)  # and 300 stored RREF rows

@@ -124,20 +124,22 @@ def test_functor_laws_on_corner_chain():
 
 
 def test_a_non_central_kernel_vector_is_caught(monkeypatch):
+    """A planted kernel vector e_0: sl(2) is perfect and centrally closed,
+    so u maps e_0 to a nonzero element, and e_0 does not commute with
+    everything; the certificate u z = 0 names it by its last coordinate."""
     L = sl2()
     ext = build_uce(L)
     u_matrix = ext.u.matrix()
-    # the first extension element that some basis element does not commute with
-    j = next(j for j in range(ext.dim) if ext.lie.table[0][j])
+    assert ext.u.columns[0] and any(ext.lie.table[0])
     real = superuce.uce.kernel_basis
 
     def planted(m):
         return real(m) + ([{0: ONE}] if m == u_matrix else [])
 
     monkeypatch.setattr(superuce.uce, "kernel_basis", planted)
-    label = ext.lie.basis.labels[j]
+    label = ext.u.domain.labels[0]
     with pytest.raises(superuce.CertificateError,
-                       match=f"^kernel of u is not central: a kernel vector does not commute with {label}$"):
+                       match=f"^kernel of u: u does not kill the kernel vector at {label}$"):
         build_uce(L)
 
 

@@ -11,10 +11,13 @@ in Fraction arithmetic, and both must give the same dimension.  Both
 comparisons run on built-in algebras in permuted and rescaled bases, on
 non-perfect ones, in bases where the torus is trivial, and on the
 benchmark's documents, and the extension is checked to store every
-integral value as an int (tests/scalar_rule.py).  Three certificates
+integral value as an int (tests/scalar_rule.py).  Five certificates
 are checked to fire: on a corrupted torus weight, on a block that loses
-its free columns, and on a corrupted oracle weight.  The torus is found
-once per algebra, by validation when the algebra is validated, and it
+its free columns, on a corrupted stored row, on a corrupted lift, and on
+a corrupted oracle weight.  build_uce is seen to project no extension
+cell, and the extension table to project its reachable cells once, on
+first access.  The torus is found once per algebra, by validation when
+the algebra is validated, and it
 equals the torus of one solve of its whole system, which the reference
 keeps.  The oracle is checked to answer with the
 extension builder, its torus and the shared cyclic-identity generator
@@ -255,6 +258,65 @@ def test_block_that_drops_a_free_column_is_caught(monkeypatch):
         build_uce(sl2())
 
 
+def corrupt_a_stored_row(monkeypatch, L) -> list:
+    """Double the entries off the pivot in the stored RREF row of
+    build_uce(L) whose pivot pair (a, b), the least one, has
+    [b_a, b_b] != 0: the bracket then sends the row to -[b_a, b_b].
+    Returns a list that receives (a, b) once build_uce has run."""
+    d, table = L.dim, L.table
+    rref = uce.echelon_rows
+    hit = []
+
+    def corrupted(rows):
+        out = rref(rows)
+        c = min(c for c in out if table[c // d][c % d])
+        out[c] = {k: x if k == c else 2 * x for k, x in out[c].items()}
+        hit.append(divmod(c, d))
+        return out
+
+    monkeypatch.setattr(uce, "echelon_rows", corrupted)
+    return hit
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl21", "sq3"])
+def test_a_corrupted_stored_row_is_caught(monkeypatch, name):
+    L = ALGEBRAS[name]()
+    hit = corrupt_a_stored_row(monkeypatch, L)
+    with pytest.raises(CertificateError) as caught:
+        build_uce(L)
+    labels = L.basis.labels
+    (a, b), = hit
+    assert str(caught.value) == ("canonical map u: the bracket does not kill the relation row "
+                                 f"of <{labels[a]},{labels[b]}>")
+
+
+@pytest.mark.parametrize("corrupt", ["doubled", "truncated"])
+def test_a_corrupted_lift_is_caught(monkeypatch, corrupt):
+    """The first lift of sl(3) doubled, or with its last term dropped, as
+    a reduction that left a residue would: u no longer maps it to its
+    basis element, the weight block's rank is still full, and the message
+    names that element."""
+    L = ALGEBRAS["sl3"]()
+    reduced = []
+
+    class Corrupting(uce.Echelon):
+        def reduce(self, vec):
+            residue, cert = super().reduce(vec)
+            if not reduced:
+                reduced.append(min(vec))
+                if corrupt == "doubled":
+                    cert = {t: 2 * x for t, x in cert.items()}
+                else:
+                    cert.pop(max(cert))
+            return residue, cert
+
+    monkeypatch.setattr(uce, "Echelon", Corrupting)
+    with pytest.raises(CertificateError) as caught:
+        build_uce(L)
+    label = L.basis.labels[reduced[0]]
+    assert str(caught.value) == f"canonical map u: the lift of {label} does not map to it"
+
+
 def test_corrupted_oracle_weight_is_caught(monkeypatch):
     weights = uce._diagonal_weights
 
@@ -300,6 +362,8 @@ STORED = {"sl7_t2": (300, 2010, 4656), "sq5c": (135, 685, 1225)}
 
 @pytest.mark.parametrize("name", sorted(STORED))
 def test_only_weight_0_rows_are_stored_and_reachable_cells_projected(monkeypatch, name):
+    """build_uce projects no extension cell; the first access of ext.lie
+    projects each reachable cell p <= q once, and a second access none."""
     L = _named(name)
     rows, projected, cells = STORED[name]
     calls = []
@@ -311,7 +375,10 @@ def test_only_weight_0_rows_are_stored_and_reachable_cells_projected(monkeypatch
     _, weights = algebra._torus(L)
     assert {weights[a] + weights[b] for c in ext.presentation.relations
             for a, b in [divmod(c, L.dim)]} == {0}
+    assert calls == []
+    lie = ext.lie
     assert len(calls) == projected
+    assert ext.lie is lie and len(calls) == projected
     assert ext.dim * (ext.dim + 1) // 2 == cells
 
 

@@ -10,8 +10,12 @@ sl(7;Q[t]/(t^2)) (d = 96), sl(11;Q[t]/(t^2)) (d = 240) and sl(18;Q)
     family        build_family, gl and the sl cells
     torus         algebra._torus on the family algebra
     presentation  uce._weight_presentation
-    morphism      check_morphism(u) of the built extension
     build_uce     the whole build (its torus already found)
+    certificate   the row and lift checks of build_uce
+                  (uce._certify_presentation), again on the built
+                  extension
+    table         the first access of ext.lie, which builds the
+                  extension table
     whole         family + torus + build_uce
 
 and the same for `limit-check --chain sl:2..14:Q` run through the
@@ -22,11 +26,12 @@ deterministic counters from one further, separate run with wrapped
 package functions:
 the pairs i <= j whose cell each derived Lie table computed, by the
 function that built it (lie_from_assoc for gl, subalgebra_from_vectors
-for sl, build_uce for the extension); the pairs check_morphism
-compared; the torus systems _torus solved; and the RREF rows the
-presentation stores.  It takes no arguments, needs nothing outside the
-standard library and runs the package found on sys.path, after
-<checkout>/src; point PYTHONPATH at another tree's src to measure it.
+for sl, UceAlgebra.lie for the extension, whose table the counted run
+builds); the pairs check_morphism compared; the torus systems _torus
+solved; and the RREF rows the presentation stores.  It takes no
+arguments, needs nothing outside the standard library and runs the
+package found on sys.path, after <checkout>/src; point PYTHONPATH at
+another tree's src to measure it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # perfbench/run.py imports its sibling modules by name
 sys.path += [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from superuce import algebra, build_family, build_uce, check_morphism, coefficient_algebra, uce  # noqa: E402
+from superuce import algebra, build_family, build_uce, coefficient_algebra, uce  # noqa: E402
 from superuce.cli import run  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -65,10 +70,13 @@ def member_phases(m: int, coeff: str) -> dict:
     t3 = time.perf_counter()
     ext = build_uce(L)
     t4 = time.perf_counter()
-    check_morphism(ext.u, ext.lie, L)
+    uce._certify_presentation(L, ext.presentation, ext.u)
     t5 = time.perf_counter()
+    ext.lie
+    t6 = time.perf_counter()
     return {"family": t1 - t0, "torus": t2 - t1, "presentation": t3 - t2,
-            "morphism": t5 - t4, "build_uce": t4 - t3, "whole": (t2 - t0) + (t4 - t3)}
+            "build_uce": t4 - t3, "certificate": t5 - t4, "table": t6 - t5,
+            "whole": (t2 - t0) + (t4 - t3)}
 
 
 def chain_phases() -> dict:
@@ -89,7 +97,8 @@ def counters(job) -> tuple:
         counts[key] = counts.get(key, 0) + n
 
     def caller():
-        return sys._getframe(2).f_code.co_name
+        code = sys._getframe(2).f_code
+        return "UceAlgebra.lie" if code is uce.UceAlgebra.lie.fget.__code__ else code.co_name
 
     lie_from_pairs = algebra._lie_from_pairs
 
@@ -128,11 +137,13 @@ def counters(job) -> tuple:
 
 
 def member_job(m: int, coeff: str):
-    """A job building sl(m;coeff) and its extension; its value is the
-    number of RREF rows the presentation stores."""
+    """A job building sl(m;coeff), its extension and the extension's
+    table; its value is the number of RREF rows the presentation stores."""
     def job():
         L = build_family("sl", m, 0, coefficient_algebra(coeff)).algebra
-        return len(build_uce(L).presentation.relations)
+        ext = build_uce(L)
+        ext.lie
+        return len(ext.presentation.relations)
     return job
 
 
