@@ -358,7 +358,7 @@ def _integral_table(table) -> tuple:
     return int_table, den
 
 
-def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
+def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,), S=None):
     """The cyclic identity of a product table, one cyclic class at a time.
 
     For each basis triple (i, j, k) with i <= j and i <= k whose cells
@@ -386,6 +386,13 @@ def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
     pair sum s are listed once, ascending, from the groups of basis
     elements by weight (_by_weight), and each pair bisects its list; with
     totals {0} the list of s is the group of weight -s itself.
+
+    Given a list S of basis indices (skew tables only; uce passes a
+    generating set, see _generating_set), only the unordered triples
+    that contain an element of S are visited, each once, as (s, j, k)
+    with s its first element in S's order, j <= k, and neither j nor k
+    an earlier element of S.  Without S the first indices are
+    0, 1, ..., d - 1, and the walk is the one above.
     """
     d = len(itable)
     if weights is None or totals is None:
@@ -396,10 +403,11 @@ def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
             groups.setdefault(t - wk, []).append(group)
     admissible = {s: gs[0] if len(gs) == 1 else sorted(k for g in gs for k in g)
                   for s, gs in groups.items()}
-    for i in range(d):
+    rest = list(range(d))  # the indices no earlier first index has taken
+    for i in range(d) if S is None else S:
         ti = itable[i]
         pi = par[i]
-        for j in range(i, d):
+        for j in rest:
             tj = itable[j]
             cij = ti[j]
             pj = par[j]
@@ -415,6 +423,12 @@ def _cyclic_classes(itable, par, weights=None, skew=False, totals=(0,)):
                         (sji, j, cki),
                         (-1 if pk and pj else 1, k, cij),
                     )
+        rest.remove(i)
+        if S is not None:  # i leaves the lists of k too; without S, k >= j > i
+            for t in totals:
+                group = admissible.get(t - weights[i], ())
+                if i in group:
+                    group.remove(i)
 
 
 def _cyclic_failures(itable, values, par, weights, totals) -> list:
@@ -447,7 +461,7 @@ def _cyclic_failures(itable, values, par, weights, totals) -> list:
     return sorted(failed + [(i, k, j) for i, j, k in failed if j != k])
 
 
-def _tensor_relations(table, par, weights=None, skew=False) -> list:
+def _tensor_relations(table, par, weights=None, skew=False, S=None) -> list:
     """Int spanning rows of the relation space in V (x) V of a product
     table on V: the pair rows (_pair_relations), then the cyclic rows
     (_cyclic_relations).
@@ -455,9 +469,10 @@ def _tensor_relations(table, par, weights=None, skew=False) -> list:
     Tensor coordinate (a, b) is a*dim + b; zero rows are dropped.  Given
     int weights grading the table (see _cyclic_classes), every row is
     homogeneous and only the rows of weight 0 are emitted: they span the
-    relations inside the weight-0 part of V (x) V.
+    relations inside the weight-0 part of V (x) V.  Given S (a skew table),
+    only the cyclic rows of the triples that contain an element of S.
     """
-    return _pair_relations(par, weights) + _cyclic_relations(table, par, weights, skew)
+    return _pair_relations(par, weights) + _cyclic_relations(table, par, weights, skew, S)
 
 
 def _pair_relations(par, weights=None) -> list:
@@ -481,7 +496,7 @@ def _pair_relations(par, weights=None) -> list:
     return rows
 
 
-def _cyclic_relations(table, par, weights=None, skew=False) -> list:
+def _cyclic_relations(table, par, weights=None, skew=False, S=None) -> list:
     """One cyclic row per cyclic class of the table (see _cyclic_classes),
     D times the rational one, for D the LCM of the table's denominators.
 
@@ -489,12 +504,12 @@ def _cyclic_relations(table, par, weights=None, skew=False) -> list:
     per unordered triple: the row of (i, k, j) is +-1 times that of
     (i, j, k), so the span is the same.  The default walks both
     orientations, as a product table needs.  Given weights, only the
-    classes of weight 0.
+    classes of weight 0; given S, only those of the triples that meet S.
     """
     d = len(par)
     rows = []
     itable, _ = _integral_table(table)
-    for _, _, _, terms in _cyclic_classes(itable, par, weights, skew):
+    for _, _, _, terms in _cyclic_classes(itable, par, weights, skew, S=S):
         row: dict = {}
         for s, outer, cell in terms:
             base = outer * d
@@ -646,6 +661,50 @@ def _by_weight(weights) -> dict:
     for k, w in enumerate(weights):
         groups.setdefault(w, []).append(k)
     return groups
+
+
+def _generating_set(table, weights) -> list:
+    """S, basis indices whose closure is the whole algebra: the least
+    subspace that contains S and is closed under ad s for every s in S,
+    the subalgebra S generates (it is spanned by the brackets
+    [s_1, [s_2, ..., s_n]]).  The int weights grade the trusted table,
+    as the torus does.
+
+    The basis is walked greedily, the elements of nonzero weight first in
+    increasing |w|, then those of weight 0, and b joins S when it is not
+    yet in the closure.  The closure grows in one Echelon per weight, and
+    every element of S acts on each new closure vector, b on the vectors
+    from b on.  b need not act on the older closure C: with N the span of
+    the ad y_1 ... ad y_n b, y_i in S (b among them), C + N is a
+    subalgebra (ad c, for c in C, and ad x, for x in N, are sums of
+    products of the ad s, s in S, which keep N), so it is the closure.
+    A bracket whose weight is no weight of a basis element, or whose
+    weight space the closure already spans, is skipped, and the walk
+    stops at rank d: at most d inserts and |S| * d brackets.
+    """
+    d = len(table)
+    sizes = {w: len(g) for w, g in _by_weight(weights).items()}
+    closure = {w: Echelon() for w in sizes}
+    gens, spans, todo = [], [], []  # S; the closure's (vector, weight); (s, vector, weight) to bracket
+
+    def insert(v, w):
+        if closure[w].insert(v) is not None:
+            spans.append((v, w))
+            todo.extend((s, v, w) for s in gens)
+
+    for b in sorted(range(d), key=lambda b: (not weights[b], abs(weights[b]))):
+        if len(spans) == d:
+            break
+        if closure[weights[b]].contains({b: 1}):
+            continue
+        gens.append(b)
+        insert({b: 1}, weights[b])
+        while todo and len(spans) < d:
+            s, v, w = todo.pop()
+            w += weights[s]
+            if w in sizes and closure[w].rank < sizes[w]:
+                insert(_bilinear(table, {s: 1}, v), w)
+    return gens
 
 
 def _reachable_pairs(weights, sums):

@@ -107,17 +107,17 @@ def test_sl18_cells_of_a_reachable_weight_only():
 
 @pytest.mark.parametrize("name, pairs", [("sl7_t2", 2010), ("sq5c", 685)])
 def test_extension_table_and_morphism_check_walk_reachable_pairs(name, pairs):
-    """build_uce builds no extension table and runs no check_morphism; the
-    first access of ext.lie computes, and check_morphism(u) compares, only
-    the pairs p <= q of a reachable weight: 2,010 of 4,656 on
-    sl(7;Q[t]/(t^2)) and 685 of 1,225 on sq5c; a second access computes
-    none."""
-    from test_weight_blocks import _named
+    """build_uce builds no extension table and runs no check_morphism (it
+    only generates its weight-0 relation rows); the first access of
+    ext.lie computes, and check_morphism(u) compares, only the pairs
+    p <= q of a reachable weight: 2,010 of 4,656 on sl(7;Q[t]/(t^2)) and
+    685 of 1,225 on sq5c; a second access computes none."""
+    from test_weight_blocks import GENERATED_ROWS, _named
 
     L = _named(name)
     algebra._torus(L)
     counts, ext = scale.counters(lambda: build_uce(L))
-    assert counts == {}
+    assert counts == {"weight-0 relation rows generated": GENERATED_ROWS[name][1]}
     counts, lie = scale.counters(lambda: ext.lie)
     assert counts == {"pairs visited by UceAlgebra.lie": pairs}
     assert scale.counters(lambda: ext.lie) == ({}, lie)

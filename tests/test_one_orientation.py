@@ -106,10 +106,10 @@ def test_no_lie_table_walk_sees_both_orientations(monkeypatch):
     walks = []
     classes = algebra._cyclic_classes
 
-    def recording(itable, par, weights=None, skew=False, totals=(0,)):
+    def recording(itable, par, weights=None, skew=False, totals=(0,), S=None):
         seen = set()
         walks.append((len(itable), seen))
-        for i, j, k, terms in classes(itable, par, weights, skew, totals):
+        for i, j, k, terms in classes(itable, par, weights, skew, totals, S):
             seen.add((i, j, k))
             yield i, j, k, terms
 

@@ -71,7 +71,7 @@ def test_acceptance_objects_follow_the_scalar_rule():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _, L in acceptance.acceptance_test_matrix():
-            ruled += [L, h2(acceptance.extension(L))]
+            ruled += [L, h2(acceptance.extension(L)), acceptance.extension(L).lie]
     m, n, name = acceptance.CASES_3[0]
     fam = acceptance.family("sl", m, n, name)
     ruled += [fam, steinberg_check(fam),

@@ -16,7 +16,12 @@ are checked to fire: on a corrupted torus weight, on a block that loses
 its free columns, on a corrupted stored row, on a corrupted lift, and on
 a corrupted oracle weight.  build_uce is seen to project no extension
 cell, and the extension table to project its reachable cells once, on
-first access.  The torus is found once per algebra, by validation when
+first access, and h2 to project none.  The weight-0 rows are those of
+a generating set (algebra._generating_set): its rows give the reference
+RREF of B and of its weight-0 part, it generates the algebra, none of
+its elements is generated by the earlier ones, without its last element
+the rows of sl(3) do not span B (they still span B_0), and its size and
+rows are pinned on the two largest algebras.  The torus is found once per algebra, by validation when
 the algebra is validated, and it
 equals the torus of one solve of its whole system, which the reference
 keeps.  The oracle is checked to answer with the
@@ -43,6 +48,7 @@ from superuce import (
     build_family,
     build_uce,
     coefficient_algebra,
+    h2,
     h_iso_check,
     lie_from_assoc,
 )
@@ -50,7 +56,7 @@ from superuce import algebra, uce
 from superuce.algebra import _integral_table
 from superuce.cli import parse_algebra
 
-from systems_util import gl2_assoc, heisenberg, osp12, sl2
+from systems_util import abelian, gl2_assoc, heisenberg, osp12, sl2
 from test_acceptance import acceptance_test_matrix
 import unvalidated
 
@@ -339,7 +345,8 @@ def test_oracle_shares_no_code_with_the_builder(monkeypatch, name):
         raise RuntimeError("the oracle must not call this")
 
     for module, attr in [(uce, "build_uce"), (uce, "_torus"), (algebra, "_torus"),
-                         (uce, "_weight_presentation"),
+                         (uce, "_weight_presentation"), (uce, "_generating_set"),
+                         (algebra, "_generating_set"),
                          (uce, "_cyclic_failures"), (uce, "_tensor_relations"),
                          (algebra, "_cyclic_classes"), (algebra, "_cyclic_failures"),
                          (algebra, "_tensor_relations")]:
@@ -437,3 +444,115 @@ def test_every_weight_block_stops_at_full_rank(monkeypatch, name):
         assert ech.rank == n
         assert [vec for rank, vec in ech.calls if rank == n] == \
             [{k: 1} for k, w in enumerate(weights) if w == weight]
+
+
+def test_h2_projects_no_extension_cell(monkeypatch):
+    """h2 of a built extension returns its kernel with the extension data
+    as ambient: no cell of the extension table is projected."""
+    ext = build_uce(_named("sq5c"))
+    calls = []
+    project = uce.QuotientPresentation.project
+    monkeypatch.setattr(uce.QuotientPresentation, "project",
+                        lambda self, v: calls.append(v) or project(self, v))
+    kernel = h2(ext)
+    assert calls == []
+    assert kernel.ambient is ext and kernel.vectors == ext.kernel
+    assert kernel.ambient.basis == ext.u.domain
+
+
+# ------------------------------------------------------ the generating set
+
+GENERATED = {
+    "sl7_t2": _named,
+    **{path.stem: _named for path in sorted(INPUTS.glob("*.json"))},
+    "heis": lambda _: heisenberg(),
+    "abelian_2_odd": lambda _: abelian(2, 1),
+    "sl2_Mat2": lambda _: _family("sl", 2, 0, "Mat(2,0;Q)")(),
+    "sl22": lambda _: _family("sl", 2, 2)(),
+    "sl21_G2": lambda _: _family("sl", 2, 1, "Grassmann(2)")(),
+    "osp12": lambda _: osp12(),
+}
+
+
+def _generated_rows(L, S=None, weighted=True):
+    """The rows of a generating set S, by default build_uce's: of weight 0,
+    or of every weight when not weighted."""
+    _, weights = algebra._torus(L)
+    if S is None:
+        S = algebra._generating_set(L.table, weights)
+    return algebra._tensor_relations(L.table, L.basis.parities,
+                                     weights if weighted else None, True, S)
+
+
+def _generated_dim(L, S) -> int:
+    """dim of the subalgebra S generates: brackets of every pair of its
+    spanning vectors until none is new."""
+    ech, vecs = algebra.Echelon(), []
+    for v in [{s: 1} for s in S]:
+        if ech.insert(v) is not None:
+            vecs.append(v)
+    n = 0
+    while n < len(vecs):
+        for m in range(n + 1):
+            v = L.bracket(vecs[m], vecs[n])
+            if ech.insert(v) is not None:
+                vecs.append(v)
+        n += 1
+    return ech.rank
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_the_rows_of_a_generating_set_give_the_reference_rref(name):
+    """The pair rows and the cyclic rows of the triples that meet S span
+    B (the lemma in uce's docstring): their RREF is the RREF of every row
+    of B, and their weight-0 rows give its weight-0 part.  S generates L."""
+    L = GENERATED[name](name)
+    d = L.dim
+    _, weights = algebra._torus(L)
+    want = ref.reference_presentation(L).relations
+    assert uce.echelon_rows(_generated_rows(L, weighted=False)) == want
+    assert uce.echelon_rows(_generated_rows(L)) == {
+        c: row for c, row in want.items() if weights[c // d] + weights[c % d] == 0}
+    assert _generated_dim(L, algebra._generating_set(L.table, weights)) == d
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl21", "osp12", "sq3", "heis"])
+def test_no_element_of_the_generating_set_is_generated_by_the_earlier_ones(name):
+    """The greedy walk adds b only when the closure does not reach it yet."""
+    L = ALGEBRAS[name]()
+    _, weights = algebra._torus(L)
+    S = algebra._generating_set(L.table, weights)
+    assert _generated_dim(L, S) == L.dim
+    for n in range(len(S)):
+        assert _generated_dim(L, S[:n + 1]) > _generated_dim(L, S[:n])
+
+
+def test_the_last_generator_of_sl3_changes_the_rref():
+    """Without the last element of S the rows no longer span B.  Its
+    weight-0 part is the same on sl(3): any one root vector gives it."""
+    L = ALGEBRAS["sl3"]()
+    _, weights = algebra._torus(L)
+    S = algebra._generating_set(L.table, weights)
+    assert [L.basis.labels[s] for s in S] == ['E1,2(1)', 'E2,1(1)', 'E1,3(1)', 'E3,1(1)']
+    rref = [uce.echelon_rows(_generated_rows(L, s, weighted))
+            for weighted in (False, True) for s in (S, S[:-1])]
+    assert rref[0] == ref.reference_presentation(L).relations != rref[1]
+    assert rref[2] == rref[3]
+
+
+# name -> (|S|, weight-0 rows generated, of every weight-0 row)
+GENERATED_ROWS = {"sl7_t2": (13, 611, 1474), "sq5c": (10, 280, 612)}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_ROWS))
+def test_build_uce_eliminates_the_rows_of_a_generating_set(monkeypatch, name):
+    L = _named(name)
+    size, rows, every = GENERATED_ROWS[name]
+    _, weights = algebra._torus(L)
+    assert len(algebra._generating_set(L.table, weights)) == size
+    assert len(algebra._tensor_relations(L.table, L.basis.parities, weights, True)) == every
+    eliminated = []
+    rref = uce.echelon_rows
+    monkeypatch.setattr(uce, "echelon_rows", lambda r: eliminated.append(len(r)) or rref(r))
+    build_uce(L)
+    assert eliminated == [rows]

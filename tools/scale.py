@@ -28,7 +28,9 @@ the pairs i <= j whose cell each derived Lie table computed, by the
 function that built it (lie_from_assoc for gl, subalgebra_from_vectors
 for sl, UceAlgebra.lie for the extension, whose table the counted run
 builds); the pairs check_morphism compared; the torus systems _torus
-solved; and the RREF rows the presentation stores.  It takes no
+solved; the weight-0 relation rows uce._weight_presentation generated
+(the pair rows and the cyclic rows of a generating set) for
+elimination; and the RREF rows the presentation stores.  It takes no
 arguments, needs nothing outside the standard library and runs the
 package found on sys.path, after <checkout>/src; point PYTHONPATH at
 another tree's src to measure it.
@@ -123,8 +125,16 @@ def counters(job) -> tuple:
             bump("torus systems solved")
         return kernel_basis(matrix)
 
+    tensor_relations = uce._tensor_relations
+
+    def counted_relations(*args, **kwargs):
+        rows = tensor_relations(*args, **kwargs)
+        bump("weight-0 relation rows generated", len(rows))
+        return rows
+
     patches = [(algebra, "_lie_from_pairs", counted_pairs), (uce, "_lie_from_pairs", counted_pairs),
-               (algebra, "_bilinear", counted_bilinear), (algebra, "kernel_basis", counted_kernel)]
+               (algebra, "_bilinear", counted_bilinear), (algebra, "kernel_basis", counted_kernel),
+               (uce, "_tensor_relations", counted_relations)]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:
         for module, name, wrapper in patches:
